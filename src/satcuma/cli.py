@@ -93,10 +93,8 @@ def _cmd_sweep(args) -> int:
         specs = preset_sweeps(args.preset, seed=args.seed, trials=args.trials,
                               overrides=overrides)
     else:
-        specs = load_sweep_file(args.spec, seed=args.seed, trials=args.trials)
-        if overrides:
-            from .sweep import _apply_overrides
-            specs = [_apply_overrides(s, overrides) for s in specs]
+        specs = load_sweep_file(args.spec, seed=args.seed, trials=args.trials,
+                                overrides=overrides)
     rows = run_sweep(specs, workers=args.workers)
     out = args.out or f"{args.preset or 'sweep'}.{args.format}"
     if args.format == "csv":

@@ -1,5 +1,6 @@
 """System-level performance metrics: outage probability, ergodic rate and
-mean SINR/SNR, all built on the adaptive quadrature engine.
+mean SINR/SNR, built on the adaptive quadrature engine (the mean SNR is a
+closed form).
 
 Outage comes in two flavours.  The exact form integrates the signal-power
 density against the Gaussian interference CDF (a single smooth integral
@@ -11,7 +12,7 @@ clamp is recorded in the result warnings).
 
 Noise-only scenarios (U = 1) bypass the Gaussian machinery entirely: the
 SINR is then a deterministic rescaling of the signal power and every metric
-reduces to a signal-distribution integral.
+reduces to a signal-distribution integral or closed form.
 """
 
 from __future__ import annotations
@@ -23,9 +24,8 @@ import numpy as np
 
 from . import distributions as dist
 from .quadrature import QuadratureSpec, integrate
-from .scenario import Scenario
+from .scenario import WARN_ODD_MU, Scenario  # noqa: F401 (re-exported)
 
-WARN_ODD_MU = "odd-mu"
 WARN_CLAMPED = "clamped"
 WARN_QUAD_LIMIT = "quadrature-limit"
 
@@ -41,10 +41,6 @@ class MetricResult:
     def __post_init__(self):
         if self.est_error < 0:
             raise ValueError("est_error must be non-negative")
-
-
-def _scenario_warnings(sc: Scenario) -> tuple:
-    return (WARN_ODD_MU,) if not sc.antenna.mu_is_even_integer else ()
 
 
 def sinr_supremum(sc: Scenario) -> float:
@@ -87,22 +83,20 @@ def _z_breakpoints(sc: Scenario) -> tuple:
     return tuple(p for p in pts if 0.0 < p < z_sup)
 
 
-def outage_exact(gamma: float, sc: Scenario,
-                 spec: QuadratureSpec = METRIC_SPEC) -> MetricResult:
-    """Outage probability P(SINR < gamma) from the single-integral form.
+def _outage(gammas, sc: Scenario, spec: QuadratureSpec = METRIC_SPEC):
+    """Unclamped outage P(SINR < gamma) for a vector of thresholds.
 
     Evaluated in the theta domain of the endpoint substitution
     alpha = (zeta/V^2) cos^2(theta), where the signal density becomes the
-    constant mu/pi and the integrand is bounded and smooth.
+    constant mu/pi and the integrand is bounded and smooth.  One adaptive
+    integral serves every threshold: all share one panel tree, refined until
+    each meets the tolerance.  Returns (values, est_errors, converged).
     """
-    if gamma <= 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
+    gammas = np.asarray(gammas, dtype=float)
     dist.require_analytic_density(sc.mu)
-    warnings = _scenario_warnings(sc)
-
     if sc.users.U == 1:
-        val = float(dist.signal_cdf(gamma * sc.noise_term, sc.zeta_u, sc.mu, sc.V))
-        return MetricResult(value=val, est_error=0.0, warnings=warnings)
+        vals = np.asarray(dist.signal_cdf(gammas * sc.noise_term, sc.zeta_u, sc.mu, sc.V))
+        return vals, np.zeros_like(vals), True
 
     params = dist.scenario_trunc_gauss(sc)
     zeta, V, mu = sc.zeta_u, sc.V, sc.mu
@@ -112,57 +106,38 @@ def outage_exact(gamma: float, sc: Scenario,
 
     def integrand(theta):
         alpha = zeta * np.cos(theta) ** 2 / V ** 2
-        return dist.std_normal_cdf((alpha / gamma - m) / kappa)
+        return dist.std_normal_cdf((alpha / gammas[:, None] - m) / kappa)
 
     res = integrate(integrand, 0.0, math.pi / mu, spec)
-    if not res.converged:
-        warnings = warnings + (WARN_QUAD_LIMIT,)
-    raw = 1.0 / tmass - (mu / (math.pi * tmass)) * res.value
-    val, warnings = _clamp01(raw, warnings)
-    return MetricResult(value=val, est_error=(mu / (math.pi * tmass)) * res.est_error,
-                        warnings=warnings)
+    scale = mu / (math.pi * tmass)
+    return 1.0 / tmass - scale * res.value, scale * res.est_error, res.converged
 
 
-def outage_exact_curve(gammas, sc: Scenario, n_panels: int = 16) -> np.ndarray:
-    """Vectorized outage evaluation on a threshold grid.
+def outage_exact(gamma: float, sc: Scenario,
+                 spec: QuadratureSpec = METRIC_SPEC) -> MetricResult:
+    """Outage probability P(SINR < gamma) from the single-integral form."""
+    if gamma <= 0:
+        raise ValueError(f"gamma must be positive, got {gamma}")
+    vals, errs, converged = _outage([gamma], sc, spec)
+    warnings = sc.warnings if converged else sc.warnings + (WARN_QUAD_LIMIT,)
+    val, warnings = _clamp01(float(vals[0]), warnings)
+    return MetricResult(value=val, est_error=float(errs[0]), warnings=warnings)
 
-    Fixed-order composite Gauss-Legendre over the theta domain (the
-    integrand is smooth), evaluated for all thresholds at once.  Accuracy is
-    far below distribution-fit tolerances; use outage_exact for
-    tolerance-controlled single values.
-    """
+
+def outage_exact_curve(gammas, sc: Scenario) -> np.ndarray:
+    """Outage on a threshold grid, clamped to [0, 1]: the values of
+    outage_exact, from one integral for the whole grid."""
     gammas = np.asarray(gammas, dtype=float)
     if np.any(gammas <= 0):
         raise ValueError("thresholds must be positive")
-    dist.require_analytic_density(sc.mu)
-    if sc.users.U == 1:
-        return np.asarray(dist.signal_cdf(gammas * sc.noise_term, sc.zeta_u, sc.mu, sc.V))
-
-    params = dist.scenario_trunc_gauss(sc)
-    zeta, V, mu = sc.zeta_u, sc.V, sc.mu
-    m = params.omega + sc.noise_term
-    kappa = params.kappa
-    tmass = params.truncation_mass
-
-    nodes, weights = np.polynomial.legendre.leggauss(15)
-    edges = np.linspace(0.0, math.pi / mu, n_panels + 1)
-    half = 0.5 * np.diff(edges)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    theta = (mids[:, None] + half[:, None] * nodes[None, :]).ravel()
-    w = (half[:, None] * weights[None, :]).ravel()
-
-    alpha = zeta * np.cos(theta) ** 2 / V ** 2
-    args = (alpha[None, :] / gammas[:, None] - m) / kappa
-    integral = dist.std_normal_cdf(args) @ w
-    raw = 1.0 / tmass - (mu / (math.pi * tmass)) * integral
-    return np.clip(raw, 0.0, 1.0)
+    return np.clip(_outage(gammas, sc)[0], 0.0, 1.0)
 
 
 def outage_compact(gamma: float, sc: Scenario) -> MetricResult:
     """Closed-form outage for the compact (high-density) regime."""
     if gamma <= 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
-    warnings = _scenario_warnings(sc)
+    warnings = sc.warnings
     if sc.users.U == 1:
         # deterministic signal in the compact limit: outage is a step at the supremum
         val = 1.0 if gamma > sinr_supremum(sc) else 0.0
@@ -184,7 +159,7 @@ def outage_exact_double_integral(gamma: float, sc: Scenario,
     """
     if gamma <= 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
-    warnings = _scenario_warnings(sc)
+    warnings = sc.warnings
     upper = min(gamma, sinr_supremum(sc))
     if upper <= 0:
         return MetricResult(0.0, 0.0, warnings)
@@ -201,39 +176,55 @@ def outage_exact_double_integral(gamma: float, sc: Scenario,
 
 def ergodic_rate(sc: Scenario, outage: str = "exact",
                  spec: QuadratureSpec = METRIC_SPEC) -> MetricResult:
-    """Network ergodic rate (U*B/ln 2) * integral of (1 - outage(y))/(1+y).
+    """Network ergodic rate (U*B/ln 2) * E[ln(1 + SINR)].
 
-    The integrand is exactly zero beyond the SINR supremum (the clamped
+    With interferers this is the paper's integral of (1 - outage(y))/(1+y);
+    the integrand is exactly zero beyond the SINR supremum (the clamped
     outage reaches one there for both outage forms), so the upper limit is
-    truncated at the supremum.
+    truncated at the supremum.  Each node set of the exact form is one
+    vector call of the outage integral.
+
+    Noise-only scenarios (U = 1) have no outage model to choose: the rate
+    is (B/ln 2) * (mu/pi) * integral over [0, pi/mu] of
+    ln(1 + zeta cos^2(theta)/(V^2 n)), since the signal power is
+    (zeta/V^2) cos^2(theta) with theta uniform on [0, pi/mu].
     """
     if outage not in ("exact", "compact"):
         raise ValueError(f"outage must be 'exact' or 'compact', got {outage!r}")
-    warnings = _scenario_warnings(sc)
-    z_sup = sinr_supremum(sc)
+    warnings = sc.warnings
     U, B = sc.users.U, sc.budget.B
 
-    if sc.users.U == 1:
+    if U == 1:
+        dist.require_analytic_density(sc.mu)
+        snr_peak = sinr_supremum(sc)
+        mu = sc.mu
+
+        def integrand(theta):
+            return np.log1p(snr_peak * np.cos(theta) ** 2)
+
+        res = integrate(integrand, 0.0, math.pi / mu, spec)
+        if not res.converged:
+            warnings = warnings + (WARN_QUAD_LIMIT,)
+        scale = B * mu / (math.pi * math.log(2.0))
+        return MetricResult(value=scale * res.value, est_error=scale * res.est_error,
+                            warnings=warnings)
+
+    inner_converged = True
+    if outage == "exact":
         def survival(y):
-            y = np.atleast_1d(np.asarray(y, dtype=float))
-            return 1.0 - np.asarray(
-                dist.signal_cdf(y * sc.noise_term, sc.zeta_u, sc.mu, sc.V))
-    elif outage == "exact":
-        def survival(y):
-            vals = []
-            for yy in np.atleast_1d(y):
-                r = outage_exact(float(yy), sc, spec)
-                vals.append(1.0 - r.value)
-            return np.asarray(vals)
+            nonlocal inner_converged
+            vals, _, converged = _outage(y, sc, spec)
+            inner_converged = inner_converged and converged
+            return 1.0 - np.clip(vals, 0.0, 1.0)
     else:
         def survival(y):
-            return 1.0 - np.asarray(dist.sinr_cdf_compact(np.asarray(y, dtype=float), sc))
+            return 1.0 - np.asarray(dist.sinr_cdf_compact(y, sc))
 
     def integrand(y):
-        return survival(y) / (1.0 + np.asarray(y, dtype=float))
+        return survival(y) / (1.0 + y)
 
-    res = integrate(integrand, 0.0, z_sup, spec, breakpoints=_z_breakpoints(sc))
-    if not res.converged:
+    res = integrate(integrand, 0.0, sinr_supremum(sc), spec, breakpoints=_z_breakpoints(sc))
+    if not (res.converged and inner_converged):
         warnings = warnings + (WARN_QUAD_LIMIT,)
     scale = U * B / math.log(2.0)
     return MetricResult(value=scale * res.value, est_error=scale * res.est_error,
@@ -243,7 +234,7 @@ def ergodic_rate(sc: Scenario, outage: str = "exact",
 def mean_sinr(sc: Scenario, spec: QuadratureSpec = METRIC_SPEC) -> float:
     """Mean SINR as the first moment of the SINR density over its support."""
     if sc.users.U == 1:
-        return mean_snr(sc, spec)
+        return mean_snr(sc)
     z_sup = sinr_supremum(sc)
 
     def f(z):
@@ -253,21 +244,11 @@ def mean_sinr(sc: Scenario, spec: QuadratureSpec = METRIC_SPEC) -> float:
     return integrate(f, 0.0, z_sup, spec, breakpoints=_z_breakpoints(sc)).value
 
 
-def mean_snr(sc: Scenario, spec: QuadratureSpec = METRIC_SPEC) -> float:
-    """Mean SNR of the noise-only link, (2*Gamma/Kbar) * E[signal power].
-
-    The moment integral runs over the signal density with the endpoint
-    substitution; mean_snr_compact gives the closed-form high-density limit.
-    """
-    zeta, mu, V = sc.zeta_u, sc.mu, sc.V
-    sup = dist.signal_support(zeta, mu, V)
-    sub = QuadratureSpec(spec.abs_tol, spec.rel_tol, spec.max_subdivisions, "trig-endpoint")
-
-    def f(alpha):
-        return np.asarray(alpha) * dist.signal_pdf(alpha, zeta, mu, V)
-
-    res = integrate(f, sup.lo, sup.hi, sub, singular_scale=sup.hi)
-    return (2.0 * sc.Gamma / sc.Kbar) * res.value
+def mean_snr(sc: Scenario) -> float:
+    """Mean SNR of the noise-only link, (2*Gamma/Kbar) * E[signal power],
+    in closed form; mean_snr_compact gives the high-density limit."""
+    dist.require_analytic_density(sc.mu)
+    return (2.0 * sc.Gamma / sc.Kbar) * mean_signal_power_closed(sc)
 
 
 def mean_snr_compact(sc: Scenario) -> float:

@@ -3,7 +3,9 @@
 The engine bisects panels depth-first (left half first) until the embedded
 error estimate meets both tolerances or the subdivision budget runs out, so
 results are bit-reproducible for a given spec.  Integrands are called on
-node arrays.
+node arrays.  An integrand may also return m values per node, an array of
+shape (m, len(x)): the components then share one panel tree, and a panel is
+accepted only when every component meets its tolerance.
 
 Weight functions of the form 1/sqrt(x*(c - x)) -- the square-root endpoint
 singularities of the power densities -- are handled by the trig-endpoint
@@ -48,6 +50,8 @@ DEFAULT_SPEC = QuadratureSpec()
 
 @dataclass(frozen=True)
 class QuadratureResult:
+    """value and est_error are (m,) arrays for an integrand of m components."""
+
     value: float
     est_error: float
     subdivisions: int
@@ -62,18 +66,40 @@ class QuadratureError(RuntimeError):
         self.result = result
 
 
+def _rule(weights, fx):
+    """Weighted node sum: a float for a scalar integrand, an (m,) array
+    for a vector one (the rule applied along the node axis)."""
+    fx = np.asarray(fx)
+    if fx.ndim == 1:
+        return float(np.dot(weights, fx))
+    return fx @ weights
+
+
 def _panel(f, a: float, b: float):
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    fine = half * float(np.dot(_FINE_WEIGHTS, f(mid + half * _FINE_NODES)))
-    coarse = half * float(np.dot(_COARSE_WEIGHTS, f(mid + half * _COARSE_NODES)))
-    return fine, max(abs(fine - coarse), _ROUNDOFF * abs(fine))
+    fine = half * _rule(_FINE_WEIGHTS, f(mid + half * _FINE_NODES))
+    coarse = half * _rule(_COARSE_WEIGHTS, f(mid + half * _COARSE_NODES))
+    if isinstance(fine, float):
+        return fine, max(abs(fine - coarse), _ROUNDOFF * abs(fine))
+    return fine, np.maximum(np.abs(fine - coarse), _ROUNDOFF * np.abs(fine))
+
+
+def _meets(val, err, abs_tol: float, rel_tol: float) -> bool:
+    """Whether a panel's error estimate meets the tolerance of every component."""
+    if isinstance(val, float):
+        return err <= max(abs_tol, rel_tol * abs(val))
+    return bool(np.all(err <= np.maximum(abs_tol, rel_tol * np.abs(val))))
 
 
 def integrate(f, a: float, b: float, spec: QuadratureSpec = DEFAULT_SPEC,
               singular_scale: float | None = None,
               breakpoints=()) -> QuadratureResult:
     """Integrate f over [a, b].
+
+    f(x) returns len(x) values, or an (m, len(x)) array for m integrands
+    at once; value and est_error are then (m,) arrays, and converged is
+    False if any component missed its tolerance.
 
     With substitution "trig-endpoint", singular_scale must give the scale c
     of the weight 1/sqrt(x*(c-x)); the integral is evaluated in the
@@ -119,8 +145,8 @@ def integrate(f, a: float, b: float, spec: QuadratureSpec = DEFAULT_SPEC,
     while stack:
         x, y = stack.pop()
         val, err = _panel(f, x, y)
-        tol = max(spec.abs_tol * (y - x) / width, spec.rel_tol * abs(val))
-        if err <= tol or (y - x) < 1e-15 * width:
+        if _meets(val, err, spec.abs_tol * (y - x) / width, spec.rel_tol) \
+                or (y - x) < 1e-15 * width:
             total += val
             err_total += err
         elif nsub >= spec.max_subdivisions:

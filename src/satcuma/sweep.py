@@ -457,8 +457,10 @@ def _apply_overrides(spec: SweepSpec, overrides: dict) -> SweepSpec:
     return replace(spec, base=base, **kwargs)
 
 
-def load_sweep_file(path, seed: int = 0, trials: int = 0) -> list:
-    """Load sweeps from a JSON spec document.
+def load_sweep_file(path, seed: int = 0, trials: int = 0,
+                    overrides: dict | None = None) -> list:
+    """Load sweeps from a JSON spec document, applying config overrides to
+    every sweep as preset_sweeps does.
 
     Either a single object or {"sweeps": [...]} with fields param, grid,
     scenario, metrics and the optional SweepSpec fields.
@@ -488,4 +490,6 @@ def load_sweep_file(path, seed: int = 0, trials: int = 0) -> list:
             series=item.get("series", ""), gamma=float(item.get("gamma", 0.35)),
             mrc_M=int(item.get("mrc_M", 0)), psi_u=float(item.get("psi_u", 0.0)),
             trials=int(item.get("trials", trials)), seed=int(item.get("seed", seed))))
+    if overrides:
+        specs = [_apply_overrides(s, overrides) for s in specs]
     return specs

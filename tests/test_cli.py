@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import satcuma.core
+from satcuma import metrics
 from satcuma.cli import main
 from satcuma.sweep import (SweepSpec, SweepSpecError, load_sweep_file,
                            preset_sweeps, run_sweep)
@@ -90,6 +91,20 @@ class TestSweepSpec:
         specs = load_sweep_file(str(path))
         assert specs[0].param == "U"
         assert specs[0].gamma == 0.3
+
+    def test_spec_file_overrides(self, tmp_path):
+        doc = {"sweeps": [{"param": "U", "grid": [2, 4], "metrics": ["mean_snr"],
+                           "scenario": {"K": 9, "W": 2, "U": 2}, "gamma": 0.3}] * 2}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc))
+        specs = load_sweep_file(str(path), overrides={"K": 21, "gamma": 0.5})
+        assert [(s.base["K"], s.base["W"], s.gamma) for s in specs] == [(21, 2, 0.5)] * 2
+        out = tmp_path / "o.csv"
+        assert run_cli(["sweep", "--spec", str(path), "--set", "K=21",
+                        "--out", str(out)]) == 0
+        snr = float(out.read_text().splitlines()[1].split(",")[4])
+        assert snr == pytest.approx(
+            metrics.mean_snr(reference_scenario(K=21, W=2, U=2)), rel=1e-11)
 
     def test_spec_file_unknown_field(self, tmp_path):
         path = tmp_path / "spec.json"

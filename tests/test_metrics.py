@@ -1,10 +1,12 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from satcuma import run_trials
-from satcuma.distributions import signal_cdf
+from satcuma.distributions import scenario_trunc_gauss, signal_cdf
 from satcuma.metrics import (MetricResult, WARN_CLAMPED, WARN_ODD_MU,
                              WARN_QUAD_LIMIT, ergodic_rate,
                              mean_signal_power_closed, mean_sinr, mean_snr,
@@ -148,6 +150,13 @@ class TestErgodicRate:
             r2 = ergodic_rate(reference_scenario(K=61, W=3, U=u, B_hz=2e7)).value
             assert r2 > r1
 
+    def test_single_user_requires_analytic_density(self):
+        sc = reference_scenario(K=3, W=2, U=1)  # mu = 1
+        with pytest.raises(ValueError, match="density"):
+            ergodic_rate(sc)
+        with pytest.raises(ValueError, match="density"):
+            mean_snr(sc)
+
     def test_outage_kind_validation(self, table_scenario):
         with pytest.raises(ValueError):
             ergodic_rate(table_scenario, outage="other")
@@ -155,9 +164,14 @@ class TestErgodicRate:
 
 class TestMoments:
     def test_mean_snr_matches_closed_form(self, table_scenario):
-        sc = table_scenario
-        expected = (2.0 * sc.Gamma / sc.Kbar) * mean_signal_power_closed(sc)
-        assert mean_snr(sc) == pytest.approx(expected, rel=1e-9)
+        # against a 30-digit integral of alpha * f_alpha over the support
+        for sc in (table_scenario, reference_scenario(K=11, W=2, U=1),
+                   reference_scenario(K=61, W=3, U=1), reference_scenario(K=201, W=3, U=1)):
+            with mp.workdps(30):
+                lo, hi, mu = _mp_signal_support(sc)
+                mean_alpha = mp.quad(lambda a: a * _mp_signal_pdf(a, hi, mu), [lo, hi])
+                expected = 2 * mp.mpf(sc.Gamma) / mp.mpf(sc.Kbar) * mean_alpha
+            assert mean_snr(sc) == pytest.approx(float(expected), rel=1e-14)
 
     def test_mean_signal_power_closed_form_value(self):
         # (zeta/(2 V^2)) * (1 + mu*sin(2*pi/mu)/(2*pi)) at mu=4, W=2, zeta=1
@@ -192,6 +206,75 @@ class TestMoments:
         a = mean_snr(reference_scenario(K=61, W=3, U=1, B_hz=1e7))
         b = mean_snr(reference_scenario(K=61, W=3, U=1, B_hz=2e7))
         assert b == pytest.approx(a / 2.0, rel=1e-9)
+
+
+def _mp_signal_support(sc):
+    """Signal-power support [lo, hi] and density mu, at mpmath precision."""
+    hi = mp.mpf(sc.zeta_u) / mp.mpf(sc.V) ** 2
+    mu = mp.mpf(sc.mu)
+    return hi * mp.cos(mp.pi / mu) ** 2, hi, mu
+
+
+def _mp_signal_pdf(a, hi, mu):
+    """Signal-power density (mu/2pi)/sqrt(alpha*(hi - alpha)) on (lo, hi)."""
+    return mu / (2 * mp.pi) / mp.sqrt(a * (hi - a))
+
+
+class TestHighPrecisionReference:
+    """est_error is a checked claim: each value lies within its own error
+    estimate (plus roundoff) of a 30-digit mpmath evaluation that integrates
+    over the signal power itself, without the theta substitution."""
+
+    @pytest.fixture(autouse=True)
+    def _precision(self):
+        with mp.workdps(30):
+            yield
+
+    @pytest.mark.parametrize("K", [61, 157, 181])
+    def test_single_user_rate(self, K):
+        # the paper's form (B/ln 2) * integral of (1 - F_alpha(y n))/(1+y)
+        # up to the SINR supremum; the survival is 1 below the support
+        sc = reference_scenario(K=K, W=3, U=1)
+        lo, hi, mu = _mp_signal_support(sc)
+        n = mp.mpf(sc.noise_term)
+
+        def survival(y):
+            return mu / (2 * mp.pi) * mp.acos(2 * y * n / hi - 1)
+
+        body = mp.quad(lambda y: survival(y) / (1 + y), [lo / n, hi / n])
+        ref = mp.mpf(sc.budget.B) / mp.log(2) * (mp.log1p(lo / n) + body)
+        r = ergodic_rate(sc, outage="exact")
+        assert WARN_QUAD_LIMIT not in r.warnings
+        assert abs(r.value - ref) <= r.est_error + 1e-12 * abs(ref)
+
+    @pytest.mark.parametrize("gamma", [0.1, 0.2, 0.35, 0.5, 0.8])
+    def test_outage_exact(self, table_scenario, gamma):
+        # E_alpha[(1 - Phi((alpha/gamma - n - omega)/kappa))] / Phi(omega/kappa)
+        sc = table_scenario
+        lo, hi, mu = _mp_signal_support(sc)
+        p = scenario_trunc_gauss(sc)
+        m = mp.mpf(p.omega) + mp.mpf(sc.noise_term)
+        kappa, g = mp.mpf(p.kappa), mp.mpf(gamma)
+        tail = mp.quad(lambda a: _mp_signal_pdf(a, hi, mu)
+                       * (1 - mp.ncdf((a / g - m) / kappa)), [lo, hi])
+        ref = tail / mp.ncdf(mp.mpf(p.omega) / kappa)
+        r = outage_exact(gamma, table_scenario)
+        assert r.warnings == ()
+        assert abs(r.value - ref) <= r.est_error + 1e-12 * abs(ref)
+
+
+class TestOutageProperties:
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(half_mu=st.integers(1, 15), U=st.integers(2, 12),
+           gammas=st.lists(st.floats(1e-3, 20.0), min_size=1, max_size=8))
+    def test_bounded_monotone_and_vector_matches_scalar(self, half_mu, U, gammas):
+        sc = reference_scenario(K=4 * half_mu + 1, W=2, U=U)  # even mu = 2*half_mu
+        gammas = np.sort(gammas)
+        curve = outage_exact_curve(gammas, sc)
+        assert np.all((curve >= 0.0) & (curve <= 1.0))
+        assert np.all(np.diff(curve) >= -1e-15)
+        for g, v in zip(gammas, curve):
+            assert abs(outage_exact(float(g), sc).value - v) <= 1e-15
 
 
 class TestTrendSuite:

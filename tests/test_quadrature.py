@@ -127,6 +127,61 @@ class TestAdaptivity:
         assert a.est_error == b.est_error
 
 
+class TestVectorIntegrand:
+    @staticmethod
+    def _components():
+        return (lambda x: np.sin(13.0 * x) * np.exp(-x),
+                lambda x: 1.0 / (1.0 + x * x),
+                lambda x: np.sqrt(x + 0.01))
+
+    def test_single_component_is_bit_identical(self):
+        spec = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12)
+        for f in self._components():
+            scalar = integrate(f, 0.0, 8.0, spec)
+            vector = integrate(lambda x: f(x)[None, :], 0.0, 8.0, spec)
+            assert vector.value.shape == (1,)
+            assert vector.value[0] == scalar.value
+            assert vector.est_error[0] == scalar.est_error
+            assert vector.subdivisions == scalar.subdivisions
+            assert vector.converged is scalar.converged is True
+
+    def test_components_match_scalar_calls(self):
+        fs = self._components()
+        res = integrate(lambda x: np.stack([f(x) for f in fs]), 0.0, 8.0)
+        assert res.value.shape == res.est_error.shape == (3,)
+        assert res.converged
+        # the shared panel tree is at least as fine as each component's own
+        # and at least as many bisections as the hardest one needs
+        for f, v in zip(fs, res.value):
+            own = integrate(f, 0.0, 8.0)
+            assert v == pytest.approx(own.value, rel=1e-13, abs=1e-15)
+            assert res.subdivisions >= own.subdivisions
+
+    def test_substitution_and_reversed_limits(self):
+        spec = QuadratureSpec(substitution="trig-endpoint")
+
+        def f(x):
+            w = 1.0 / (math.pi * np.sqrt(x * (1.0 - x)))
+            return np.stack([w, x * w])
+
+        fwd = integrate(f, 0.0, 1.0, spec, singular_scale=1.0)
+        assert fwd.value == pytest.approx([1.0, 0.5], abs=1e-10)
+        rev = integrate(f, 1.0, 0.0, spec, singular_scale=1.0)
+        assert np.array_equal(rev.value, -fwd.value)
+
+    def test_one_unconverged_component_flags_the_result(self):
+        spec = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-10, max_subdivisions=3)
+        assert integrate(np.sin, 0.0, 1.0, spec).converged
+
+        def f(x):
+            return np.stack([np.sin(x), np.abs(np.sin(50.0 * x)) ** 0.3])
+
+        res = integrate(f, 0.0, 1.0, spec)
+        assert res.converged is False
+        assert res.subdivisions == 3
+        assert res.value[0] == pytest.approx(1.0 - math.cos(1.0), rel=1e-14)
+
+
 class TestSpecValidation:
     def test_bad_tolerances(self):
         with pytest.raises(ValueError):
