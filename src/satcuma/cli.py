@@ -18,7 +18,7 @@ import json
 import sys
 
 from . import metrics, montecarlo as mc, validate as val
-from .scenario import Scenario, ScenarioError, build_scenario
+from .scenario import Scenario, ScenarioError, build_scenario, load_config
 from .sweep import (SweepSpecError, load_sweep_file, preset_sweeps, run_sweep,
                     write_csv, write_json)
 
@@ -75,11 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_scenario(args, overrides) -> Scenario:
-    if args.spec:
-        with open(args.spec) as fh:
-            cfg = json.load(fh)
-    else:
-        cfg = dict(DEFAULT_SCENARIO)
+    cfg = load_config(args.spec) if args.spec else dict(DEFAULT_SCENARIO)
     cfg.update(overrides)
     cfg.setdefault("seed", args.seed)
     return build_scenario(cfg)

@@ -89,7 +89,7 @@ def activated_set(psi_u: float, cfg: AntennaConfig, kind: PortSetKind) -> PortSe
 
 
 def ceil_t_mu(t: float, mu: float) -> int:
-    """ceil(t*mu), the port-window index common to all compact forms."""
+    """ceil(t*mu) for scalar t, the port-window index of the compact forms."""
     return int(math.ceil(t * mu))
 
 
@@ -123,28 +123,29 @@ def signal_amplitude_bruteforce(psi_u: float, zeta_u: float, port_set: PortSet,
     return math.sqrt(zeta_u) * float(np.cos(port_phase(psi_u, ks, cfg.mu_float)).sum())
 
 
-def signal_power_compact(psi_u: float, zeta_u: float, cfg: AntennaConfig) -> float:
+def signal_power_compact(psi_u, zeta_u, cfg: AntennaConfig):
     """Closed-form in-phase signal power of the positive-cosine port set.
 
     zeta_u * cos^2(-2*pi*t - pi/mu + (2*pi/mu)*ceil(t*mu)) / V^2 with
     t = 3/4 - psi_u/(2*pi) and V = sin(pi/mu)/W.  Exact for even integer mu.
+    Accepts scalars or NumPy arrays, which broadcast.
     """
     mu = cfg.mu_float
-    t = 0.75 - psi_u / (2.0 * math.pi)
-    x = -2.0 * math.pi * t - math.pi / mu + (2.0 * math.pi / mu) * ceil_t_mu(t, mu)
-    return zeta_u * math.cos(x) ** 2 / cfg.V ** 2
+    t = 0.75 - np.asarray(psi_u) / (2.0 * math.pi)
+    x = -2.0 * math.pi * t - math.pi / mu + (2.0 * math.pi / mu) * np.ceil(t * mu)
+    return zeta_u * np.cos(x) ** 2 / cfg.V ** 2
 
 
-def interference_power_compact(psi_tilde: float, zeta_tilde: float, t: float,
-                               cfg: AntennaConfig) -> float:
+def interference_power_compact(psi_tilde, zeta_tilde, t, cfg: AntennaConfig):
     """Closed-form per-interferer power collected on the desired user's set.
 
     zeta * sin^2(psi_tilde - pi/mu + (2*pi/mu)*ceil(t*mu)) / V^2, where t is
-    the desired user's mapped phase.
+    the desired user's mapped phase.  Accepts scalars or NumPy arrays, which
+    broadcast.
     """
     mu = cfg.mu_float
-    x = psi_tilde - math.pi / mu + (2.0 * math.pi / mu) * ceil_t_mu(t, mu)
-    return zeta_tilde * math.sin(x) ** 2 / cfg.V ** 2
+    x = np.asarray(psi_tilde) - math.pi / mu + (2.0 * math.pi / mu) * np.ceil(np.asarray(t) * mu)
+    return zeta_tilde * np.sin(x) ** 2 / cfg.V ** 2
 
 
 def instant_sinr(alpha: float, y_list, kbar: float, gamma: float) -> float:

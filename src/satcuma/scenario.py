@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -262,29 +263,46 @@ def _draw_phases(u: int, seed: int) -> tuple:
     return tuple(float(2.0 * math.pi * r) for r in raw)
 
 
+def load_config(source) -> dict:
+    """Flat config mapping from a dict, a JSON file path or a JSON string.
+
+    A string that names no readable file is parsed as JSON only when it
+    starts like JSON ('{' or '['); otherwise the unreadable file is reported.
+    Errors raise ScenarioError naming the file.
+    """
+    if isinstance(source, dict):
+        return dict(source)
+    if not isinstance(source, (str, bytes)):
+        raise ScenarioError(f"unsupported config source type {type(source).__name__}")
+    try:
+        with open(source) as fh:
+            text = fh.read()
+        origin = f"config file {os.fsdecode(source)!r}"
+    except OSError as exc:
+        text = source.decode() if isinstance(source, bytes) else source
+        if not text.lstrip().startswith(("{", "[")):
+            raise ScenarioError(f"cannot read config file {text!r}: "
+                                f"{exc.strerror or exc}") from exc
+        origin = "config string"
+    try:
+        cfg = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ScenarioError(f"{origin}: config parse failure: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ScenarioError(f"{origin}: config must be a JSON object, "
+                            f"got {type(cfg).__name__}")
+    return cfg
+
+
 def build_scenario(source) -> Scenario:
     """Build a validated Scenario from a config mapping or JSON file path.
 
-    Accepts a dict, a path to a JSON file, or a JSON string.  Unknown keys
-    raise ScenarioError.  When mu is not an even integer the scenario still
-    builds, but carries the odd-mu warning record so consumers can tell the
-    guaranteed regime from the empirical one.
+    Accepts whatever load_config does: a dict, a path to a JSON file, or a
+    JSON string.  Unknown keys raise ScenarioError.  When mu is not an even
+    integer the scenario still builds, but carries the odd-mu warning record
+    so consumers can tell the guaranteed regime from the empirical one.
     """
-    if isinstance(source, (str, bytes)):
-        text = source
-        try:
-            with open(source) as fh:
-                text = fh.read()
-        except OSError:
-            pass
-        try:
-            cfg = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ScenarioError(f"config parse failure: {exc}") from exc
-    elif isinstance(source, dict):
-        cfg = dict(source)
-    else:
-        raise ScenarioError(f"unsupported config source type {type(source).__name__}")
+    cfg = load_config(source)
 
     unknown = set(cfg) - _CONFIG_KEYS
     if unknown:

@@ -9,8 +9,8 @@ bound.
 Checks that are only meaningful in a particular regime (the aggregate
 interference CLT fit below the massive-access regime, the compact SINR
 density at low port density, everything compact-form at odd density) are
-reported as informational: their statistics appear in the table but do not
-affect the overall verdict.
+reported as informational: their statistics appear in the table, their
+result reads "info", and they do not affect the overall verdict.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ INDEPENDENCE_BOUND = 0.01
 EQUIVALENCE_REL = 1e-9
 FSD_SIGMA = 3.0
 EQUIVALENCE_SUBSAMPLE = 20000
+NEGATIVE_SET_TRIALS = 100000
 
 _KS_NOISE_MULT = 2.5      # ~99.99% two-sided KS quantile multiplier
 _CORR_NOISE_MULT = 4.0    # max over interferers of a null correlation
@@ -77,7 +78,7 @@ class ValidationReport:
             f"{'check':34s} {'result':6s} {'statistic':>12s} {'threshold':>12s}  note",
         ]
         for c in self.checks:
-            verdict = "PASS" if c.passed else ("info" if c.informational else "FAIL")
+            verdict = "info" if c.informational else ("PASS" if c.passed else "FAIL")
             lines.append(f"{c.name:34s} {verdict:6s} {c.statistic:12.5g} "
                          f"{c.threshold:12.5g}  {c.note}")
         lines.append("-" * 78)
@@ -90,32 +91,25 @@ def _scenario_label(sc: Scenario) -> str:
             f"mu={sc.antenna.mu} B={sc.budget.B:g}")
 
 
-def _compact_equivalence(sc: Scenario, psi: np.ndarray) -> tuple:
+def _compact_equivalence(sc: Scenario, psi: np.ndarray, alpha: np.ndarray,
+                         ys: np.ndarray) -> float:
     """Worst relative deviation between compact and brute-force powers.
 
-    Deviations are normalized by the power scale zeta/V^2 so phase-nulled
-    interference (power ~ 0) does not blow up the ratio.  The compact forms
-    are called one trial at a time on purpose: this is the surface under
-    test.
+    psi holds the phases of the trials whose brute-force powers are alpha
+    and ys.  Deviations are normalized by the power scale zeta/V^2 so
+    phase-nulled interference (power ~ 0) does not blow up the ratio.  The
+    compact forms are called once each, on whole columns.
     """
     cfg = sc.antenna
-    zeta = sc.users.zeta
-    scale = max(zeta) / cfg.V ** 2
-    ks = np.arange(2, cfg.K + 1)
-    worst = 0.0
-    for row in psi:
-        pset_cos = np.cos(core.port_phase(row[0], ks, cfg.mu_float))
-        mask = pset_cos > 0.0
-        a_brute = zeta[0] * (pset_cos * mask).sum() ** 2
-        a_comp = core.signal_power_compact(row[0], zeta[0], cfg)
-        worst = max(worst, abs(a_comp - a_brute) / max(a_brute, scale))
-        t = 0.75 - row[0] / (2.0 * math.pi)
-        for j in range(1, len(row)):
-            s = (np.cos(core.port_phase(row[j], ks, cfg.mu_float)) * mask).sum()
-            y_brute = zeta[j] * s ** 2
-            y_comp = core.interference_power_compact(row[j], zeta[j], t, cfg)
-            worst = max(worst, abs(y_comp - y_brute) / max(y_brute, scale))
-    return worst
+    zeta = np.asarray(sc.users.zeta)
+    scale = zeta.max() / cfg.V ** 2
+    a_comp = core.signal_power_compact(psi[:, 0], zeta[0], cfg)
+    t = 0.75 - psi[:, :1] / (2.0 * math.pi)
+    y_comp = core.interference_power_compact(psi[:, 1:], zeta[1:], t, cfg)
+    dev = np.concatenate([
+        (np.abs(a_comp - alpha) / np.maximum(alpha, scale)).ravel(),
+        (np.abs(y_comp - ys) / np.maximum(ys, scale)).ravel()])
+    return float(dev.max())
 
 
 def run_validation(sc: Scenario, n_trials: int, master_seed: int,
@@ -126,12 +120,15 @@ def run_validation(sc: Scenario, n_trials: int, master_seed: int,
     even = sc.antenna.mu_is_even_integer
     mu, V = sc.mu, sc.V
     zeta_u = sc.zeta_u
-    batch = mc.run_trials(sc, n_trials, master_seed, workers=workers)
+    # one brute-force pass; the negative-set columns cover its first trials
+    n_k2 = min(n_trials, NEGATIVE_SET_TRIALS)
+    batch, neg = mc.oracle_pass(sc, n_trials, master_seed, workers=workers,
+                                k2_trials=n_k2)
 
-    # 1. compact-form equivalence on a deterministic subsample
+    # 1. compact-form equivalence on the first trials of the batch
     n_sub = min(n_trials, EQUIVALENCE_SUBSAMPLE)
     psi = mc._draw_block(master_seed, 0, n_sub, sc.users.U)
-    dev = _compact_equivalence(sc, psi)
+    dev = _compact_equivalence(sc, psi, batch.alpha[:n_sub], batch.ys[:n_sub])
     report.checks.append(CheckResult(
         name="compact-form-equivalence", passed=(dev <= EQUIVALENCE_REL) or not even,
         statistic=dev, threshold=EQUIVALENCE_REL,
@@ -238,8 +235,6 @@ def run_validation(sc: Scenario, n_trials: int, master_seed: int,
             statistic=worst_corr, threshold=thr_ind))
 
     # 11. negative-set residual bound
-    n_k2 = min(n_trials, 100000)
-    neg = mc.negative_set_trials(sc, n_k2, master_seed)
     bound = core.k2_residual_bound(sc.antenna) * math.sqrt(zeta_u)
     worst_gap = float(np.max(np.abs(neg.amp_neg - neg.amp_pos)))
     report.checks.append(CheckResult(

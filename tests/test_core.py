@@ -217,6 +217,40 @@ class TestInterferencePower:
             assert 0.0 <= y <= hi + 1e-9
 
 
+class TestCompactFormArrays:
+    CFGS = (CFG_MU4, AntennaConfig(K=21, W=2), AntennaConfig(K=11, W=2),
+            AntennaConfig(K=61, W=3))
+
+    def test_signal_array_call_matches_scalar_calls(self):
+        rng = np.random.default_rng(15)
+        psi = rng.uniform(0.01, 2 * math.pi - 0.01, 400)
+        for cfg in self.CFGS:
+            arr = signal_power_compact(psi, 0.7, cfg)
+            assert arr.shape == psi.shape
+            scalar = np.array([signal_power_compact(p, 0.7, cfg) for p in psi])
+            np.testing.assert_allclose(arr, scalar, rtol=1e-14, atol=0.0)
+
+    def test_interference_array_call_broadcasts(self):
+        # (n, 1) desired-user phases against (n, U-1) interferer phases and
+        # (U-1,) path losses, as the validation suite calls it
+        rng = np.random.default_rng(16)
+        psi = rng.uniform(0.01, 2 * math.pi - 0.01, (300, 5))
+        zeta = np.array([1.0, 0.5, 2.0, 0.25])
+        for cfg in self.CFGS:
+            t = 0.75 - psi[:, :1] / (2 * math.pi)
+            arr = interference_power_compact(psi[:, 1:], zeta, t, cfg)
+            assert arr.shape == (300, 4)
+            scalar = np.array([[interference_power_compact(psi[i, j + 1], zeta[j],
+                                                           t[i, 0], cfg)
+                                for j in range(4)] for i in range(300)])
+            np.testing.assert_allclose(arr, scalar, rtol=1e-14, atol=0.0)
+
+    def test_scalar_calls_return_floats(self):
+        t = 0.75 - (math.pi / 3) / (2 * math.pi)
+        assert isinstance(signal_power_compact(math.pi / 3, 1.0, CFG_MU4), float)
+        assert isinstance(interference_power_compact(math.pi / 2, 1.0, t, CFG_MU4), float)
+
+
 class TestInstantPowerRecord:
     def test_consistency_enforced(self):
         from satcuma.core import InstantPower

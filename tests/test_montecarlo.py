@@ -7,7 +7,8 @@ from satcuma.core import (PortSetKind, activated_set,
                           signal_amplitude_bruteforce)
 from satcuma.montecarlo import (EmpiricalDist, empirical_cdf,
                                 empirical_outage, ks_critical, ks_distance,
-                                negative_set_trials, run_trials, _draw_block)
+                                negative_set_trials, oracle_pass, run_trials,
+                                _chunk_rows, _draw_block)
 
 from conftest import reference_scenario
 
@@ -59,6 +60,96 @@ class TestDeterminism:
         assert [v.hex() for v in batch.ys[:, 0]] == [
             "0x1.8f230c70ba57dp-59", "0x1.a45661c1afe3ap-59",
             "0x1.1ec95d10c5f58p-60", "0x1.f3bc4b9cc2fadp-59"]
+
+
+def _naive_block(sc, psi):
+    """Straightforward full-cosine port sums, one interferer at a time: the
+    kernel's reference, kept as the unblocked array code it replaced."""
+    u, k, zeta, gamma = sc.users.U, sc.antenna.K, sc.users.zeta, sc.Gamma
+    ports = 2.0 * math.pi * np.arange(1, k) / sc.mu
+    cos0 = np.cos(psi[:, :1] + ports[None, :])
+    mask = cos0 > 0.0
+    amp = (cos0 * mask).sum(axis=1)
+    alpha = zeta[0] * amp ** 2
+    kbar = mask.sum(axis=1)
+    ys = np.empty((psi.shape[0], u - 1))
+    for j in range(1, u):
+        s = (np.cos(psi[:, j:j + 1] + ports[None, :]) * mask).sum(axis=1)
+        ys[:, j - 1] = zeta[j] * s ** 2
+    beta = ys.sum(axis=1)
+    denom = beta + kbar / (2.0 * gamma)
+    sinr = np.divide(alpha, denom, out=np.zeros_like(alpha), where=denom > 0.0)
+    return {"alpha": alpha, "ys": ys, "beta": beta, "sinr": sinr, "kbar": kbar}
+
+
+def _naive_negative_set(sc, psi):
+    """Both activation sets from full cosines, per-set SINR (reference)."""
+    u, k, zeta, gamma = sc.users.U, sc.antenna.K, sc.users.zeta, sc.Gamma
+    ports = 2.0 * math.pi * np.arange(1, k) / sc.mu
+    cos0 = np.cos(psi[:, :1] + ports[None, :])
+    mpos = cos0 > 0.0
+    mneg = cos0 < 0.0
+    sp = (cos0 * mpos).sum(axis=1)
+    sn = (cos0 * mneg).sum(axis=1)
+    beta_p = np.zeros(psi.shape[0])
+    beta_n = np.zeros(psi.shape[0])
+    for j in range(1, u):
+        cj = np.cos(psi[:, j:j + 1] + ports[None, :])
+        beta_p += zeta[j] * (cj * mpos).sum(axis=1) ** 2
+        beta_n += zeta[j] * (cj * mneg).sum(axis=1) ** 2
+    den_p = beta_p + mpos.sum(axis=1) / (2.0 * gamma)
+    den_n = beta_n + mneg.sum(axis=1) / (2.0 * gamma)
+    ap = zeta[0] * sp ** 2
+    an = zeta[0] * sn ** 2
+    return {"amp_pos": math.sqrt(zeta[0]) * sp,
+            "amp_neg": math.sqrt(zeta[0]) * np.abs(sn),
+            "sinr_pos": np.divide(ap, den_p, out=np.zeros_like(ap), where=den_p > 0.0),
+            "sinr_neg": np.divide(an, den_n, out=np.zeros_like(an), where=den_n > 0.0)}
+
+
+def _assert_columns_equal(obj, ref):
+    for name, want in ref.items():
+        got = getattr(obj, name)
+        assert got.shape == want.shape, name
+        assert np.array_equal(got, want), name
+
+
+class TestKernelBitIdentity:
+    # n straddles two row chunks and ends inside a third; block_size=977
+    # puts block edges inside chunks; mu=5 is odd, mu=1 leaves activation
+    # sets empty, U=1 has no interferer and K=181 has long activated runs
+    CASES = [(21, 2, 5), (11, 2, 5), (3, 2, 2), (9, 2, 1), (181, 3, 3)]
+
+    @staticmethod
+    def n_trials(k):
+        return 2 * _chunk_rows(k) + 37
+
+    @pytest.mark.parametrize("K,W,U", CASES)
+    def test_trials_match_naive_reference(self, K, W, U):
+        sc = reference_scenario(K=K, W=W, U=U)
+        n = self.n_trials(K)
+        ref = _naive_block(sc, _draw_block(71, 0, n, U))
+        for kwargs in ({}, {"block_size": 977}, {"block_size": 977, "workers": 2}):
+            _assert_columns_equal(run_trials(sc, n, 71, **kwargs), ref)
+
+    @pytest.mark.parametrize("K,W,U", CASES)
+    def test_negative_set_matches_naive_reference(self, K, W, U):
+        sc = reference_scenario(K=K, W=W, U=U)
+        n = self.n_trials(K)
+        ref = _naive_negative_set(sc, _draw_block(73, 0, n, U))
+        for block_size in (65536, 977):
+            _assert_columns_equal(negative_set_trials(sc, n, 73, block_size), ref)
+
+    def test_one_pass_gives_both_batches(self):
+        # the negative-set columns of a pass are those of its first trials
+        sc = reference_scenario(K=21, W=2, U=5)
+        n, n_k2 = self.n_trials(21), _chunk_rows(21) + 5
+        psi = _draw_block(79, 0, n, 5)
+        batch, neg = oracle_pass(sc, n, 79, block_size=977, workers=2, k2_trials=n_k2)
+        _assert_columns_equal(batch, _naive_block(sc, psi))
+        assert neg.n_trials == n_k2
+        _assert_columns_equal(neg, _naive_negative_set(sc, psi[:n_k2]))
+        assert oracle_pass(sc, n, 79)[1] is None
 
 
 class TestTrialPhysics:

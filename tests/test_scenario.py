@@ -154,6 +154,25 @@ class TestBuildScenario:
         with pytest.raises(ScenarioError, match="parse"):
             build_scenario(str(path))
 
+    def test_missing_file_is_reported_as_unreadable(self, tmp_path):
+        missing = str(tmp_path / "missing.json")
+        with pytest.raises(ScenarioError, match="cannot read config file") as exc:
+            build_scenario(missing)
+        assert "missing.json" in str(exc.value)
+        assert "parse" not in str(exc.value)
+
+    def test_parse_failure_names_file(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text("{not json")
+        with pytest.raises(ScenarioError, match="bad.json"):
+            build_scenario(str(path))
+
+    def test_json_string_source(self):
+        sc = build_scenario('{"K": 9, "W": 2, "U": 3, "seed": 2}')
+        assert (sc.antenna.K, sc.users.U, sc.seed) == (9, 3, 2)
+        with pytest.raises(ScenarioError, match="JSON object"):
+            build_scenario("[9, 2, 3]")
+
     def test_phase_draw_deterministic(self):
         a = build_scenario({"K": 9, "W": 2, "U": 4, "seed": 11})
         b = build_scenario({"K": 9, "W": 2, "U": 4, "seed": 11})
