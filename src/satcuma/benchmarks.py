@@ -133,6 +133,9 @@ def gain_comparison(sc: Scenario, M: int, epsilon: float = 7.0) -> GainCompariso
                           delta=delta, epsilon=epsilon, min_ports=min_ports)
 
 
+_SV_CUTOFF = 1e-8  # relative singular-value cutoff of the ZF pseudo-inverse
+
+
 @dataclass(frozen=True)
 class ZfMonteCarlo:
     """Post-combining SINR statistics of the zero-forcing baseline."""
@@ -141,7 +144,6 @@ class ZfMonteCarlo:
     variance: float
     n_trials: int
     combiner_failures: int
-    sv_cutoff: float
 
 
 def _los_channel(rng, M: int, zeta, psi) -> np.ndarray:
@@ -152,12 +154,12 @@ def _los_channel(rng, M: int, zeta, psi) -> np.ndarray:
 
 
 def zf_sinr_mc(M: int, sc: Scenario, trials: int, seed: int,
-               sv_cutoff: float = 1e-8, channel_fn=None) -> ZfMonteCarlo:
+               channel_fn=None) -> ZfMonteCarlo:
     """Monte-Carlo zero-forcing SINR for the desired user.
 
     Per trial the combiner is the desired user's row of the pseudo-inverse
     of the M x U channel matrix, with singular values below
-    sv_cutoff * sigma_max discarded.  Trials whose numerical rank is below U
+    1e-8 * sigma_max (_SV_CUTOFF) discarded.  Trials whose numerical rank is below U
     are counted as combiner failures; their (least-squares) SINR still
     enters the statistics.  channel_fn(rng, M, U) may supply a synthetic
     channel matrix for testing.
@@ -176,7 +178,7 @@ def zf_sinr_mc(M: int, sc: Scenario, trials: int, seed: int,
             psi = rng.random(U) * 2.0 * math.pi
             H = _los_channel(rng, M, zeta, psi)
         u_, s_, vh = np.linalg.svd(H, full_matrices=False)
-        keep = s_ >= sv_cutoff * s_[0]
+        keep = s_ >= _SV_CUTOFF * s_[0]
         if keep.sum() < U:
             failures += 1
         pinv = (vh[keep].conj().T / s_[keep]) @ u_[:, keep].conj().T
@@ -185,14 +187,12 @@ def zf_sinr_mc(M: int, sc: Scenario, trials: int, seed: int,
         noise = float(np.vdot(w, w).real) / sc.Gamma
         sinrs[i] = gains[0] / (gains[1:].sum() + noise)
     return ZfMonteCarlo(mean=float(sinrs.mean()), variance=float(sinrs.var()),
-                        n_trials=trials, combiner_failures=failures,
-                        sv_cutoff=sv_cutoff)
+                        n_trials=trials, combiner_failures=failures)
 
 
 def single_user_scenario(sc: Scenario) -> Scenario:
     """Strip a scenario down to its desired user."""
-    users = UserField(U=1, zeta=(sc.users.zeta[0],), psi=(sc.users.psi[0],),
-                      theta=sc.users.theta, phi=sc.users.phi)
+    users = UserField(U=1, zeta=(sc.users.zeta[0],), psi=(sc.users.psi[0],))
     return replace(sc, users=users)
 
 

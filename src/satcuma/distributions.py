@@ -244,19 +244,31 @@ def sinr_pdf_compact(z, sc: Scenario):
     return out if out.ndim else float(out)
 
 
-def sinr_cdf_compact(z, sc: Scenario):
-    """Closed-form SINR CDF for the compact regime, clamped to [0, 1]."""
+def sinr_supremum(sc: Scenario) -> float:
+    """Largest attainable SINR, 2*Gamma*zeta_u/(Kbar*V^2): maximum signal
+    power over the noise floor alone."""
+    return sc.zeta_u / (sc.V ** 2 * sc.noise_term)
+
+
+def sinr_cdf_compact_raw(z, sc: Scenario):
+    """Compact-regime SINR CDF at z > 0, unclamped: the truncated-Gaussian
+    normalization ignores the noise-floor shift of the support, so it can
+    exceed one near and beyond the supremum.  Without interferers it is a
+    step at the supremum (the signal is deterministic in the compact limit)."""
     z = np.asarray(z, dtype=float)
     if sc.users.U == 1:
-        sup = sc.zeta_u / (sc.V ** 2 * sc.noise_term)
-        out = np.where(z > sup, 1.0, 0.0)
-        return out if out.ndim else float(out)
+        return np.where(z > sinr_supremum(sc), 1.0, 0.0)
     params = scenario_trunc_gauss(sc)
     with np.errstate(divide="ignore", invalid="ignore"):
         arg = (sc.zeta_u / (z * params.kappa * sc.V ** 2)
                - sc.noise_term / params.kappa - params.omega / params.kappa)
-    cdf = (1.0 - std_normal_cdf(arg)) / params.truncation_mass
-    out = np.clip(np.where(z <= 0.0, 0.0, cdf), 0.0, 1.0)
+    return (1.0 - std_normal_cdf(arg)) / params.truncation_mass
+
+
+def sinr_cdf_compact(z, sc: Scenario):
+    """Closed-form SINR CDF for the compact regime, clamped to [0, 1]."""
+    z = np.asarray(z, dtype=float)
+    out = np.clip(np.where(z <= 0.0, 0.0, sinr_cdf_compact_raw(z, sc)), 0.0, 1.0)
     return out if out.ndim else float(out)
 
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import distributions as dist
+from .distributions import sinr_supremum
 from .quadrature import QuadratureSpec, integrate
 from .scenario import WARN_ODD_MU, Scenario  # noqa: F401 (re-exported)
 
@@ -41,12 +42,6 @@ class MetricResult:
     def __post_init__(self):
         if self.est_error < 0:
             raise ValueError("est_error must be non-negative")
-
-
-def sinr_supremum(sc: Scenario) -> float:
-    """Largest attainable SINR, 2*Gamma*zeta_u/(Kbar*V^2): maximum signal
-    power over the noise floor alone."""
-    return sc.zeta_u / (sc.V ** 2 * sc.noise_term)
 
 
 def mean_signal_power_closed(sc: Scenario) -> float:
@@ -137,16 +132,7 @@ def outage_compact(gamma: float, sc: Scenario) -> MetricResult:
     """Closed-form outage for the compact (high-density) regime."""
     if gamma <= 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
-    warnings = sc.warnings
-    if sc.users.U == 1:
-        # deterministic signal in the compact limit: outage is a step at the supremum
-        val = 1.0 if gamma > sinr_supremum(sc) else 0.0
-        return MetricResult(value=val, est_error=0.0, warnings=warnings)
-    params = dist.scenario_trunc_gauss(sc)
-    arg = (sc.zeta_u / (gamma * params.kappa * sc.V ** 2)
-           - sc.noise_term / params.kappa - params.omega / params.kappa)
-    raw = (1.0 - float(dist.std_normal_cdf(arg))) / params.truncation_mass
-    val, warnings = _clamp01(raw, warnings)
+    val, warnings = _clamp01(float(dist.sinr_cdf_compact_raw(gamma, sc)), sc.warnings)
     return MetricResult(value=val, est_error=0.0, warnings=warnings)
 
 

@@ -1,4 +1,4 @@
-"""Adaptive Gauss-Legendre quadrature with an endpoint-singularity substitution.
+"""Adaptive Gauss-Legendre quadrature.
 
 The engine bisects panels depth-first (left half first) until the embedded
 error estimate meets both tolerances or the subdivision budget runs out, so
@@ -7,15 +7,14 @@ node arrays.  An integrand may also return m values per node, an array of
 shape (m, len(x)): the components then share one panel tree, and a panel is
 accepted only when every component meets its tolerance.
 
-Weight functions of the form 1/sqrt(x*(c - x)) -- the square-root endpoint
-singularities of the power densities -- are handled by the trig-endpoint
-substitution x = c*cos^2(theta), which makes the transformed integrand
-bounded and lets plain Gauss-Legendre panels converge quickly.
+The engine has no singularity handling of its own: the square-root
+endpoint singularities of the power densities are removed by each caller,
+which integrates in the theta domain of x = c*cos^2(theta), where the
+integrand is bounded and plain Gauss-Legendre panels converge quickly.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,15 +33,12 @@ class QuadratureSpec:
     abs_tol: float = 1e-10
     rel_tol: float = 1e-9
     max_subdivisions: int = 2000
-    substitution: str = "none"  # "none" | "trig-endpoint"
 
     def __post_init__(self):
         if self.abs_tol <= 0 or self.rel_tol <= 0:
             raise ValueError("tolerances must be positive")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")
-        if self.substitution not in ("none", "trig-endpoint"):
-            raise ValueError(f"unknown substitution {self.substitution!r}")
 
 
 DEFAULT_SPEC = QuadratureSpec()
@@ -56,14 +52,6 @@ class QuadratureResult:
     est_error: float
     subdivisions: int
     converged: bool
-
-
-class QuadratureError(RuntimeError):
-    """Raised when an integral cannot be evaluated; carries the partial result."""
-
-    def __init__(self, message, result: QuadratureResult | None = None):
-        super().__init__(message)
-        self.result = result
 
 
 def _rule(weights, fx):
@@ -93,7 +81,6 @@ def _meets(val, err, abs_tol: float, rel_tol: float) -> bool:
 
 
 def integrate(f, a: float, b: float, spec: QuadratureSpec = DEFAULT_SPEC,
-              singular_scale: float | None = None,
               breakpoints=()) -> QuadratureResult:
     """Integrate f over [a, b].
 
@@ -101,39 +88,16 @@ def integrate(f, a: float, b: float, spec: QuadratureSpec = DEFAULT_SPEC,
     at once; value and est_error are then (m,) arrays, and converged is
     False if any component missed its tolerance.
 
-    With substitution "trig-endpoint", singular_scale must give the scale c
-    of the weight 1/sqrt(x*(c-x)); the integral is evaluated in the
-    theta-domain of x = c*cos^2(theta).  f itself is always called with the
-    original x coordinates.
-
     breakpoints seeds the initial panelization with interior points; pass
     points bracketing any region whose features are much narrower than the
     interval (adaptive refinement alone cannot find structure it never
     samples, and a feature hugging a panel edge can sit between nodes).
     """
     if b < a:
-        res = integrate(f, b, a, spec, singular_scale, breakpoints)
+        res = integrate(f, b, a, spec, breakpoints)
         return QuadratureResult(-res.value, res.est_error, res.subdivisions, res.converged)
     if a == b:
         return QuadratureResult(0.0, 0.0, 0, True)
-
-    if spec.substitution == "trig-endpoint":
-        c = singular_scale
-        if c is None or c <= 0:
-            raise QuadratureError("trig-endpoint substitution requires a positive singular_scale")
-        if b > c * (1.0 + 1e-12):
-            raise QuadratureError(f"integration range [{a}, {b}] exceeds singular_scale {c}")
-        th_lo = math.acos(math.sqrt(min(b / c, 1.0)))
-        th_hi = math.acos(math.sqrt(max(a / c, 0.0)))
-
-        def g(theta):
-            ct = np.cos(theta)
-            return f(c * ct * ct) * 2.0 * c * ct * np.sin(theta)
-
-        inner = QuadratureSpec(spec.abs_tol, spec.rel_tol, spec.max_subdivisions, "none")
-        pts = tuple(math.acos(math.sqrt(min(max(p / c, 0.0), 1.0)))
-                    for p in breakpoints if a < p < b)
-        return integrate(g, th_lo, th_hi, inner, breakpoints=pts)
 
     total = 0.0
     err_total = 0.0

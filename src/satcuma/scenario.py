@@ -126,29 +126,22 @@ class LinkBudget:
     G: float = 1e4            # overall antenna gain, linear
     B: float = 1e7            # bandwidth, Hz
     T: float = 207.0          # receiver temperature, K
-    c_B: float = BOLTZMANN    # Boltzmann constant, J/K
     f_c: float = 30e9         # carrier frequency, Hz
-    sigma_s2: float = 1.0     # symbol power
-    speed_of_light: float = SPEED_OF_LIGHT
 
     def __post_init__(self):
-        for name in ("P", "G", "B", "T", "c_B", "f_c", "sigma_s2", "speed_of_light"):
+        for name in ("P", "G", "B", "T", "f_c"):
             if getattr(self, name) <= 0:
                 raise ScenarioError(f"{name} must be positive, got {getattr(self, name)}")
 
     @property
     def noise_power(self) -> float:
-        """Single-sided thermal noise power c_B * T * B."""
-        return self.c_B * self.T * self.B
-
-    @property
-    def wavelength(self) -> float:
-        return self.speed_of_light / self.f_c
+        """Single-sided thermal noise power k * T * B, k the Boltzmann constant."""
+        return BOLTZMANN * self.T * self.B
 
 
 def nominal_snr(budget: LinkBudget) -> float:
-    """Nominal SNR excluding path loss: P G sigma_s^2 / (c_B T B)."""
-    return budget.P * budget.G * budget.sigma_s2 / budget.noise_power
+    """Nominal SNR excluding path loss, P G / (k T B), at unit symbol power."""
+    return budget.P * budget.G / budget.noise_power
 
 
 @dataclass(frozen=True)
@@ -156,15 +149,13 @@ class UserField:
     """Per-user path-loss coefficients and reference-port phases.
 
     User 0 is the desired user by convention; the rest interfere.  The
-    alignment factor sin(theta)*cos(phi) must equal 1 (ports in line with
-    the propagation path), which the default geometry satisfies.
+    ports lie in line with the propagation path, so the port alignment
+    sin(theta)*cos(phi) is 1 and appears nowhere in the model.
     """
 
     U: int
     zeta: tuple
     psi: tuple
-    theta: float = math.pi / 2.0  # azimuth
-    phi: float = 0.0              # elevation
 
     def __post_init__(self):
         if not isinstance(self.U, int) or self.U < 1:
@@ -179,13 +170,6 @@ class UserField:
         for p in self.psi:
             if not (0.0 < p < 2.0 * math.pi):
                 raise ScenarioError(f"psi entries must lie in (0, 2*pi), got {p}")
-        upsilon = math.sin(self.theta) * math.cos(self.phi)
-        if abs(upsilon - 1.0) > 1e-12:
-            raise ScenarioError(f"alignment sin(theta)*cos(phi) must equal 1, got {upsilon}")
-
-    @property
-    def upsilon(self) -> float:
-        return math.sin(self.theta) * math.cos(self.phi)
 
     @property
     def zeta_u(self) -> float:
@@ -338,7 +322,7 @@ def build_scenario(source) -> Scenario:
         distances = [float(d) for d in dist]
     else:
         distances = [float(dist)] * U
-    zeta = tuple(path_loss_coeff(budget.f_c, d, budget.speed_of_light) for d in distances)
+    zeta = tuple(path_loss_coeff(budget.f_c, d) for d in distances)
 
     psi = _draw_phases(U, seed)
     users = UserField(U=U, zeta=zeta, psi=psi)

@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import concurrent.futures
 import csv
+import dataclasses
 import json
 import math
+import typing
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -242,10 +244,10 @@ METRIC_REGISTRY = {
     "interferer_gain": (_m_interferer_gain, None),
 }
 
-# batches are only built when a requested metric can use them
-_MC_BATCH_METRICS = {"outage_exact", "outage_compact", "mean_sinr", "mean_snr",
-                     "mean_snr_compact", "rate_exact", "rate_compact",
-                     "cdf_alpha", "cdf_y"}
+# batches are only built when a requested metric can use them; the ZF
+# baseline draws its own channel trials
+_MC_BATCH_METRICS = {name for name, (_, mc_fn) in METRIC_REGISTRY.items()
+                     if mc_fn not in (None, _mc_zf)}
 
 
 def _eval_point(args):
@@ -442,8 +444,34 @@ def preset_sweeps(name: str, seed: int = 0, trials: int = 0,
     return specs
 
 
-_SPEC_FIELDS = {"gamma": float, "mrc_M": int, "psi_u": float, "trials": int,
-                "seed": int, "series": str}
+# the optional SweepSpec fields (those with a default) and their types
+_SPEC_FIELDS = {f.name: typing.get_type_hints(SweepSpec)[f.name]
+                for f in dataclasses.fields(SweepSpec)
+                if f.default is not dataclasses.MISSING}
+_KIND_NAMES = {str: "a string or number", float: "a number", int: "an integer"}
+
+
+def _spec_field(name: str, value):
+    """value as the optional SweepSpec field name: a string field also takes
+    a number as its text, an int field only an integral number.  A value of
+    the wrong type raises SweepSpecError naming the field."""
+    kind = _SPEC_FIELDS[name]
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    ok = (number or isinstance(value, str)) if kind is str else \
+        number and (kind is float or float(value).is_integer())
+    if not ok:
+        raise SweepSpecError(f"sweep field {name!r} must be {_KIND_NAMES[kind]}, "
+                             f"got {value!r}")
+    return kind(value)
+
+
+def _list_field(item: dict, name: str, element, what: str) -> tuple:
+    """A required list-valued sweep field, each element of type element."""
+    value = item[name]
+    if not (isinstance(value, list) and all(
+            isinstance(v, element) and not isinstance(v, bool) for v in value)):
+        raise SweepSpecError(f"sweep field {name!r} must be a list of {what}, got {value!r}")
+    return tuple(value)
 
 
 def _apply_overrides(spec: SweepSpec, overrides: dict) -> SweepSpec:
@@ -451,7 +479,7 @@ def _apply_overrides(spec: SweepSpec, overrides: dict) -> SweepSpec:
     kwargs = {}
     for key, val in overrides.items():
         if key in _SPEC_FIELDS:
-            kwargs[key] = _SPEC_FIELDS[key](val)
+            kwargs[key] = _spec_field(key, val)
         else:
             base[key] = val  # scenario config key; validated at build time
     return replace(spec, base=base, **kwargs)
@@ -477,19 +505,23 @@ def load_sweep_file(path, seed: int = 0, trials: int = 0,
     for item in items:
         if not isinstance(item, dict):
             raise SweepSpecError("each sweep must be a JSON object")
-        unknown = set(item) - {"param", "grid", "scenario", "metrics", "series",
-                               "gamma", "mrc_M", "psi_u", "trials", "seed"}
+        required = ("param", "grid", "scenario", "metrics")
+        unknown = set(item) - set(required) - set(_SPEC_FIELDS)
         if unknown:
             raise SweepSpecError(f"unknown sweep fields: {sorted(unknown)}")
-        for req in ("param", "grid", "scenario", "metrics"):
+        for req in required:
             if req not in item:
                 raise SweepSpecError(f"missing sweep field: {req}")
+        if not isinstance(item["scenario"], dict):
+            raise SweepSpecError(f"sweep field 'scenario' must be an object, "
+                                 f"got {item['scenario']!r}")
+        optional = {"trials": trials, "seed": seed}
+        optional.update((k, v) for k, v in item.items() if k in _SPEC_FIELDS)
         specs.append(SweepSpec(
-            param=item["param"], grid=tuple(item["grid"]),
-            base=dict(item["scenario"]), metrics=tuple(item["metrics"]),
-            series=item.get("series", ""), gamma=float(item.get("gamma", 0.35)),
-            mrc_M=int(item.get("mrc_M", 0)), psi_u=float(item.get("psi_u", 0.0)),
-            trials=int(item.get("trials", trials)), seed=int(item.get("seed", seed))))
+            param=item["param"], grid=_list_field(item, "grid", (int, float), "numbers"),
+            base=dict(item["scenario"]),
+            metrics=_list_field(item, "metrics", str, "metric names"),
+            **{k: _spec_field(k, v) for k, v in optional.items()}))
     if overrides:
         specs = [_apply_overrides(s, overrides) for s in specs]
     return specs

@@ -1,0 +1,59 @@
+"""The benchmark under perfbench/ times satcuma from outside: it wraps the
+public functions named in perfbench/spans.py's TARGETS and binds some of
+their arguments by name.  These checks keep a change to satcuma from
+silently breaking traced benchmark runs; perfbench/spans.py is only read."""
+
+import importlib
+import importlib.util
+import pathlib
+
+import numpy as np
+
+from satcuma import metrics, montecarlo, quadrature
+
+from conftest import reference_scenario
+
+SPANS_PATH = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def _spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_target_resolves():
+    for mod_name, fn_name, _ in _spans().TARGETS:
+        module = importlib.import_module(f"satcuma.{mod_name}")
+        assert callable(getattr(module, fn_name, None)), f"satcuma.{mod_name}.{fn_name}"
+
+
+def test_run_trials_binds_n_and_block_size():
+    spans = _spans()
+    rec = spans.SpanRecorder("contract")
+    wrapped = spans._run_trials_wrapper(rec, montecarlo.run_trials)
+    sc = reference_scenario(K=9, W=2, U=2)
+    wrapped(sc, 10, 0, workers=1)
+    wrapped(sc, 10, 0, block_size=4)
+    assert rec.counters["montecarlo.trials"] == 20
+    assert rec.counters["montecarlo.blocks"] == 1 + 3
+
+
+def test_ergodic_rate_binds_sc():
+    spans = _spans()
+    rec = spans.SpanRecorder("contract")
+    wrapped = spans._ergodic_rate_wrapper(rec, metrics.ergodic_rate)
+    wrapped(reference_scenario(K=9, W=2, U=1), outage="exact")
+    wrapped(sc=reference_scenario(K=9, W=2, U=2), outage="compact",
+            spec=metrics.METRIC_SPEC)
+    assert rec.summary().keys() == {"metrics.ergodic_rate.u1", "metrics.ergodic_rate.multi"}
+
+
+def test_integrate_wrapper_reads_the_result():
+    spans = _spans()
+    rec = spans.SpanRecorder("contract")
+    wrapped = spans._integrate_wrapper(rec, quadrature.integrate)
+    res = wrapped(np.sin, 0.0, np.pi, quadrature.DEFAULT_SPEC, breakpoints=(1.0,))
+    assert res.value == quadrature.integrate(np.sin, 0.0, np.pi, breakpoints=(1.0,)).value
+    assert rec.counters["quadrature.integrand_evals"] > 0

@@ -130,6 +130,23 @@ class TestCliExitCodes:
         assert run_cli(["sweep", "--spec", str(spec),
                         "--out", str(tmp_path / "x.csv")]) == 2
 
+    @pytest.mark.parametrize("field,doc,sets", [
+        ("grid", {"grid": 5}, []),
+        ("gamma", {"gamma": "abc"}, []),
+        ("gamma", {}, ["--set", "gamma=abc"]),
+        ("metrics", {"metrics": "outage_exact"}, []),
+        ("trials", {}, ["--set", "trials=1.5"]),
+    ], ids=["grid-int", "gamma-file", "gamma-set", "metrics-string", "trials-fraction"])
+    def test_bad_sweep_field_is_usage_error_naming_it(self, tmp_path, capsys,
+                                                      field, doc, sets):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"param": "U", "grid": [2],
+                                    "scenario": {"K": 9, "W": 2, "U": 2},
+                                    "metrics": ["outage_exact"], **doc}))
+        assert run_cli(["sweep", "--spec", str(spec), *sets,
+                        "--out", str(tmp_path / "x.csv")]) == 2
+        assert f"sweep field {field!r}" in capsys.readouterr().err
+
     def test_bad_scenario_key_is_usage_error(self, tmp_path):
         scen = tmp_path / "scen.json"
         scen.write_text(json.dumps({"K": 9, "W": 2, "U": 2, "bogus": 1}))

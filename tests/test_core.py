@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from satcuma.core import (PortSet, PortSetKind, activated_set, instant_sinr,
                           interference_power_compact, k2_residual_bound,
@@ -215,6 +216,23 @@ class TestInterferencePower:
             t = 0.75 - psi_u / (2 * math.pi)
             y = interference_power_compact(psi_t, 1.0, t, CFG_MU4)
             assert 0.0 <= y <= hi + 1e-9
+
+
+class TestCompactFormProperties:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(half_mu=st.integers(1, 30), W=st.integers(1, 5),
+           psi_u=st.floats(1e-6, 2 * math.pi - 1e-6),
+           psi_t=st.floats(1e-6, 2 * math.pi - 1e-6))
+    def test_compact_forms_equal_bruteforce_at_even_mu(self, half_mu, W, psi_u, psi_t):
+        cfg = AntennaConfig(K=2 * half_mu * W + 1, W=W)  # mu = 2*half_mu
+        scale = 1.0 / cfg.V ** 2
+        alpha = brute_positive_sum(psi_u, cfg) ** 2
+        assert abs(signal_power_compact(psi_u, 1.0, cfg) - alpha) <= 1e-9 * max(alpha, scale)
+        ks = np.arange(2, cfg.K + 1)
+        mask = np.cos(port_phase(psi_u, ks, cfg.mu_float)) > 0
+        y = float((np.cos(port_phase(psi_t, ks, cfg.mu_float)) * mask).sum()) ** 2
+        t = 0.75 - psi_u / (2 * math.pi)
+        assert abs(interference_power_compact(psi_t, 1.0, t, cfg) - y) <= 1e-9 * max(y, scale)
 
 
 class TestCompactFormArrays:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from satcuma import run_trials
@@ -15,10 +16,11 @@ from satcuma.distributions import (SupportInterval, cdf_difference,
                                    signal_cdf,
                                    signal_pdf, signal_support, sinr_cdf_compact,
                                    sinr_pdf_compact, sinr_pdf_exact,
-                                   std_normal_cdf, total_interference_cdf,
+                                   scenario_trunc_gauss, std_normal_cdf,
+                                   total_interference_cdf,
                                    total_interference_pdf, trunc_gauss_params)
 from satcuma.metrics import _z_breakpoints, sinr_supremum
-from satcuma.quadrature import QuadratureSpec, integrate
+from satcuma.quadrature import integrate
 
 from conftest import reference_scenario
 
@@ -59,23 +61,15 @@ class TestSignalDistribution:
         assert math.isinf(signal_pdf(sup.lo, 1.0, 4.0, V_MU4))
         assert math.isinf(signal_pdf(sup.hi, 1.0, 4.0, V_MU4))
 
-    def test_normalization(self):
-        spec = QuadratureSpec(substitution="trig-endpoint")
-        res = integrate(lambda a: signal_pdf(a, 1.0, 4.0, V_MU4), 4.0, 8.0,
-                        spec, singular_scale=8.0)
-        assert res.value == pytest.approx(1.0, abs=1e-8)
-
     def test_normalization_against_scipy(self):
         val, _ = quad(lambda a: float(signal_pdf(a, 1.0, 4.0, V_MU4)),
                       4.0, 8.0, points=[4.0, 8.0], limit=200)
         assert val == pytest.approx(1.0, abs=1e-8)
 
     def test_cdf_matches_pdf_integral(self):
-        spec = QuadratureSpec(substitution="trig-endpoint")
         for a in (4.5, 5.5, 6.7, 7.9):
-            res = integrate(lambda x: signal_pdf(x, 1.0, 4.0, V_MU4), 4.0, a,
-                            spec, singular_scale=8.0)
-            assert signal_cdf(a, 1.0, 4.0, V_MU4) == pytest.approx(res.value, abs=1e-10)
+            val, _ = quad(lambda x: float(signal_pdf(x, 1.0, 4.0, V_MU4)), 4.0, a, limit=200)
+            assert signal_cdf(a, 1.0, 4.0, V_MU4) == pytest.approx(val, abs=1e-10)
 
     def test_cdf_endpoints(self):
         # arccos near +/-1 has square-root sensitivity, so float noise in the
@@ -115,11 +109,10 @@ class TestInterferenceDistribution:
         assert interference_variance_per_user(1.0, V_MU4) == pytest.approx(8.0, rel=1e-12)
 
     def test_moments_against_quadrature(self):
-        spec = QuadratureSpec(substitution="trig-endpoint")
-        m1 = integrate(lambda y: y * interference_pdf_per_user(y, 1.0, V_MU4),
-                       0.0, 8.0, spec, singular_scale=8.0).value
-        m2 = integrate(lambda y: y * y * interference_pdf_per_user(y, 1.0, V_MU4),
-                       0.0, 8.0, spec, singular_scale=8.0).value
+        m1, _ = quad(lambda y: y * float(interference_pdf_per_user(y, 1.0, V_MU4)),
+                     0.0, 8.0, limit=200)
+        m2, _ = quad(lambda y: y * y * float(interference_pdf_per_user(y, 1.0, V_MU4)),
+                     0.0, 8.0, limit=200)
         assert m1 == pytest.approx(4.0, abs=1e-8)
         assert m2 - m1 ** 2 == pytest.approx(8.0, abs=1e-7)
 
@@ -132,10 +125,9 @@ class TestInterferenceDistribution:
         assert y.var() == pytest.approx(8.0, rel=0.01)
 
     def test_normalization(self):
-        spec = QuadratureSpec(substitution="trig-endpoint")
-        res = integrate(lambda y: interference_pdf_per_user(y, 1.0, V_MU4),
-                        0.0, 8.0, spec, singular_scale=8.0)
-        assert res.value == pytest.approx(1.0, abs=1e-8)
+        val, _ = quad(lambda y: float(interference_pdf_per_user(y, 1.0, V_MU4)),
+                      0.0, 8.0, limit=200)
+        assert val == pytest.approx(1.0, abs=1e-8)
 
     def test_signal_density_is_half_mu_times_interference(self):
         for y in (4.5, 5.0, 6.0, 7.5):
@@ -337,3 +329,25 @@ class TestSupportInterval:
         sup = interference_support(1.0, V_MU4)
         assert sup.contains(0.0) and sup.contains(8.0)
         assert not sup.contains(8.1)
+
+
+class TestCdfProperties:
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(half_mu=st.integers(1, 20), W=st.integers(1, 4), U=st.integers(1, 12),
+           seed=st.integers(0, 10_000),
+           xs=st.lists(st.floats(-0.1, 1.5), min_size=2, max_size=40))
+    def test_analytic_cdfs_monotone_in_unit_interval(self, half_mu, W, U, seed, xs):
+        # xs are fractions of each variable's natural scale, sorted, so every
+        # CDF is probed below, across and beyond its support
+        sc = reference_scenario(K=2 * half_mu * W + 1, W=W, U=U, seed=seed)
+        xs = np.sort(xs)
+        zeta, V = sc.zeta_u, sc.V
+        curves = [signal_cdf(xs * zeta / V ** 2, zeta, sc.mu, V),
+                  interference_cdf_per_user(xs * zeta / V ** 2, zeta, V),
+                  sinr_cdf_compact(xs * sinr_supremum(sc), sc)]
+        if U > 1:
+            p = scenario_trunc_gauss(sc)
+            curves.append(total_interference_cdf(xs * (p.omega + 8 * p.kappa), p))
+        for cdf in curves:
+            assert np.all((cdf >= 0.0) & (cdf <= 1.0))
+            assert np.all(np.diff(cdf) >= 0.0)

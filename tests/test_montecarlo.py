@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from satcuma.core import (PortSetKind, activated_set,
                           signal_amplitude_bruteforce)
@@ -42,6 +43,17 @@ class TestDeterminism:
         a = run_trials(table_scenario, 1000, 1)
         b = run_trials(table_scenario, 1000, 2)
         assert not np.array_equal(a.alpha, b.alpha)
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(half_mu=st.integers(1, 10), U=st.integers(1, 6), n=st.integers(1, 300),
+           block_size=st.integers(1, 64), workers=st.integers(1, 2))
+    def test_batch_independent_of_block_size_and_workers(self, half_mu, U, n,
+                                                         block_size, workers):
+        sc = reference_scenario(K=4 * half_mu + 1, W=2, U=U)
+        ref = run_trials(sc, n, 13)
+        got = run_trials(sc, n, 13, block_size=block_size, workers=workers)
+        for col in ("alpha", "ys", "beta", "sinr", "kbar"):
+            assert np.array_equal(getattr(got, col), getattr(ref, col))
 
     def test_phase_support_open_interval(self):
         psi = _draw_block(5, 0, 100000, 4)

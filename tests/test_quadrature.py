@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from satcuma.quadrature import (QuadratureError, QuadratureSpec, integrate)
+from satcuma.quadrature import QuadratureSpec, integrate
 
 
 class TestSmoothIntegrals:
@@ -31,41 +31,11 @@ class TestSmoothIntegrals:
 
 
 class TestEndpointSingularity:
-    def test_arcsine_weight_with_substitution(self):
-        # integral of 1/(pi*sqrt(x(1-x))) over (0,1) is exactly 1
-        spec = QuadratureSpec(substitution="trig-endpoint")
-
-        def f(x):
-            return 1.0 / (math.pi * np.sqrt(x * (1.0 - x)))
-
-        res = integrate(f, 0.0, 1.0, spec, singular_scale=1.0)
-        assert res.value == pytest.approx(1.0, abs=1e-10)
-        assert res.converged
-
-    def test_partial_range_matches_arcsine_cdf(self):
-        spec = QuadratureSpec(substitution="trig-endpoint")
-
-        def f(x):
-            return 1.0 / (math.pi * np.sqrt(x * (1.0 - x)))
-
-        for b in (0.2, 0.5, 0.9):
-            res = integrate(f, 0.0, b, spec, singular_scale=1.0)
-            expected = 1.0 - math.acos(2 * b - 1) / math.pi
-            assert res.value == pytest.approx(expected, abs=1e-10)
-
-    def test_substitution_requires_scale(self):
-        spec = QuadratureSpec(substitution="trig-endpoint")
-        with pytest.raises(QuadratureError, match="singular_scale"):
-            integrate(np.sin, 0.0, 1.0, spec)
-
-    def test_range_beyond_scale_rejected(self):
-        spec = QuadratureSpec(substitution="trig-endpoint")
-        with pytest.raises(QuadratureError, match="exceeds"):
-            integrate(np.sin, 0.0, 2.0, spec, singular_scale=1.0)
-
     def test_without_substitution_struggles(self):
-        # same integrand without the substitution either misses the value
-        # or exhausts its subdivision budget
+        # the arcsine weight 1/(pi*sqrt(x(1-x))), integrated in x rather than
+        # in the theta domain of x = cos^2(theta), either misses its integral
+        # of 1 or exhausts the subdivision budget: the engine has no
+        # singularity handling, so callers integrate in theta
         spec = QuadratureSpec(max_subdivisions=50)
 
         def f(x):
@@ -158,15 +128,15 @@ class TestVectorIntegrand:
             assert res.subdivisions >= own.subdivisions
 
     def test_substitution_and_reversed_limits(self):
-        spec = QuadratureSpec(substitution="trig-endpoint")
+        # the arcsine weight and its first moment over (0, 1), integrated in
+        # the theta domain of x = cos^2(theta), where both are smooth
+        def f(theta):
+            x = np.cos(theta) ** 2
+            return np.stack([np.full_like(x, 2.0 / math.pi), x * 2.0 / math.pi])
 
-        def f(x):
-            w = 1.0 / (math.pi * np.sqrt(x * (1.0 - x)))
-            return np.stack([w, x * w])
-
-        fwd = integrate(f, 0.0, 1.0, spec, singular_scale=1.0)
+        fwd = integrate(f, 0.0, math.pi / 2.0)
         assert fwd.value == pytest.approx([1.0, 0.5], abs=1e-10)
-        rev = integrate(f, 1.0, 0.0, spec, singular_scale=1.0)
+        rev = integrate(f, math.pi / 2.0, 0.0)
         assert np.array_equal(rev.value, -fwd.value)
 
     def test_one_unconverged_component_flags_the_result(self):
@@ -192,7 +162,3 @@ class TestSpecValidation:
     def test_bad_subdivisions(self):
         with pytest.raises(ValueError):
             QuadratureSpec(max_subdivisions=0)
-
-    def test_bad_substitution(self):
-        with pytest.raises(ValueError):
-            QuadratureSpec(substitution="sinh")

@@ -98,10 +98,6 @@ class TestUserField:
         with pytest.raises(ScenarioError, match="psi"):
             UserField(U=1, zeta=(1.0,), psi=(2 * math.pi,))
 
-    def test_alignment_enforced(self):
-        with pytest.raises(ScenarioError, match="alignment"):
-            UserField(U=1, zeta=(1.0,), psi=(1.0,), theta=1.0)
-
     def test_positive_zeta(self):
         with pytest.raises(ScenarioError, match="zeta"):
             UserField(U=2, zeta=(1.0, 0.0), psi=(1.0, 2.0))
