@@ -22,6 +22,9 @@ from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate
 from .scenario import Scenario
 
 _SQRT2 = math.sqrt(2.0)
+# z values per panel tree of sinr_pdf_exact: bounds its (z, nodes) arrays
+# when an outer integral passes it every node of a round at once
+_Z_CHUNK = 256
 
 
 def std_normal_cdf(x):
@@ -185,7 +188,7 @@ def interference_plus_noise_pdf(beta_tilde, params: TruncGaussParams,
     return total_interference_pdf(np.asarray(beta_tilde, dtype=float) - shift, params)
 
 
-def sinr_pdf_exact(z: float, sc: Scenario, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
+def sinr_pdf_exact(z, sc: Scenario, spec: QuadratureSpec = DEFAULT_SPEC):
     """SINR density valid for any port density, as a single smooth integral.
 
     The raw integral over the interference-plus-noise variable has
@@ -193,34 +196,36 @@ def sinr_pdf_exact(z: float, sc: Scenario, spec: QuadratureSpec = DEFAULT_SPEC) 
     beta_tilde = (zeta/(z V^2)) cos^2(theta) removes them analytically.  The
     integrand is cut at the noise floor Kbar/(2*Gamma) -- below it the
     interference-plus-noise variable has no mass -- which also makes the
-    density integrate to one and vanish beyond the SINR supremum.
+    density integrate to one and vanish beyond the SINR supremum.  With
+    theta = t*theta_max(z), every z of a batch of _Z_CHUNK shares one panel
+    tree on t in [0, 1].
     """
     require_analytic_density(sc.mu)
-    z = float(z)
-    if z <= 0:
-        return 0.0
+    z = np.asarray(z, dtype=float)
     if sc.users.U == 1:
         # degenerate interference: SINR is the rescaled signal power
-        noise = sc.noise_term
-        return float(signal_pdf(z * noise, sc.zeta_u, sc.mu, sc.V)) * noise
+        return signal_pdf(z * sc.noise_term, sc.zeta_u, sc.mu, sc.V) * sc.noise_term
 
     params = scenario_trunc_gauss(sc)
     zeta, V, mu = sc.zeta_u, sc.V, sc.mu
     m = params.omega + sc.noise_term
     kappa = params.kappa
-    q = z * sc.noise_term * V ** 2 / zeta  # cos^2 threshold of the noise floor
-    if q >= 1.0:
-        return 0.0
-    th_max = min(math.pi / mu, math.acos(math.sqrt(q)))
-
-    def integrand(theta):
-        c2 = np.cos(theta) ** 2
-        bt = zeta * c2 / (z * V ** 2)
-        return 2.0 * zeta * c2 / (z ** 2 * V ** 2) * np.exp(-((bt - m) ** 2) / (2.0 * kappa ** 2))
-
-    res = integrate(integrand, 0.0, th_max, spec)
     scale = (mu / (2.0 * math.pi)) / (params.truncation_mass * math.sqrt(2.0 * math.pi) * kappa)
-    return scale * res.value
+    q = z * sc.noise_term * V ** 2 / zeta  # cos^2 threshold of the noise floor
+    live = np.flatnonzero((z > 0) & (q < 1.0))
+    out = np.zeros(z.size)
+    for i in (live[c:c + _Z_CHUNK] for c in range(0, live.size, _Z_CHUNK)):
+        zc = z.flat[i][:, None]
+        th = np.minimum(math.pi / mu, np.arccos(np.sqrt(q.flat[i])))[:, None]
+
+        def integrand(t):
+            c2 = np.cos(th * t) ** 2
+            bt = zeta * c2 / (zc * V ** 2)
+            return th * (2.0 * zeta * c2 / (zc ** 2 * V ** 2)) \
+                * np.exp(-((bt - m) ** 2) / (2.0 * kappa ** 2))
+
+        out[i] = scale * integrate(integrand, 0.0, 1.0, spec).value
+    return out.reshape(z.shape) if z.ndim else float(out[0])
 
 
 def sinr_pdf_compact(z, sc: Scenario):

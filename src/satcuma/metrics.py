@@ -150,10 +150,8 @@ def outage_exact_double_integral(gamma: float, sc: Scenario,
     if upper <= 0:
         return MetricResult(0.0, 0.0, warnings)
 
-    def f(z):
-        return np.array([dist.sinr_pdf_exact(zz, sc, spec) for zz in np.atleast_1d(z)])
-
-    res = integrate(f, 0.0, upper, spec, breakpoints=_z_breakpoints(sc))
+    res = integrate(lambda z: dist.sinr_pdf_exact(z, sc, spec), 0.0, upper, spec,
+                    breakpoints=_z_breakpoints(sc))
     if not res.converged:
         warnings = warnings + (WARN_QUAD_LIMIT,)
     val, warnings = _clamp01(res.value, warnings)
@@ -221,13 +219,8 @@ def mean_sinr(sc: Scenario, spec: QuadratureSpec = METRIC_SPEC) -> float:
     """Mean SINR as the first moment of the SINR density over its support."""
     if sc.users.U == 1:
         return mean_snr(sc)
-    z_sup = sinr_supremum(sc)
-
-    def f(z):
-        zz = np.atleast_1d(z)
-        return np.array([w * dist.sinr_pdf_exact(w, sc, spec) for w in zz])
-
-    return integrate(f, 0.0, z_sup, spec, breakpoints=_z_breakpoints(sc)).value
+    return integrate(lambda z: z * dist.sinr_pdf_exact(z, sc, spec), 0.0,
+                     sinr_supremum(sc), spec, breakpoints=_z_breakpoints(sc)).value
 
 
 def mean_snr(sc: Scenario) -> float:

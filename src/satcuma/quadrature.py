@@ -1,11 +1,15 @@
 """Adaptive Gauss-Legendre quadrature.
 
-The engine bisects panels depth-first (left half first) until the embedded
-error estimate meets both tolerances or the subdivision budget runs out, so
-results are bit-reproducible for a given spec.  Integrands are called on
-node arrays.  An integrand may also return m values per node, an array of
-shape (m, len(x)): the components then share one panel tree, and a panel is
-accepted only when every component meets its tolerance.
+The engine refines level by level: each round makes one integrand call on
+the GL15 and GL7 nodes of every pending panel, and bisects each panel whose
+embedded error estimate misses either tolerance.  Accepted panels are summed
+left to right, the order a depth-first bisection gives, so results are
+bit-reproducible for a given spec.  An exhausted max_subdivisions budget is
+spent level by level, on the leftmost failing panels of each round, so an
+unconverged value differs from the depth-first engine's.  An integrand may
+also return m values per node, an array of shape (m, len(x)): the components
+then share one panel tree, and a panel is accepted only when every
+component meets its tolerance.
 
 The engine has no singularity handling of its own: the square-root
 endpoint singularities of the power densities are removed by each caller,
@@ -21,6 +25,8 @@ import numpy as np
 
 _FINE_NODES, _FINE_WEIGHTS = np.polynomial.legendre.leggauss(15)
 _COARSE_NODES, _COARSE_WEIGHTS = np.polynomial.legendre.leggauss(7)
+# one round evaluates both rules' nodes of a panel in a single call
+_NODES = np.concatenate([_FINE_NODES, _COARSE_NODES])
 # relative roundoff floor of a panel's error estimate (QUADPACK qk15 uses
 # the same 50*eps): where both rules are exact -- any polynomial of degree
 # <= 13 -- they agree bit for bit, and an estimate of exactly 0 would meet
@@ -54,32 +60,6 @@ class QuadratureResult:
     converged: bool
 
 
-def _rule(weights, fx):
-    """Weighted node sum: a float for a scalar integrand, an (m,) array
-    for a vector one (the rule applied along the node axis)."""
-    fx = np.asarray(fx)
-    if fx.ndim == 1:
-        return float(np.dot(weights, fx))
-    return fx @ weights
-
-
-def _panel(f, a: float, b: float):
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    fine = half * _rule(_FINE_WEIGHTS, f(mid + half * _FINE_NODES))
-    coarse = half * _rule(_COARSE_WEIGHTS, f(mid + half * _COARSE_NODES))
-    if isinstance(fine, float):
-        return fine, max(abs(fine - coarse), _ROUNDOFF * abs(fine))
-    return fine, np.maximum(np.abs(fine - coarse), _ROUNDOFF * np.abs(fine))
-
-
-def _meets(val, err, abs_tol: float, rel_tol: float) -> bool:
-    """Whether a panel's error estimate meets the tolerance of every component."""
-    if isinstance(val, float):
-        return err <= max(abs_tol, rel_tol * abs(val))
-    return bool(np.all(err <= np.maximum(abs_tol, rel_tol * np.abs(val))))
-
-
 def integrate(f, a: float, b: float, spec: QuadratureSpec = DEFAULT_SPEC,
               breakpoints=()) -> QuadratureResult:
     """Integrate f over [a, b].
@@ -99,28 +79,38 @@ def integrate(f, a: float, b: float, spec: QuadratureSpec = DEFAULT_SPEC,
     if a == b:
         return QuadratureResult(0.0, 0.0, 0, True)
 
-    total = 0.0
-    err_total = 0.0
+    width = b - a
+    edges = np.array([a] + sorted(p for p in set(breakpoints) if a < p < b) + [b])
+    lo, hi = edges[:-1], edges[1:]
+    leaves = []  # (lo, hi, value, error) of the panels each round accepted
     nsub = 0
     converged = True
-    width = b - a
-    edges = [a] + sorted(p for p in set(breakpoints) if a < p < b) + [b]
-    stack = [(edges[i], edges[i + 1]) for i in range(len(edges) - 1)][::-1]
-    while stack:
-        x, y = stack.pop()
-        val, err = _panel(f, x, y)
-        if _meets(val, err, spec.abs_tol * (y - x) / width, spec.rel_tol) \
-                or (y - x) < 1e-15 * width:
-            total += val
-            err_total += err
-        elif nsub >= spec.max_subdivisions:
-            total += val
-            err_total += err
-            converged = False
-        else:
-            nsub += 1
-            mid = 0.5 * (x + y)
-            stack.append((mid, y))
-            stack.append((x, mid))
-    return QuadratureResult(value=total, est_error=err_total,
+    while lo.size:
+        half, mid = 0.5 * (hi - lo), 0.5 * (lo + hi)
+        fx = np.asarray(f((mid[:, None] + half[:, None] * _NODES).ravel()))
+        vector = fx.ndim == 2
+        fx = fx.reshape(-1, lo.size, _NODES.size)  # (components, panels, nodes)
+        fine = half * (fx[..., :_FINE_NODES.size] @ _FINE_WEIGHTS)
+        coarse = half * (fx[..., _FINE_NODES.size:] @ _COARSE_WEIGHTS)
+        err = np.maximum(np.abs(fine - coarse), _ROUNDOFF * np.abs(fine))
+        tol = np.maximum(spec.abs_tol * (hi - lo) / width, spec.rel_tol * np.abs(fine))
+        failing = np.flatnonzero(~(np.all(err <= tol, axis=0) | ((hi - lo) < 1e-15 * width)))
+        split = failing[:spec.max_subdivisions - nsub]
+        converged = converged and split.size == failing.size
+        leaves.append([np.delete(x, split, axis=-1) for x in (lo, hi, fine, err)])
+        nsub += split.size
+        lo, mid, hi = lo[split], mid[split], hi[split]
+        lo, hi = np.stack([lo, mid], axis=1).ravel(), np.stack([mid, hi], axis=1).ravel()
+
+    leaf_lo, leaf_hi, vals, errs = (np.concatenate(x, axis=-1) for x in zip(*leaves))
+    # (lo, hi) order is the depth-first leaf order: panels are disjoint, and a
+    # zero-width one, left by bisecting below float resolution, sorts first.
+    # The leaves are few, and Python's sort, unlike np.lexsort, adds nothing
+    # to peak RSS.  cumsum adds one leaf at a time in that order (np.sum adds
+    # pairwise, and rounds differently); + 0.0 turns a leading -0.0 into 0.0
+    order = sorted(range(leaf_lo.size), key=lambda i: (leaf_lo[i], leaf_hi[i]))
+    value, est_error = (np.cumsum(x[:, order], axis=1)[:, -1] + 0.0 for x in (vals, errs))
+    if not vector:
+        value, est_error = float(value[0]), float(est_error[0])
+    return QuadratureResult(value=value, est_error=est_error,
                             subdivisions=nsub, converged=converged)

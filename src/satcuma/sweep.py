@@ -60,6 +60,9 @@ class SweepSpec:
         g = list(self.grid)
         if any(b <= a for a, b in zip(g, g[1:])):
             raise SweepSpecError("sweep grid must be strictly increasing")
+        if self.param in ("K", "U", "W") and not all(float(v).is_integer() for v in g):
+            raise SweepSpecError(f"sweep field 'grid' of a {self.param!r} sweep "
+                                 f"must hold integers, got {g!r}")
         if not self.metrics:
             raise SweepSpecError("metric list must be non-empty")
         for m in self.metrics:
@@ -68,6 +71,8 @@ class SweepSpec:
                                      f"{sorted(METRIC_REGISTRY)}")
         if self.trials < 0:
             raise SweepSpecError("trials must be >= 0")
+        if self.param == "mu" and "W" not in self.base:
+            raise SweepSpecError("a 'mu' sweep needs the scenario key 'W' (K = mu*W + 1)")
 
 
 def _scenario_at(spec: SweepSpec, value) -> Scenario:

@@ -281,9 +281,7 @@ class TestCriterion5:
                                      params.omega + 2 * params.kappa)).value
         check("criterion-5 aggregate density normalizes", abs(n_b - 1) <= 1e-6,
               f"integral = {n_b:.10f} (tol 1e-6)")
-        f_exact = lambda z: np.array([sinr_pdf_exact(zz, sc)
-                                      for zz in np.atleast_1d(z)])
-        n_z = integrate(f_exact, 0.0, sinr_supremum(sc),
+        n_z = integrate(lambda z: sinr_pdf_exact(z, sc), 0.0, sinr_supremum(sc),
                         breakpoints=_z_breakpoints(sc)).value
         check("criterion-5 SINR density normalizes", abs(n_z - 1) <= 1e-4,
               f"integral = {n_z:.10f} (tol 1e-4)")

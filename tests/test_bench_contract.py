@@ -57,3 +57,15 @@ def test_integrate_wrapper_reads_the_result():
     res = wrapped(np.sin, 0.0, np.pi, quadrature.DEFAULT_SPEC, breakpoints=(1.0,))
     assert res.value == quadrature.integrate(np.sin, 0.0, np.pi, breakpoints=(1.0,)).value
     assert rec.counters["quadrature.integrand_evals"] > 0
+
+
+def test_integrand_evals_count_each_panel_once():
+    # the counter stays machine-independent under batched rounds: every
+    # panel costs its 15 + 7 nodes exactly once
+    spans = _spans()
+    rec = spans.SpanRecorder("contract")
+    wrapped = spans._integrate_wrapper(rec, quadrature.integrate)
+    res = wrapped(lambda x: np.sin(13.0 * x) * np.exp(-x), 0.0, 8.0, breakpoints=(1.0, 2.0))
+    assert res.subdivisions > 0
+    assert rec.counters["quadrature.subdivisions"] == res.subdivisions
+    assert rec.counters["quadrature.integrand_evals"] == 22 * (3 + 2 * res.subdivisions)

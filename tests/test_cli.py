@@ -147,6 +147,34 @@ class TestCliExitCodes:
                         "--out", str(tmp_path / "x.csv")]) == 2
         assert f"sweep field {field!r}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("param,grid", [
+        ("K", [9.5, 11]), ("U", [2.5, 3]), ("W", [1.5, 2]),
+    ])
+    def test_fractional_count_grid_is_usage_error_naming_it(self, tmp_path, capsys,
+                                                           param, grid):
+        # int() would build the scenario at the truncated count while the
+        # row keeps the fractional label
+        spec = tmp_path / "spec.json"
+        out = tmp_path / "x.csv"
+        doc = {"param": param, "grid": grid, "scenario": {"K": 9, "W": 2, "U": 2},
+               "metrics": ["signal_gain"]}
+        spec.write_text(json.dumps(doc))
+        assert run_cli(["sweep", "--spec", str(spec), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"'grid' of a {param!r} sweep" in err and str(grid[0]) in err
+        assert not out.exists()
+        spec.write_text(json.dumps({**doc, "grid": [float(int(grid[1]))]}))
+        assert run_cli(["sweep", "--spec", str(spec), "--out", str(out)]) == 0
+
+    def test_mu_sweep_without_w_is_usage_error_naming_it(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"param": "mu", "grid": [4],
+                                    "scenario": {"K": 9, "U": 2},
+                                    "metrics": ["outage_exact"]}))
+        assert run_cli(["sweep", "--spec", str(spec),
+                        "--out", str(tmp_path / "x.csv")]) == 2
+        assert "scenario key 'W'" in capsys.readouterr().err
+
     def test_bad_scenario_key_is_usage_error(self, tmp_path):
         scen = tmp_path / "scen.json"
         scen.write_text(json.dumps({"K": 9, "W": 2, "U": 2, "bogus": 1}))

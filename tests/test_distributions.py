@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from satcuma import run_trials
-from satcuma.distributions import (SupportInterval, cdf_difference,
+from satcuma.distributions import (_Z_CHUNK, SupportInterval, cdf_difference,
                                    interference_cdf_per_user,
                                    interference_mean_per_user,
                                    interference_pdf_per_user,
@@ -184,13 +184,31 @@ class TestTruncGauss:
 class TestSinrDensity:
     def test_exact_normalizes(self, table_scenario):
         sc = table_scenario
-        f = lambda z: np.array([sinr_pdf_exact(zz, sc) for zz in np.atleast_1d(z)])
-        res = integrate(f, 0.0, sinr_supremum(sc), breakpoints=_z_breakpoints(sc))
+        res = integrate(lambda z: sinr_pdf_exact(z, sc), 0.0, sinr_supremum(sc),
+                        breakpoints=_z_breakpoints(sc))
         assert res.value == pytest.approx(1.0, abs=1e-4)
 
     def test_exact_vanishes_outside(self, table_scenario):
         assert sinr_pdf_exact(-1.0, table_scenario) == 0.0
         assert sinr_pdf_exact(sinr_supremum(table_scenario) * 1.01, table_scenario) == 0.0
+
+    @pytest.mark.parametrize("U", [5, 1])
+    def test_array_matches_scalar_calls(self, U):
+        # one call shares a panel tree among up to _Z_CHUNK values of z;
+        # each must still be its own scalar value.  The noise-floor cut
+        # shortens the theta range above sup*cos^2(pi/mu)
+        sc = reference_scenario(K=21, W=2, U=U)
+        sup = sinr_supremum(sc)
+        cut = sup * math.cos(math.pi / sc.mu) ** 2
+        edges = [-1.0, 0.0, cut * (1.0 - 1e-6), cut * (1.0 + 1e-6), sup * 1.01]
+        zs = np.concatenate([edges, np.linspace(1e-3 * sup, sup, 2 * _Z_CHUNK + 37)])
+        scalar = [sinr_pdf_exact(z, sc) for z in zs]
+        assert all(type(v) is float for v in scalar)
+        arr = sinr_pdf_exact(zs, sc)
+        assert arr.shape == zs.shape
+        np.testing.assert_allclose(arr, scalar, rtol=1e-15, atol=0.0)
+        assert arr[0] == arr[1] == arr[4] == 0.0
+        assert np.all(arr[3:] >= 0.0) and arr[3] > 0.0
 
     def test_compact_normalizes_on_support(self, table_scenario):
         # the closed form is the exact transform of the interference-plus-noise
@@ -215,7 +233,7 @@ class TestSinrDensity:
         for mu in (10, 4):
             sc = reference_scenario(K=2 * mu + 1, W=2, U=5)
             zs = np.linspace(0.005, sinr_supremum(sc) * 1.02, 800)
-            fe = np.array([sinr_pdf_exact(z, sc) for z in zs])
+            fe = sinr_pdf_exact(zs, sc)
             fc = sinr_pdf_compact(zs, sc)
             ratios[mu] = np.max(np.abs(fe - fc)) / fe.max()
         assert 0.10 <= ratios[10] <= 0.16

@@ -4,7 +4,47 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from satcuma.quadrature import QuadratureSpec, integrate
+from satcuma.quadrature import DEFAULT_SPEC, QuadratureResult, QuadratureSpec, integrate
+
+_GL15 = np.polynomial.legendre.leggauss(15)
+_GL7 = np.polynomial.legendre.leggauss(7)
+_ROUNDOFF = 50.0 * np.finfo(float).eps
+
+
+def _depth_first(f, a, b, spec=DEFAULT_SPEC, breakpoints=()):
+    """The engine as it was before level-synchronous refinement: one panel
+    at a time from a stack, left half first, two integrand calls a panel.
+    The reference for TestEngineEquivalence; it also returns the depth of
+    its panel tree."""
+    if b < a:
+        res, depth = _depth_first(f, b, a, spec, breakpoints)
+        return QuadratureResult(-res.value, res.est_error, res.subdivisions,
+                                res.converged), depth
+    width = b - a
+    edges = [a] + sorted(p for p in set(breakpoints) if a < p < b) + [b]
+    stack = [(edges[i], edges[i + 1], 0) for i in range(len(edges) - 1)][::-1]
+    total = err_total = 0.0
+    nsub, depth, converged = 0, 0, True
+    while stack:
+        x, y, d = stack.pop()
+        depth = max(depth, d)
+        half, mid = 0.5 * (y - x), 0.5 * (x + y)
+        vals = []
+        for nodes, weights in (_GL15, _GL7):
+            fx = np.asarray(f(mid + half * nodes))
+            vals.append(half * (float(np.dot(weights, fx)) if fx.ndim == 1 else fx @ weights))
+        val, coarse = vals
+        err = np.maximum(np.abs(val - coarse), _ROUNDOFF * np.abs(val))
+        meets = np.all(err <= np.maximum(spec.abs_tol * (y - x) / width,
+                                         spec.rel_tol * np.abs(val)))
+        if meets or (y - x) < 1e-15 * width or nsub >= spec.max_subdivisions:
+            total += val
+            err_total += err
+            converged = converged and bool(meets or (y - x) < 1e-15 * width)
+        else:
+            nsub += 1
+            stack += [(0.5 * (x + y), y, d + 1), (x, 0.5 * (x + y), d + 1)]
+    return QuadratureResult(total, err_total, nsub, converged), depth
 
 
 class TestSmoothIntegrals:
@@ -150,6 +190,61 @@ class TestVectorIntegrand:
         assert res.converged is False
         assert res.subdivisions == 3
         assert res.value[0] == pytest.approx(1.0 - math.cos(1.0), rel=1e-14)
+
+
+class TestEngineEquivalence:
+    # level-synchronous rounds against the depth-first reference: the same
+    # panel tree, and the same leaves summed in the same order; only the
+    # rounding of each panel's node sum (a batched matrix product in place
+    # of one dot product a panel) may differ, by a few ulps
+    CASES = {
+        "oscillating": (lambda x: np.sin(13.0 * x) * np.exp(-x), 0.0, 8.0, ()),
+        "narrow-peak": (lambda x: np.exp(-((x - 0.37) / 1e-4) ** 2), 0.0, 10.0,
+                        (0.36, 0.38)),
+        "reversed": (lambda x: np.sqrt(x + 0.01), 8.0, 0.0, (0.5, 3.0)),
+        "vector": (lambda x: np.stack([np.sin(13.0 * x) * np.exp(-x),
+                                       1.0 / (1.0 + x * x), np.sqrt(x + 0.01)]),
+                   0.0, 8.0, (2.5,)),
+        "vector-reversed": (lambda x: np.stack([np.cos(x) ** 2, np.exp(-x * x)]),
+                            2.0, -1.0, ()),
+    }
+    SPECS = [QuadratureSpec(), QuadratureSpec(abs_tol=1e-14, rel_tol=1e-12)]
+
+    @pytest.mark.parametrize("spec", SPECS, ids=["default", "tight"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_depth_first_reference(self, case, spec):
+        f, a, b, bp = self.CASES[case]
+        res = integrate(f, a, b, spec, bp)
+        ref, _ = _depth_first(f, a, b, spec, bp)
+        assert np.shape(res.value) == np.shape(ref.value)
+        assert isinstance(res.value, float) == isinstance(ref.value, float)
+        assert np.all(np.abs(res.value - ref.value) <= 1e-15 * np.abs(ref.value))
+        assert res.subdivisions == ref.subdivisions
+        assert res.converged is ref.converged is True
+
+    def test_exhausted_budget_still_flagged(self):
+        spec = QuadratureSpec(max_subdivisions=5)
+        f, a, b, bp = self.CASES["narrow-peak"]
+        res = integrate(f, a, b, spec, bp)
+        ref, _ = _depth_first(f, a, b, spec, bp)
+        assert res.subdivisions == ref.subdivisions == 5
+        assert res.converged is ref.converged is False
+
+    @pytest.mark.parametrize("case", ["oscillating", "narrow-peak", "reversed", "vector"])
+    def test_one_integrand_call_per_level(self, case):
+        f, a, b, bp = self.CASES[case]
+        calls = []
+
+        def counted(x):
+            calls.append(x.size)
+            return f(x)
+
+        res = integrate(counted, a, b, breakpoints=bp)
+        _, depth = _depth_first(f, a, b, breakpoints=bp)
+        assert depth >= 3
+        assert len(calls) == depth + 1
+        # every panel is evaluated once, on its 15 + 7 nodes
+        assert sum(calls) == 22 * (len(bp) + 1 + 2 * res.subdivisions)
 
 
 class TestSpecValidation:
