@@ -134,6 +134,9 @@ def gain_comparison(sc: Scenario, M: int, epsilon: float = 7.0) -> GainCompariso
 
 
 _SV_CUTOFF = 1e-8  # relative singular-value cutoff of the ZF pseudo-inverse
+# channel entries per stacked SVD: bounds memory at any trial count while
+# one stack still holds a sweep's 2000 trials at M*U <= 131
+_ZF_STACK_ENTRIES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -146,11 +149,26 @@ class ZfMonteCarlo:
     combiner_failures: int
 
 
-def _los_channel(rng, M: int, zeta, psi) -> np.ndarray:
-    """Identical-angle LoS channel: common steering vector, per-user phase."""
+def _los_channel(M: int, zeta, psi) -> np.ndarray:
+    """Identical-angle LoS channels, shape (trials, M, U), from phases (trials, U):
+    a common steering vector times each user's phase."""
     steering = np.exp(1j * math.pi * np.arange(M))  # half-wavelength, in-line
-    coeff = np.sqrt(np.asarray(zeta)) * np.exp(1j * np.asarray(psi))
-    return steering[:, None] * coeff[None, :]
+    coeff = np.sqrt(np.asarray(zeta)) * np.exp(1j * psi)
+    return steering[None, :, None] * coeff[:, None, :]
+
+
+def _zf_sinr(H: np.ndarray, gamma: float):
+    """Desired-user ZF SINR of each stacked M x U channel, and whether its
+    numerical rank falls below U (a combiner failure)."""
+    u_, s_, vh = np.linalg.svd(H, full_matrices=False)
+    keep = s_ >= _SV_CUTOFF * s_[:, :1]
+    # row 0 of the truncated pseudo-inverse: w = sum over kept k of
+    # conj(vh[k, 0]) / s[k] * conj(u[:, k])
+    coef = np.divide(vh[:, :, 0].conj(), s_, out=np.zeros(s_.shape, complex), where=keep)
+    w = np.matmul(u_.conj(), coef[:, :, None])[:, :, 0]
+    gains = np.abs(np.matmul(w[:, None, :], H)[:, 0, :]) ** 2
+    noise = np.einsum("tm,tm->t", w.conj(), w).real / gamma
+    return gains[:, 0] / (gains[:, 1:].sum(axis=1) + noise), keep.sum(axis=1) < H.shape[2]
 
 
 def zf_sinr_mc(M: int, sc: Scenario, trials: int, seed: int,
@@ -159,33 +177,35 @@ def zf_sinr_mc(M: int, sc: Scenario, trials: int, seed: int,
 
     Per trial the combiner is the desired user's row of the pseudo-inverse
     of the M x U channel matrix, with singular values below
-    1e-8 * sigma_max (_SV_CUTOFF) discarded.  Trials whose numerical rank is below U
-    are counted as combiner failures; their (least-squares) SINR still
-    enters the statistics.  channel_fn(rng, M, U) may supply a synthetic
-    channel matrix for testing.
+    1e-8 * sigma_max (_SV_CUTOFF) discarded.  Trials whose numerical rank is
+    below U are counted as combiner failures; their (least-squares) SINR
+    still enters the statistics.
+
+    Trials are evaluated together: their channels are stacked and go
+    through one batched SVD per stack of at most _ZF_STACK_ENTRIES channel
+    entries.  The LoS phases are drawn as rng.random((trials, U)), the same
+    Philox draws in the same order as one rng.random(U) per trial.
+    channel_fn(rng, M, U) may supply a synthetic M x U channel matrix for
+    testing; it is called once per trial, in trial order, with the one
+    generator, so whatever it draws from rng is drawn in trial order too.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     U = sc.users.U
     zeta = np.asarray(sc.users.zeta)
     rng = np.random.Generator(np.random.Philox(key=seed))
+    rows = max(1, _ZF_STACK_ENTRIES // (M * U))
     sinrs = np.empty(trials)
     failures = 0
-    for i in range(trials):
+    for lo in range(0, trials, rows):
+        n = min(rows, trials - lo)
         if channel_fn is not None:
-            H = np.asarray(channel_fn(rng, M, U), dtype=complex)
+            H = np.stack([np.asarray(channel_fn(rng, M, U), dtype=complex)
+                          for _ in range(n)])
         else:
-            psi = rng.random(U) * 2.0 * math.pi
-            H = _los_channel(rng, M, zeta, psi)
-        u_, s_, vh = np.linalg.svd(H, full_matrices=False)
-        keep = s_ >= _SV_CUTOFF * s_[0]
-        if keep.sum() < U:
-            failures += 1
-        pinv = (vh[keep].conj().T / s_[keep]) @ u_[:, keep].conj().T
-        w = pinv[0]  # combiner for the desired user
-        gains = np.abs(w @ H) ** 2
-        noise = float(np.vdot(w, w).real) / sc.Gamma
-        sinrs[i] = gains[0] / (gains[1:].sum() + noise)
+            H = _los_channel(M, zeta, rng.random((n, U)) * 2.0 * math.pi)
+        sinrs[lo:lo + n], failed = _zf_sinr(H, sc.Gamma)
+        failures += int(failed.sum())
     return ZfMonteCarlo(mean=float(sinrs.mean()), variance=float(sinrs.var()),
                         n_trials=trials, combiner_failures=failures)
 

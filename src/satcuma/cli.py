@@ -170,9 +170,22 @@ def _cmd_report(args) -> int:
     return EXIT_OK
 
 
+def _bad_option(args):
+    """The usage error in an option value that no verb can run with, or None."""
+    if args.trials < 0:
+        return f"--trials must be >= 0, got {args.trials}"
+    if args.command == "validate" and not args.gamma > 0.0:
+        return f"--gamma must be positive, got {args.gamma}"
+    return None
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    problem = _bad_option(args)
+    if problem:
+        print(f"error: {problem}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         if args.command == "sweep":
             return _cmd_sweep(args)

@@ -58,26 +58,34 @@ def _sinr(alpha, beta, kbar, gamma):
     return np.divide(alpha, denom, out=np.zeros_like(alpha), where=denom > 0.0)
 
 
+# what a block computes besides the positive-cosine (K1) columns
+_K1_ONLY, _K2_AMPLITUDES, _K2_FULL = 0, 1, 2
+
+
 def _block_sums(args):
     """Brute-force port sums for trials [lo, hi) (picklable worker).
 
-    Returns the columns of the positive-cosine (K1) activation set and, when
-    k2 is set, those of the negative-cosine (K2) set too.  Rows are processed
-    in chunks of _chunk_rows(k) through preallocated buffers.  Without K2, an
-    interferer's cosines are evaluated only on the activated ports; the other
-    slots of the summed buffer keep the signed zeros of the signal product,
-    and a zero of either sign leaves a row sum unchanged up to the sign of
-    an all-zero sum, which squaring removes.
+    Returns the columns of the positive-cosine (K1) activation set and, by
+    the block's k2 mode, also the negative-cosine (K2) set's amplitudes
+    (_K2_AMPLITUDES, from the desired user's cosines of the K1 pass) or all
+    of its columns (_K2_FULL, with per-interferer K2 sums).  Rows are
+    processed in chunks of _chunk_rows(k) through preallocated buffers.
+    Outside _K2_FULL, an interferer's cosines are evaluated only on the
+    activated ports; the other slots of the summed buffer keep the signed
+    zeros of the signal product, and a zero of either sign leaves a row sum
+    unchanged up to the sign of an all-zero sum, which squaring removes.
     """
     (master_seed, lo, hi, u, k, mu, zeta, gamma, k2) = args
+    amps, full = k2 != _K1_ONLY, k2 == _K2_FULL
     psi = _draw_block(master_seed, lo, hi, u)
     ports = 2.0 * math.pi * np.arange(1, k) / mu  # k-1 phase offsets, ports 2..K
     m = hi - lo
     amp = np.empty(m)
     kbar = np.empty(m, dtype=np.int64)
     ys = np.empty((m, u - 1))
-    if k2:
+    if amps:
         amp_n = np.empty(m)
+    if full:
         kbar_n = np.empty(m, dtype=np.int64)
         ys_n = np.empty((m, u - 1))
     rows = min(m, _chunk_rows(k))
@@ -93,15 +101,18 @@ def _block_sums(args):
         np.add(psi[r, :1], ports, out=ph)
         np.cos(ph, out=cs)
         np.greater(cs, 0.0, out=mp)
-        amp[r] = np.multiply(cs, mp, out=pt).sum(axis=1)
-        kbar[r] = mp.sum(axis=1)
-        if k2:
+        if amps:
+            # before the signal product, which must be the last write to pt:
+            # the masked interferer cosines below keep its signed zeros
             np.less(cs, 0.0, out=mn)
             amp_n[r] = np.multiply(cs, mn, out=pt).sum(axis=1)
+        if full:
             kbar_n[r] = mn.sum(axis=1)
+        amp[r] = np.multiply(cs, mp, out=pt).sum(axis=1)
+        kbar[r] = mp.sum(axis=1)
         for j in range(1, u):
             np.add(psi[r, j:j + 1], ports, out=ph)
-            if k2:
+            if full:
                 np.cos(ph, out=cs)
                 s = np.multiply(cs, mp, out=pt).sum(axis=1)
                 ys_n[r, j - 1] = zeta[j] * np.multiply(cs, mn, out=pt).sum(axis=1) ** 2
@@ -112,7 +123,10 @@ def _block_sums(args):
     beta = ys.sum(axis=1)
     out = {"alpha": alpha, "ys": ys, "beta": beta,
            "sinr": _sinr(alpha, beta, kbar, gamma), "kbar": kbar}
-    if k2:
+    if amps:
+        out["amp_pos"] = math.sqrt(zeta[0]) * amp
+        out["amp_neg"] = math.sqrt(zeta[0]) * np.abs(amp_n)
+    if full:
         # per-set interference is summed in interferer order, unlike the
         # pairwise row sum of the beta column, and keeps that rounding
         beta_p = np.zeros(m)
@@ -120,8 +134,6 @@ def _block_sums(args):
         for j in range(u - 1):
             beta_p += ys[:, j]
             beta_n += ys_n[:, j]
-        out["amp_pos"] = math.sqrt(zeta[0]) * amp
-        out["amp_neg"] = math.sqrt(zeta[0]) * np.abs(amp_n)
         out["sinr_pos"] = _sinr(alpha, beta_p, kbar, gamma)
         out["sinr_neg"] = _sinr(zeta[0] * amp_n ** 2, beta_n, kbar_n, gamma)
     return lo, out
@@ -168,39 +180,48 @@ class NegativeSetBatch:
     master_seed: int
     amp_pos: np.ndarray   # sqrt(alpha) over the positive set
     amp_neg: np.ndarray   # |sum| over the negative set
-    sinr_pos: np.ndarray
-    sinr_neg: np.ndarray
+    sinr_pos: np.ndarray | None  # None from an amplitude-only pass
+    sinr_neg: np.ndarray | None
 
 
 _K1_COLUMNS = ("alpha", "ys", "beta", "sinr", "kbar")
-_K2_COLUMNS = ("amp_pos", "amp_neg", "sinr_pos", "sinr_neg")
+_K2_AMP_COLUMNS = ("amp_pos", "amp_neg")
+_K2_COLUMNS = _K2_AMP_COLUMNS + ("sinr_pos", "sinr_neg")
 
 
 def oracle_pass(sc: Scenario, n: int, master_seed: int, block_size: int = DEFAULT_BLOCK,
-                workers: int = 1, k2_trials: int = 0):
+                workers: int = 1, k2_trials: int = 0, k2_sinr: bool = True):
     """One brute-force pass over n trials: (TrialBatch, NegativeSetBatch).
 
     The negative-set batch covers the first min(k2_trials, n) trials of the
-    same draws (None when k2_trials is 0).  Every column is independent of
-    block_size and workers; blocks are seeded by absolute trial index and
-    gathered in index order.
+    same draws (None when k2_trials is 0).  With k2_sinr, its trials also go
+    through the full negative-set pass, which sums every interferer over
+    the negative-cosine set for sinr_pos and sinr_neg.  Without it, the
+    batch holds only amp_pos and amp_neg (sinr_pos and sinr_neg are None),
+    and these come from the desired user's cosines that the positive-set
+    pass computes anyway: the same operations, so the same bits, at almost
+    no extra cost.  Every column is independent of block_size and workers;
+    blocks are seeded by absolute trial index and gathered in index order.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     u, k = sc.users.U, sc.antenna.K
     n_k2 = min(max(k2_trials, 0), n)
+    mode = _K2_FULL if k2_sinr else _K2_AMPLITUDES
+    k2_columns = _K2_COLUMNS if k2_sinr else _K2_AMP_COLUMNS
     edges = sorted(set(range(0, n, block_size)) | {n_k2, n})
-    blocks = [(master_seed, lo, hi, u, k, sc.mu, tuple(sc.users.zeta), sc.Gamma, hi <= n_k2)
+    blocks = [(master_seed, lo, hi, u, k, sc.mu, tuple(sc.users.zeta), sc.Gamma,
+               mode if hi <= n_k2 else _K1_ONLY)
               for lo, hi in zip(edges, edges[1:])]
 
     cols = {"alpha": np.empty(n), "ys": np.empty((n, u - 1)), "beta": np.empty(n),
             "sinr": np.empty(n), "kbar": np.empty(n, dtype=np.int64)}
-    cols.update((name, np.empty(n_k2)) for name in _K2_COLUMNS)
+    cols.update((name, np.empty(n_k2)) for name in k2_columns)
 
     def _store(result):
         lo, out = result
         hi = lo + out["alpha"].shape[0]
-        for name in _K1_COLUMNS + (_K2_COLUMNS if hi <= n_k2 else ()):
+        for name in _K1_COLUMNS + (k2_columns if hi <= n_k2 else ()):
             cols[name][lo:hi] = out[name]
 
     if workers <= 1 or len(blocks) == 1:
@@ -214,7 +235,7 @@ def oracle_pass(sc: Scenario, n: int, master_seed: int, block_size: int = DEFAUL
     batch = TrialBatch(n_trials=n, master_seed=master_seed,
                        **{name: cols[name] for name in _K1_COLUMNS})
     neg = NegativeSetBatch(n_trials=n_k2, master_seed=master_seed,
-                           **{name: cols[name] for name in _K2_COLUMNS}) if n_k2 else None
+                           **{name: cols.get(name) for name in _K2_COLUMNS}) if n_k2 else None
     return batch, neg
 
 

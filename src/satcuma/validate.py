@@ -120,10 +120,10 @@ def run_validation(sc: Scenario, n_trials: int, master_seed: int,
     even = sc.antenna.mu_is_even_integer
     mu, V = sc.mu, sc.V
     zeta_u = sc.zeta_u
-    # one brute-force pass; the negative-set columns cover its first trials
+    # one brute-force pass; the negative-set amplitudes cover its first trials
     n_k2 = min(n_trials, NEGATIVE_SET_TRIALS)
     batch, neg = mc.oracle_pass(sc, n_trials, master_seed, workers=workers,
-                                k2_trials=n_k2)
+                                k2_trials=n_k2, k2_sinr=False)
 
     # 1. compact-form equivalence on the first trials of the batch
     n_sub = min(n_trials, EQUIVALENCE_SUBSAMPLE)

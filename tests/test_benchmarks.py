@@ -10,6 +10,7 @@ from satcuma.benchmarks import (GainComparison, MrcConfig, cuma_beamforming_gain
                                 min_ports_noise_limited, min_ports_vs_mrc,
                                 mrc_mean_snr, mrc_sinr, ocuma_rate,
                                 single_user_scenario, zf_sinr_mc)
+from satcuma import benchmarks
 from satcuma.metrics import ergodic_rate, mean_snr
 from satcuma.core import ceil_t_mu
 
@@ -112,6 +113,105 @@ class TestMinPorts:
         assert gc.cuma_gain == pytest.approx(cuma_signal_gain(21), rel=1e-12)
         assert gc.min_ports >= 2
         assert all(0.0 <= d <= 1.0 for d in gc.delta)
+
+
+def _trial_channel(rng, M, sc, channel_fn):
+    """One trial's M x U channel, drawn as the per-trial loop drew it."""
+    U = sc.users.U
+    if channel_fn is not None:
+        return np.asarray(channel_fn(rng, M, U), dtype=complex)
+    psi = rng.random(U) * 2.0 * math.pi
+    steering = np.exp(1j * math.pi * np.arange(M))
+    return steering[:, None] * (np.sqrt(np.asarray(sc.users.zeta)) * np.exp(1j * psi))[None, :]
+
+
+def _zf_loop_reference(M, sc, trials, seed, channel_fn=None):
+    """The per-trial loop that the batched zf_sinr_mc replaced, kept as its
+    reference: (mean, variance, combiner failures)."""
+    U = sc.users.U
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    sinrs = np.empty(trials)
+    failures = 0
+    for i in range(trials):
+        H = _trial_channel(rng, M, sc, channel_fn)
+        u_, s_, vh = np.linalg.svd(H, full_matrices=False)
+        keep = s_ >= 1e-8 * s_[0]
+        if keep.sum() < U:
+            failures += 1
+        pinv = (vh[keep].conj().T / s_[keep]) @ u_[:, keep].conj().T
+        w = pinv[0]
+        gains = np.abs(w @ H) ** 2
+        noise = float(np.vdot(w, w).real) / sc.Gamma
+        sinrs[i] = gains[0] / (gains[1:].sum() + noise)
+    return float(sinrs.mean()), float(sinrs.var()), failures
+
+
+def _gaussian(rng, m, u, scale):
+    return (rng.standard_normal((m, u)) + 1j * rng.standard_normal((m, u))) * scale
+
+
+def _full_rank_channel(zeta):
+    """Rayleigh channel at the scenario's path loss (full rank for M >= U)."""
+    return lambda rng, m, u: _gaussian(rng, m, u, math.sqrt(zeta / 2.0))
+
+
+def _varying_rank_channel(zeta):
+    """Channel of rank r, drawn per trial from 1..U, scaled per trial by up to
+    1e5 either way around the scenario's path loss: each trial's singular
+    values must be cut against its own largest one."""
+    def channel(rng, m, u):
+        r = int(rng.integers(1, u + 1))
+        scale = 10.0 ** rng.uniform(-5.0, 5.0) * math.sqrt(zeta / (4.0 * r))
+        return _gaussian(rng, m, r, 1.0) @ _gaussian(rng, r, u, scale)
+    return channel
+
+
+class TestZeroForcingBatch:
+    # (channel, M): the LoS default is rank one, so every trial fails and
+    # the SINR spread is rounding noise; M=3 < U=5 leaves no full-rank trial
+    CASES = [("los", 15), ("full-rank", 8), ("varying-rank", 8), ("full-rank", 3)]
+
+    @pytest.mark.parametrize("channel,M", CASES)
+    @pytest.mark.parametrize("stack_trials", [None, 7])
+    def test_matches_per_trial_loop(self, table_scenario, monkeypatch, channel, M,
+                                    stack_trials):
+        sc = table_scenario
+        zeta = sc.users.zeta[0]
+        channel_fn = {"los": None, "full-rank": _full_rank_channel(zeta),
+                      "varying-rank": _varying_rank_channel(zeta)}[channel]
+        if stack_trials:  # trials then span many stacks, the last one partial
+            monkeypatch.setattr(benchmarks, "_ZF_STACK_ENTRIES", stack_trials * M * sc.users.U)
+        trials = 303
+        mean, var, failures = _zf_loop_reference(M, sc, trials, 17, channel_fn)
+        r = zf_sinr_mc(M, sc, trials, 17, channel_fn)
+        assert r.n_trials == trials
+        assert r.combiner_failures == failures
+        assert r.mean == pytest.approx(mean, rel=1e-12)
+        assert r.variance == pytest.approx(var, rel=1e-12, abs=1e-12 * mean ** 2)
+        if channel == "varying-rank":
+            assert 0 < failures < trials
+        elif channel == "full-rank" and M >= sc.users.U:
+            assert failures == 0
+        else:
+            assert failures == trials
+
+    @pytest.mark.parametrize("channel", ["los", "full-rank"])
+    def test_stacks_channels_in_trial_draw_order(self, table_scenario, monkeypatch,
+                                                 channel):
+        # mean and variance cannot tell the trial order apart, so pin the
+        # stacked channels themselves against the per-trial draws
+        sc, M, trials = table_scenario, 6, 11
+        channel_fn = None if channel == "los" else _full_rank_channel(sc.users.zeta[0])
+        stacks = []
+        zf_sinr = benchmarks._zf_sinr
+        monkeypatch.setattr(benchmarks, "_zf_sinr",
+                            lambda H, gamma: stacks.append(H) or zf_sinr(H, gamma))
+        monkeypatch.setattr(benchmarks, "_ZF_STACK_ENTRIES", 4 * M * sc.users.U)
+        zf_sinr_mc(M, sc, trials, 5, channel_fn)
+        rng = np.random.Generator(np.random.Philox(key=5))
+        want = np.stack([_trial_channel(rng, M, sc, channel_fn) for _ in range(trials)])
+        assert [len(h) for h in stacks] == [4, 4, 3]
+        assert np.array_equal(np.concatenate(stacks), want)
 
 
 class TestZeroForcing:

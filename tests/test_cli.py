@@ -175,6 +175,18 @@ class TestCliExitCodes:
                         "--out", str(tmp_path / "x.csv")]) == 2
         assert "scenario key 'W'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,option", [
+        (["validate", "--trials", "-5"], "--trials"),
+        (["report", "--trials", "-3"], "--trials"),
+        (["validate", "--trials", "10", "--gamma", "-1"], "--gamma"),
+        (["validate", "--trials", "10", "--gamma", "nan"], "--gamma"),
+    ], ids=["validate-trials", "report-trials", "gamma-negative", "gamma-nan"])
+    def test_bad_option_value_is_usage_error_naming_it(self, capsys, argv, option):
+        assert run_cli(argv) == 2
+        err = capsys.readouterr().err
+        assert f"error: {option} must be" in err
+        assert "runtime failure" not in err
+
     def test_bad_scenario_key_is_usage_error(self, tmp_path):
         scen = tmp_path / "scen.json"
         scen.write_text(json.dumps({"K": 9, "W": 2, "U": 2, "bogus": 1}))

@@ -163,6 +163,23 @@ class TestKernelBitIdentity:
         _assert_columns_equal(neg, _naive_negative_set(sc, psi[:n_k2]))
         assert oracle_pass(sc, n, 79)[1] is None
 
+    @pytest.mark.parametrize("K,W,U", CASES)
+    def test_amplitude_only_pass_is_bit_identical(self, K, W, U):
+        # the amplitudes come from the positive-set pass's desired-user
+        # cosines, and that pass's own columns are those of run_trials
+        sc = reference_scenario(K=K, W=W, U=U)
+        n, n_k2 = self.n_trials(K), _chunk_rows(K) + 5
+        full = negative_set_trials(sc, n_k2, 83)
+        ref = run_trials(sc, n, 83)
+        for kwargs in ({}, {"block_size": 977}, {"block_size": 977, "workers": 2}):
+            batch, neg = oracle_pass(sc, n, 83, k2_trials=n_k2, k2_sinr=False, **kwargs)
+            assert neg.n_trials == n_k2
+            assert neg.sinr_pos is None and neg.sinr_neg is None
+            for name in ("amp_pos", "amp_neg"):
+                assert np.array_equal(getattr(neg, name), getattr(full, name)), name
+            for name in ("alpha", "ys", "beta", "sinr", "kbar"):
+                assert np.array_equal(getattr(batch, name), getattr(ref, name)), name
+
 
 class TestTrialPhysics:
     def test_matches_scalar_bruteforce(self, table_scenario):
