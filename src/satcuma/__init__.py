@@ -64,7 +64,6 @@ from .benchmarks import (
     zf_sinr_mc,
 )
 from .montecarlo import (
-    EmpiricalDist,
     TrialBatch,
     empirical_cdf,
     empirical_outage,

@@ -174,6 +174,10 @@ def _bad_option(args):
     """The usage error in an option value that no verb can run with, or None."""
     if args.trials < 0:
         return f"--trials must be >= 0, got {args.trials}"
+    if args.command == "validate" and args.trials == 1:
+        # one sample has no spread: its signal-interference correlation is nan
+        return ("--trials must be >= 2 for validate, which needs at least 2 trials "
+                "(0 runs the default 200000), got 1")
     if args.command == "validate" and not args.gamma > 0.0:
         return f"--gamma must be positive, got {args.gamma}"
     return None

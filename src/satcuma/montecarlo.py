@@ -151,26 +151,6 @@ class TrialBatch:
     sinr: np.ndarray
     kbar: np.ndarray
 
-    def column(self, name: str) -> np.ndarray:
-        if name in ("alpha", "beta", "sinr", "kbar"):
-            return getattr(self, name)
-        if name.startswith("y_"):
-            return self.ys[:, int(name[2:]) - 1]
-        raise KeyError(f"unknown column {name!r}")
-
-    def to_csv(self, path) -> None:
-        """Columnar export: trial_index, alpha, y_1..y_{U-1}, beta, sinr."""
-        n_int = self.ys.shape[1]
-        header = ",".join(["trial_index", "alpha"]
-                          + [f"y_{j + 1}" for j in range(n_int)]
-                          + ["beta", "sinr"])
-        cols = [np.arange(self.n_trials)] + [self.alpha] \
-            + [self.ys[:, j] for j in range(n_int)] + [self.beta, self.sinr]
-        with open(path, "w") as fh:
-            fh.write(header + "\n")
-            for row in zip(*cols):
-                fh.write(",".join(("%d" % row[0],) + tuple("%.12g" % v for v in row[1:])) + "\n")
-
 
 @dataclass(frozen=True)
 class NegativeSetBatch:
@@ -189,6 +169,26 @@ _K2_AMP_COLUMNS = ("amp_pos", "amp_neg")
 _K2_COLUMNS = _K2_AMP_COLUMNS + ("sinr_pos", "sinr_neg")
 
 
+def _block_plan(n: int, block_size: int, workers: int, n_k2: int):
+    """Block edges over [0, n) and the number of processes that run them.
+
+    With w = min(workers, ceil(n / block_size)) processes, w > 1 gets 2w
+    blocks whose sizes differ by at most one trial (or the least multiple
+    of 2w that keeps every block within block_size), so no worker idles
+    while another finishes a short tail block, and each worker's results
+    reach the parent in two halves rather than all at once.  Otherwise
+    (w = 1, run in process) the blocks hold block_size trials from trial 0.
+    n_k2 is an edge of either plan.
+    """
+    w = min(workers, -(-n // block_size))
+    if w > 1:
+        parts = 2 * w * -(-n // (2 * w * block_size))
+        cuts = {i * n // parts for i in range(parts)}
+    else:
+        w, cuts = 1, set(range(0, n, block_size))
+    return sorted(cuts | {n_k2, n}), w
+
+
 def oracle_pass(sc: Scenario, n: int, master_seed: int, block_size: int = DEFAULT_BLOCK,
                 workers: int = 1, k2_trials: int = 0, k2_sinr: bool = True):
     """One brute-force pass over n trials: (TrialBatch, NegativeSetBatch).
@@ -200,8 +200,14 @@ def oracle_pass(sc: Scenario, n: int, master_seed: int, block_size: int = DEFAUL
     batch holds only amp_pos and amp_neg (sinr_pos and sinr_neg are None),
     and these come from the desired user's cosines that the positive-set
     pass computes anyway: the same operations, so the same bits, at almost
-    no extra cost.  Every column is independent of block_size and workers;
-    blocks are seeded by absolute trial index and gathered in index order.
+    no extra cost.
+
+    One worker runs blocks of block_size trials in process.  More workers
+    share the trials out by _block_plan: min(workers, ceil(n / block_size))
+    processes get two blocks each of equal size (to within one trial, and
+    at most block_size), with one more cut at trial n_k2.  Every column is
+    independent of block_size and workers; blocks are seeded by absolute
+    trial index and gathered in index order.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -209,7 +215,7 @@ def oracle_pass(sc: Scenario, n: int, master_seed: int, block_size: int = DEFAUL
     n_k2 = min(max(k2_trials, 0), n)
     mode = _K2_FULL if k2_sinr else _K2_AMPLITUDES
     k2_columns = _K2_COLUMNS if k2_sinr else _K2_AMP_COLUMNS
-    edges = sorted(set(range(0, n, block_size)) | {n_k2, n})
+    edges, procs = _block_plan(n, block_size, workers, n_k2)
     blocks = [(master_seed, lo, hi, u, k, sc.mu, tuple(sc.users.zeta), sc.Gamma,
                mode if hi <= n_k2 else _K1_ONLY)
               for lo, hi in zip(edges, edges[1:])]
@@ -224,11 +230,11 @@ def oracle_pass(sc: Scenario, n: int, master_seed: int, block_size: int = DEFAUL
         for name in _K1_COLUMNS + (k2_columns if hi <= n_k2 else ()):
             cols[name][lo:hi] = out[name]
 
-    if workers <= 1 or len(blocks) == 1:
+    if procs == 1:
         for blk in blocks:
             _store(_block_sums(blk))
     else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=procs) as pool:
             for result in pool.map(_block_sums, blocks):
                 _store(result)
 
@@ -255,28 +261,6 @@ def negative_set_trials(sc: Scenario, n: int, master_seed: int,
     return oracle_pass(sc, n, master_seed, block_size, k2_trials=n)[1]
 
 
-@dataclass(frozen=True)
-class EmpiricalDist:
-    """Sorted samples with a recorded histogram and summary moments."""
-
-    sorted_samples: np.ndarray
-    bin_edges: np.ndarray
-    counts: np.ndarray
-    mean: float
-    variance: float
-
-    @classmethod
-    def from_samples(cls, samples, bins="fd") -> "EmpiricalDist":
-        x = np.sort(np.asarray(samples, dtype=float))
-        edges = np.histogram_bin_edges(x, bins=bins)
-        counts, _ = np.histogram(x, bins=edges)
-        return cls(sorted_samples=x, bin_edges=edges, counts=counts,
-                   mean=float(x.mean()), variance=float(x.var()))
-
-    def cdf(self, thresholds) -> np.ndarray:
-        return empirical_cdf(self.sorted_samples, thresholds)
-
-
 def empirical_cdf(samples, thresholds) -> np.ndarray:
     """P(X <= t) for each threshold, from the sample."""
     x = np.asarray(samples, dtype=float)
@@ -295,11 +279,6 @@ def ks_distance(samples, analytic_cdf) -> float:
     F = np.asarray(analytic_cdf(x), dtype=float)
     i = np.arange(1, n + 1)
     return float(max(np.max(np.abs(F - i / n)), np.max(np.abs(F - (i - 1) / n))))
-
-
-def ks_critical(alpha: float, n: int) -> float:
-    """Asymptotic two-sided KS critical value at significance alpha."""
-    return math.sqrt(-0.5 * math.log(alpha / 2.0)) / math.sqrt(n)
 
 
 def empirical_outage(batch: TrialBatch, gamma: float):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from satcuma.benchmarks import (GainComparison, MrcConfig, cuma_beamforming_gain
                                 min_ports_noise_limited, min_ports_vs_mrc,
                                 mrc_mean_snr, mrc_sinr, ocuma_rate,
                                 single_user_scenario, zf_sinr_mc)
-from satcuma import benchmarks
+from satcuma import benchmarks, sweep
+from satcuma.sweep import preset_sweeps, run_sweep
 from satcuma.metrics import ergodic_rate, mean_snr
 from satcuma.core import ceil_t_mu
 
@@ -239,7 +241,7 @@ class TestZeroForcing:
         assert r.combiner_failures == 64
         mrc = mrc_sinr(15, list(table_scenario.users.zeta), table_scenario.Gamma)
         assert r.mean <= mrc * (1.0 + 1e-9)
-        assert r.mean == pytest.approx(mrc, rel=1e-6)
+        assert r.mean == pytest.approx(mrc, rel=1e-12)
 
     def test_single_user_degenerates_to_mrc(self):
         sc = reference_scenario(K=21, W=2, U=1)
@@ -250,6 +252,32 @@ class TestZeroForcing:
     def test_trial_validation(self, table_scenario):
         with pytest.raises(ValueError):
             zf_sinr_mc(3, table_scenario, trials=0, seed=1)
+
+
+class TestZeroForcingClosedForm:
+    # fig3's sweep states zf_mean_sinr as mrc_sinr: the identical-angle LoS
+    # channel is rank one, so the truncated ZF combiner is the matched
+    # filter and every trial's SINR is the MRC SINR.  zf_sinr_mc is the
+    # oracle that pins it, at fig3's 2000 trials per grid point.
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_fig3_sweep_matches_monte_carlo_oracle(self, seed):
+        spec = replace(preset_sweeps("fig3", seed=seed, trials=10000)[0],
+                       metrics=("zf_mean_sinr",))
+        rows = run_sweep([spec])
+        assert len(rows) == len(spec.grid)
+        for x, row in zip(spec.grid, rows):
+            sc = sweep._scenario_at(spec, x)
+            mrc = mrc_sinr(spec.mrc_M, list(sc.users.zeta), sc.Gamma)
+            r = zf_sinr_mc(spec.mrc_M, sc, 2000, seed)
+            assert r.combiner_failures == 2000
+            assert r.mean == pytest.approx(mrc, rel=1e-12)
+            assert r.variance / r.mean ** 2 <= 1e-28
+            assert row["mc_value"] == row["mc_ci_low"] == row["mc_ci_high"]
+            assert row["mc_value"] == pytest.approx(r.mean, rel=1e-12)
+
+    def test_analytic_only_sweep_has_no_estimate(self):
+        spec = replace(preset_sweeps("fig3")[0], metrics=("zf_mean_sinr",))
+        assert all(row["mc_value"] is None for row in run_sweep([spec]))
 
 
 class TestScalingInvariance:

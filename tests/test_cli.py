@@ -53,6 +53,30 @@ class TestSweepSpec:
         rows = run_sweep([spec])
         assert len(rows) == 3 * 2
 
+    def test_pool_bounded_by_grid_size(self, monkeypatch):
+        # a forked pool starts every process up front; a huge --workers must
+        # not start more than there are grid points (recorded, run in process)
+        import satcuma.sweep as sweep_mod
+        started = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(sweep_mod.concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        spec = SweepSpec(param="mu", grid=(4, 6, 8), base={"K": 9, "W": 2, "U": 2},
+                         metrics=("mean_snr",))
+        assert run_sweep([spec], workers=10 ** 6) == run_sweep([spec])
+        assert started == [3]
+
     def test_metric_failure_warns_row_and_continues(self, monkeypatch):
         import satcuma.sweep as sweep_mod
 
@@ -186,6 +210,19 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert f"error: {option} must be" in err
         assert "runtime failure" not in err
+
+    def test_validate_single_trial_is_usage_error(self, capsys):
+        # one sample has no spread: the independence check would read nan
+        assert run_cli(["validate", "--trials", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "error: --trials must be >= 2 for validate" in err
+        assert "at least 2 trials" in err
+        assert "RuntimeWarning" not in err
+
+    def test_validate_two_trials_runs(self, capsys):
+        # the smallest accepted count gets a verdict, not a usage error
+        assert run_cli(["validate", "--trials", "2"]) in (0, 1)
+        assert "error:" not in capsys.readouterr().err
 
     def test_bad_scenario_key_is_usage_error(self, tmp_path):
         scen = tmp_path / "scen.json"

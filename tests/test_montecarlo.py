@@ -6,10 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from satcuma.core import (PortSetKind, activated_set,
                           signal_amplitude_bruteforce)
-from satcuma.montecarlo import (EmpiricalDist, empirical_cdf,
-                                empirical_outage, ks_critical, ks_distance,
+from satcuma import montecarlo
+from satcuma.montecarlo import (empirical_cdf, empirical_outage, ks_distance,
                                 negative_set_trials, oracle_pass, run_trials,
-                                _chunk_rows, _draw_block)
+                                _block_plan, _chunk_rows, _draw_block)
 
 from conftest import reference_scenario
 
@@ -18,9 +18,8 @@ class TestDeterminism:
     def test_bit_identical_reruns(self, table_scenario):
         a = run_trials(table_scenario, 5000, 42)
         b = run_trials(table_scenario, 5000, 42)
-        for col in ("alpha", "beta", "sinr", "kbar"):
-            assert np.array_equal(a.column(col), b.column(col))
-        assert np.array_equal(a.ys, b.ys)
+        for col in ("alpha", "ys", "beta", "sinr", "kbar"):
+            assert np.array_equal(getattr(a, col), getattr(b, col))
 
     def test_block_size_invariance(self, table_scenario):
         a = run_trials(table_scenario, 10000, 7, block_size=10000)
@@ -72,6 +71,77 @@ class TestDeterminism:
         assert [v.hex() for v in batch.ys[:, 0]] == [
             "0x1.8f230c70ba57dp-59", "0x1.a45661c1afe3ap-59",
             "0x1.1ec95d10c5f58p-60", "0x1.f3bc4b9cc2fadp-59"]
+
+
+class TestBlockPlan:
+    # (n, block_size, workers): one block per worker fits, the workers
+    # outnumber ceil(n / block_size), and blocks of n / (2 * workers)
+    # trials would exceed block_size
+    CASES = [(100000, 65536, 2), (20000, 4096, 4), (100003, 65536, 3),
+             (1000, 64, 3), (100000, 4096, 2)]
+
+    @pytest.mark.parametrize("n,block_size,workers", CASES)
+    def test_equal_blocks_for_every_worker(self, n, block_size, workers):
+        edges, procs = _block_plan(n, block_size, workers, 0)
+        sizes = np.diff(edges)
+        w = min(workers, math.ceil(n / block_size))
+        assert procs == w
+        assert edges[0] == 0 and edges[-1] == n
+        assert sizes.max() - sizes.min() <= 1
+        assert sizes.max() <= block_size
+        # two blocks per worker, or the least multiple of that which fits
+        assert len(sizes) % (2 * w) == 0
+        assert (len(sizes) - 2 * w) * block_size < n
+        if n <= 2 * w * block_size:
+            assert len(sizes) == 2 * w
+
+    def test_negative_set_edge_is_kept(self):
+        edges, procs = _block_plan(100000, 65536, 2, 30000)
+        assert procs == 2
+        assert edges == [0, 25000, 30000, 50000, 75000, 100000]
+
+    @pytest.mark.parametrize("n,block_size,workers", [(100000, 65536, 1),
+                                                      (5000, 65536, 2)])
+    def test_one_process_keeps_block_size_plan(self, n, block_size, workers):
+        edges, procs = _block_plan(n, block_size, workers, 3000)
+        assert procs == 1
+        assert edges == sorted(set(range(0, n, block_size)) | {3000, n})
+
+    def test_pool_bounded_by_block_count(self, table_scenario, monkeypatch):
+        # a huge worker count starts no more processes than there are
+        # block_size blocks; the pool is recorded, and run in process
+        started = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(montecarlo.concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        got = run_trials(table_scenario, 300, 9, block_size=64, workers=10 ** 6)
+        ref = run_trials(table_scenario, 300, 9, block_size=64)
+        assert started == [5]
+        for col in ("alpha", "ys", "beta", "sinr", "kbar"):
+            assert np.array_equal(getattr(got, col), getattr(ref, col))
+
+    def test_validate_pass_bit_identical_across_workers(self):
+        sc = reference_scenario(K=61, W=3, U=20)
+        args = (sc, 100000, 4)
+        kw = dict(k2_trials=100000, k2_sinr=False)
+        ref_batch, ref_neg = oracle_pass(*args, workers=1, **kw)
+        got_batch, got_neg = oracle_pass(*args, workers=2, **kw)
+        for col in ("alpha", "ys", "beta", "sinr", "kbar"):
+            assert np.array_equal(getattr(got_batch, col), getattr(ref_batch, col))
+        for col in ("amp_pos", "amp_neg"):
+            assert np.array_equal(getattr(got_neg, col), getattr(ref_neg, col))
+        assert got_neg.sinr_pos is None and got_neg.sinr_neg is None
 
 
 def _naive_block(sc, psi):
@@ -284,7 +354,8 @@ class TestEmpiricalTools:
         rng = np.random.default_rng(4)
         x = rng.uniform(0, 1, 200000)
         d = ks_distance(x, lambda t: np.clip(t, 0.0, 1.0))
-        assert d < ks_critical(0.001, 200000)
+        # asymptotic two-sided critical value at significance 0.001
+        assert d < math.sqrt(-0.5 * math.log(0.001 / 2.0)) / math.sqrt(200000)
 
     def test_ks_detects_mismatch(self):
         rng = np.random.default_rng(5)
@@ -304,52 +375,3 @@ class TestEmpiricalTools:
         p, lo, hi = empirical_outage(batch, 1e-9)
         assert p == 0.0
         assert lo <= 1e-12
-
-    def test_empirical_dist_histogram_mass(self):
-        rng = np.random.default_rng(6)
-        x = rng.normal(0, 1, 20000)
-        d = EmpiricalDist.from_samples(x)
-        assert d.counts.sum() == 20000
-        assert d.mean == pytest.approx(0.0, abs=0.03)
-        assert d.variance == pytest.approx(1.0, abs=0.05)
-        assert np.all(np.diff(d.sorted_samples) >= 0)
-
-    def test_empirical_dist_custom_bins(self):
-        x = np.linspace(0, 1, 101)
-        d = EmpiricalDist.from_samples(x, bins=10)
-        assert len(d.bin_edges) == 11
-
-
-class TestCsvExport:
-    def test_schema_and_round_trip(self, table_scenario, tmp_path):
-        batch = run_trials(table_scenario, 50, 61)
-        path = tmp_path / "batch.csv"
-        batch.to_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "trial_index,alpha,y_1,y_2,y_3,y_4,beta,sinr"
-        assert len(lines) == 51
-        first = lines[1].split(",")
-        assert int(first[0]) == 0
-        assert float(first[1]) == pytest.approx(batch.alpha[0], rel=1e-11)
-        assert float(first[-1]) == pytest.approx(batch.sinr[0], rel=1e-11)
-
-    def test_export_deterministic(self, table_scenario, tmp_path):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        run_trials(table_scenario, 200, 3).to_csv(a)
-        run_trials(table_scenario, 200, 3).to_csv(b)
-        assert a.read_bytes() == b.read_bytes()
-
-    def test_single_user_schema(self, tmp_path):
-        sc = reference_scenario(K=9, W=2, U=1)
-        batch = run_trials(sc, 10, 1)
-        path = tmp_path / "solo.csv"
-        batch.to_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "trial_index,alpha,beta,sinr"
-        assert all(float(l.split(",")[2]) == 0.0 for l in lines[1:])
-
-    def test_column_accessor(self, table_scenario):
-        batch = run_trials(table_scenario, 10, 1)
-        assert np.array_equal(batch.column("y_2"), batch.ys[:, 1])
-        with pytest.raises(KeyError):
-            batch.column("nope")
