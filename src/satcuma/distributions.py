@@ -12,11 +12,11 @@ and quadrature can probe freely; the singular support endpoints return inf.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
 
 from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate
 from .scenario import Scenario
@@ -25,6 +25,105 @@ _SQRT2 = math.sqrt(2.0)
 # z values per panel tree of sinr_pdf_exact: bounds its (z, nodes) arrays
 # when an outer integral passes it every node of a round at once
 _Z_CHUNK = 256
+
+# Cephes ndtr.c's rational approximations of erfc, highest power first.
+# Each table holds a numerator and a monic denominator, padded to one
+# length with exact leading zeros and ones, so both rows run through
+# Horner's rule together, rounding as Cephes' polevl and p1evl do.
+def _horner_table(num, den):
+    rows = np.array([[0.0] * (len(den) + 1 - len(num)) + list(num), [1.0] + list(den)])
+    return tuple(rows.T[:, :, None])  # one (2, 1) column per Horner step
+
+
+# erf(x) = x*T(x^2)/U(x^2) for |x| < 1
+_ERF_TU = _horner_table(
+    (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+     7.00332514112805075473e3, 5.55923013010394962768e4),
+    (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+     2.26290000613890934246e4, 4.92673942608635921086e4))
+# erfc(x) = exp(-x^2)*P(x)/Q(x) for 1 <= x < 8
+_ERFC_PQ = _horner_table(
+    (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+     4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+     9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2),
+    (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+     9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+     1.65666309194161350182e3, 5.57535340817727675546e2))
+# erfc(x) = exp(-x^2)*R(x)/S(x) for x >= 8
+_ERFC_RS = _horner_table(
+    (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+     6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0),
+    (2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+     1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0))
+_MAXLOG = 7.09782712893383996843e2  # log of the largest double
+
+
+def _horner(x, table):
+    """Numerator and denominator of a Cephes table at the 1-D array x."""
+    acc = table[0] * x + table[1]
+    for c in table[2:]:
+        acc *= x
+        acc += c
+    return acc
+
+
+def _erfc_small(x, a):
+    t, u = _horner(x * x, _ERF_TU)
+    return 1.0 - x * t / u
+
+
+def _erfc_tail(table):
+    def branch(x, a):
+        p, q = _horner(a, table)
+        y = np.exp(-(a * a)) * p / q
+        return np.where(x < 0.0, 2.0 - y, y)
+    return branch
+
+
+def _erfc_underflow(x, a):
+    return 1.0 - np.sign(x)  # 0 or 2, and NaN stays NaN
+
+
+def _least_with_square_above(bound):
+    a = math.sqrt(bound)
+    while a * a > bound:
+        a = math.nextafter(a, 0.0)
+    while a * a <= bound:
+        a = math.nextafter(a, math.inf)
+    return a
+
+
+# erfc's branch k serves edges[k-1] <= |x| < edges[k]; the last edge is the
+# least |x| whose square exceeds MAXLOG, Cephes' underflow test
+_ERFC_EDGES = np.array([1.0, 8.0, _least_with_square_above(_MAXLOG)])
+_ERFC_BRANCHES = (_erfc_small, _erfc_tail(_ERFC_PQ), _erfc_tail(_ERFC_RS), _erfc_underflow)
+
+
+def erfc(x):
+    """Complementary error function, a port of Cephes ndtr.c's erfc.
+
+    Branches by |x|: 1 - erf(x) below 1, exp(-x^2)*P/Q below 8,
+    exp(-x^2)*R/S beyond, and 2 - erfc(|x|) for negative x.  Where
+    x^2 > MAXLOG the result is 0 (or 2) without forming any polynomial,
+    so huge arguments cannot overflow.  Each branch runs on its own
+    elements only, and an array that needs one branch is not split.  A
+    scalar goes through math.erfc, which is much cheaper than a 0-d array
+    pass.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 0:
+        return math.erfc(x)
+    flat = x.ravel()
+    a = np.abs(flat)
+    branch = np.searchsorted(_ERFC_EDGES, a, side="right")  # NaN sorts last
+    present = np.flatnonzero(np.bincount(branch, minlength=len(_ERFC_BRANCHES)))
+    if present.size == 1:
+        return _ERFC_BRANCHES[present[0]](flat, a).reshape(x.shape)
+    out = np.empty_like(flat)
+    for k in present:
+        sel = branch == k
+        out[sel] = _ERFC_BRANCHES[k](flat[sel], a[sel])
+    return out.reshape(x.shape)
 
 
 def std_normal_cdf(x):
@@ -49,7 +148,7 @@ class TruncGaussParams:
         if self.kappa <= 0:
             raise ValueError(f"kappa must be positive, got {self.kappa}")
 
-    @property
+    @functools.cached_property
     def truncation_mass(self) -> float:
         """Probability mass the untruncated Gaussian puts on beta >= 0."""
         return float(std_normal_cdf(self.omega / self.kappa))

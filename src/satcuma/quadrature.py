@@ -60,6 +60,14 @@ class QuadratureResult:
     converged: bool
 
 
+def _interleave(left, right):
+    """[left[0], right[0], left[1], right[1], ...]: the two halves of each
+    bisected panel, side by side."""
+    out = np.empty(2 * left.size)
+    out[0::2], out[1::2] = left, right
+    return out
+
+
 def integrate(f, a: float, b: float, spec: QuadratureSpec = DEFAULT_SPEC,
               breakpoints=()) -> QuadratureResult:
     """Integrate f over [a, b].
@@ -85,7 +93,7 @@ def integrate(f, a: float, b: float, spec: QuadratureSpec = DEFAULT_SPEC,
     leaves = []  # (lo, hi, value, error) of the panels each round accepted
     nsub = 0
     converged = True
-    while lo.size:
+    while True:
         half, mid = 0.5 * (hi - lo), 0.5 * (lo + hi)
         fx = np.asarray(f((mid[:, None] + half[:, None] * _NODES).ravel()))
         vector = fx.ndim == 2
@@ -97,10 +105,15 @@ def integrate(f, a: float, b: float, spec: QuadratureSpec = DEFAULT_SPEC,
         failing = np.flatnonzero(~(np.all(err <= tol, axis=0) | ((hi - lo) < 1e-15 * width)))
         split = failing[:spec.max_subdivisions - nsub]
         converged = converged and split.size == failing.size
-        leaves.append([np.delete(x, split, axis=-1) for x in (lo, hi, fine, err)])
+        if not split.size:  # every panel accepted, or the budget is spent
+            leaves.append((lo, hi, fine, err))
+            break
+        keep = np.ones(lo.size, dtype=bool)
+        keep[split] = False
+        leaves.append([x[..., keep] for x in (lo, hi, fine, err)])
         nsub += split.size
-        lo, mid, hi = lo[split], mid[split], hi[split]
-        lo, hi = np.stack([lo, mid], axis=1).ravel(), np.stack([mid, hi], axis=1).ravel()
+        mid = mid[split]
+        lo, hi = _interleave(lo[split], mid), _interleave(mid, hi[split])
 
     leaf_lo, leaf_hi, vals, errs = (np.concatenate(x, axis=-1) for x in zip(*leaves))
     # (lo, hi) order is the depth-first leaf order: panels are disjoint, and a

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -442,4 +443,20 @@ class TestModuleEntryPoint:
             [sys.executable, "-m", "satcuma", "sweep", "--preset", "fig11",
              "--out", str(out)], capture_output=True, text=True)
         assert proc.returncode == 0
+        assert out.exists()
+
+    def test_runs_without_scipy(self, tmp_path):
+        # SciPy is a test-only dependency; this process has imported it, so
+        # the check runs in a fresh interpreter
+        out = tmp_path / "fig6.csv"
+        code = ("import sys, satcuma, satcuma.cli\n"
+                f"rc = satcuma.cli.main(['sweep', '--preset', 'fig6', '--out', {str(out)!r}])\n"
+                "assert rc == 0, rc\n"
+                "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(satcuma.core.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
         assert out.exists()

@@ -1,12 +1,16 @@
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
+from scipy.special import erfc as scipy_erfc
 
 from satcuma import run_trials
-from satcuma.distributions import (_Z_CHUNK, SupportInterval, cdf_difference,
+from satcuma.distributions import (_MAXLOG, _Z_CHUNK, SupportInterval,
+                                   cdf_difference, erfc,
                                    interference_cdf_per_user,
                                    interference_mean_per_user,
                                    interference_pdf_per_user,
@@ -41,6 +45,70 @@ class TestStdNormal:
         assert std_normal_cdf(-26.0) > 0.0
         assert 1.0 - std_normal_cdf(26.0) == 0.0
         assert std_normal_cdf(40.0) == 1.0
+
+
+class TestErfc:
+    """The NumPy port of Cephes' erfc against SciPy's build of the same code
+    (they differ only where np.exp and libm's exp round differently)."""
+
+    @staticmethod
+    def _edges():
+        # either side of each branch edge, and of Cephes' underflow threshold
+        root = math.sqrt(_MAXLOG)
+        pts = [1.0, 8.0, root, math.nextafter(root, 0.0), math.nextafter(root, math.inf)]
+        for p in pts[:2]:
+            pts += [math.nextafter(p, 0.0), math.nextafter(p, math.inf)]
+        pts = np.array(pts)
+        return np.concatenate([pts, -pts])
+
+    def test_matches_scipy_on_every_branch(self):
+        x = np.concatenate([np.linspace(-28.0, 28.0, 200_001), self._edges()])
+        np.testing.assert_allclose(erfc(x), scipy_erfc(x), rtol=1e-15, atol=1e-320)
+
+    def test_underflow_edge_matches_scipy_exactly(self):
+        # the underflow test is Cephes' x^2 > MAXLOG, element for element
+        x = self._edges()
+        far = x[np.abs(x) > 26.0]
+        assert np.array_equal(erfc(far), scipy_erfc(far))
+
+    def test_special_inputs(self):
+        x = np.array([np.inf, -np.inf, np.nan, 1e291, -1e291, 0.0, -0.0])
+        out = erfc(x)
+        assert np.array_equal(out, [0.0, 2.0, np.nan, 0.0, 2.0, 1.0, 1.0], equal_nan=True)
+
+    def test_no_runtime_warning_escapes(self):
+        x = np.array([1e291, -1e291, 1e300, np.inf, -np.inf, np.nan, 26.0, 0.5, 3.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            erfc(x)
+            for v in x:
+                erfc(np.array([v]))
+
+    def test_shapes(self):
+        assert erfc(np.array(0.5)) == math.erfc(0.5)
+        assert isinstance(erfc(0.5), float)
+        assert erfc(np.array([])).shape == (0,)
+        assert erfc(np.empty((3, 0))).shape == (3, 0)
+        grid = np.array([[-30.0, -3.0, -0.5], [0.5, 3.0, 30.0]])
+        out = erfc(grid)
+        assert out.shape == (2, 3)
+        assert np.array_equal(out.ravel(), erfc(grid.ravel()))
+
+    def test_one_branch_array_equals_mixed_array(self):
+        # an array needing one branch is evaluated whole, a mixed one split
+        for v in (-20.0, -4.0, -0.5, 0.5, 4.0, 20.0, 30.0):
+            mixed = erfc(np.array([v, 0.1, 3.0, 10.0, 30.0]))[0]
+            assert np.array_equal(erfc(np.full(4, v)), np.full(4, mixed))
+
+    @pytest.mark.parametrize("x", [-6.0, -2.5, -1.0, -0.25, 0.0, 1e-8, 0.5, 0.75,
+                                   1.0, 1.5, 3.0, 5.0, 7.5, 8.0, 10.0, 16.0, 25.0])
+    def test_against_mpmath(self, x):
+        # points whose square is exact, so exp(-x^2) is the only rounding
+        # of the argument; erfc is computed at 30 digits
+        with mpmath.workdps(30):
+            ref = mpmath.erfc(mpmath.mpf(x))
+            got = erfc(np.array([x]))[0]
+            assert abs((mpmath.mpf(got) - ref) / ref) < 1e-15
 
 
 class TestSignalDistribution:
