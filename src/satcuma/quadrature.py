@@ -12,9 +12,10 @@ then share one panel tree, and a panel is accepted only when every
 component meets its tolerance.
 
 The engine has no singularity handling of its own: the square-root
-endpoint singularities of the power densities are removed by each caller,
-which integrates in the theta domain of x = c*cos^2(theta), where the
-integrand is bounded and plain Gauss-Legendre panels converge quickly.
+endpoint singularities of the power densities, and the square-root decay
+of the SINR density at its supremum, are removed by each caller, which
+integrates in the theta domain of x = c*cos^2(theta), where the integrand
+is bounded and smooth and plain Gauss-Legendre panels converge quickly.
 """
 
 from __future__ import annotations

@@ -5,15 +5,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from satcuma import run_trials
-from satcuma.distributions import scenario_trunc_gauss, signal_cdf
-from satcuma.metrics import (MetricResult, WARN_CLAMPED, WARN_ODD_MU,
-                             WARN_QUAD_LIMIT, ergodic_rate,
-                             mean_signal_power_closed, mean_sinr, mean_snr,
-                             mean_snr_compact, outage_compact, outage_exact,
-                             outage_exact_curve, outage_exact_double_integral,
-                             sinr_supremum)
-from satcuma.quadrature import QuadratureSpec
+from satcuma import distributions as dist, metrics, run_trials
+from satcuma.distributions import scenario_trunc_gauss, signal_cdf, sinr_pdf_exact
+from satcuma.metrics import (METRIC_SPEC, MetricResult, WARN_CLAMPED,
+                             WARN_ODD_MU, WARN_QUAD_LIMIT, _z_breakpoints,
+                             ergodic_rate, mean_signal_power_closed, mean_sinr,
+                             mean_snr, mean_snr_compact, outage_compact,
+                             outage_exact, outage_exact_curve,
+                             outage_exact_double_integral, sinr_supremum)
+from satcuma.quadrature import QuadratureSpec, integrate
+from satcuma.sweep import _scenario_at, preset_sweeps
 
 from conftest import reference_scenario, unit_scenario
 
@@ -43,6 +44,34 @@ class TestOutageExact:
             single = outage_exact(g, table_scenario).value
             double = outage_exact_double_integral(g, table_scenario).value
             assert single == pytest.approx(double, abs=1e-4)
+
+    @pytest.mark.parametrize("side", ["below", "above"])
+    def test_double_integral_on_either_side_of_supremum(self, table_scenario, side):
+        # below sup*cos^2(pi/mu) the two routes describe one law; above the
+        # supremum the density route runs to its endpoint, where the angle
+        # domain removes the square-root decay of the density
+        sc = table_scenario
+        sup = sinr_supremum(sc)
+        gamma = 0.9 * sup * math.cos(math.pi / sc.mu) ** 2 if side == "below" else 1.5 * sup
+        single = outage_exact(gamma, sc)
+        double = outage_exact_double_integral(gamma, sc)
+        assert WARN_QUAD_LIMIT not in double.warnings
+        assert abs(single.value - double.value) <= \
+            single.est_error + double.est_error + 1e-12
+        if side == "above":
+            assert single.value == 1.0
+
+    def test_interference_parameters_built_once_per_scenario(self, monkeypatch):
+        calls = []
+        build = dist.trunc_gauss_params
+        monkeypatch.setattr(dist, "trunc_gauss_params",
+                            lambda *args: calls.append(args) or build(*args))
+        dist.scenario_trunc_gauss.cache_clear()
+        sc = reference_scenario(K=21, W=2, U=5)
+        outage_exact(0.35, sc)
+        outage_exact(0.8, sc)
+        assert len(calls) == 1
+        assert scenario_trunc_gauss(sc) is scenario_trunc_gauss(sc)
 
     def test_vectorized_curve_matches_scalar(self, table_scenario):
         gammas = np.geomspace(0.05, 2.0, 40)
@@ -206,6 +235,51 @@ class TestMoments:
         a = mean_snr(reference_scenario(K=61, W=3, U=1, B_hz=1e7))
         b = mean_snr(reference_scenario(K=61, W=3, U=1, B_hz=2e7))
         assert b == pytest.approx(a / 2.0, rel=1e-9)
+
+
+def _preset_points(*names):
+    """(label, scenario) at every grid point of the named presets with U > 1."""
+    points = []
+    for name in names:
+        for spec in preset_sweeps(name):
+            for v in spec.grid:
+                sc = _scenario_at(spec, v)
+                if sc.users.U > 1:
+                    points.append((f"{name} {spec.series} {spec.param}={v}", sc))
+    return points
+
+
+class TestSinrDensityIntegral:
+    """mean_sinr integrates against the SINR density in the angle domain
+    z = sup*cos^2(phi); the z-domain rule it replaced is the reference."""
+
+    @pytest.fixture(scope="class")
+    def points(self):
+        return _preset_points("fig3", "fig4", "fig5")
+
+    def test_mean_sinr_matches_z_domain_route(self, points):
+        assert len(points) == 69
+        for label, sc in points:
+            ref = integrate(lambda z: z * sinr_pdf_exact(z, sc, METRIC_SPEC), 0.0,
+                            sinr_supremum(sc), METRIC_SPEC,
+                            breakpoints=_z_breakpoints(sc)).value
+            assert abs(mean_sinr(sc) - ref) <= 1e-11 * abs(ref), label
+
+    def test_outer_subdivision_budget(self, points, monkeypatch):
+        # the z-domain rule bisected its last panel ~35 levels deep (up to
+        # 331 subdivisions); the angle domain needs at most 17 here
+        outer = []
+
+        def counted(*args, **kwargs):
+            res = integrate(*args, **kwargs)
+            outer.append(res.subdivisions)
+            return res
+
+        monkeypatch.setattr(metrics, "integrate", counted)
+        for label, sc in points:
+            outer.clear()
+            mean_sinr(sc)
+            assert len(outer) == 1 and outer[0] <= 40, (label, outer)
 
 
 def _mp_signal_support(sc):
