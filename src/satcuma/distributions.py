@@ -95,36 +95,8 @@ def _least_with_square_above(bound):
 
 # erfc's branch k serves edges[k-1] <= |x| < edges[k]; the last edge is the
 # least |x| whose square exceeds MAXLOG, Cephes' underflow test
-_ERFC_UNDERFLOW = _least_with_square_above(_MAXLOG)
-_ERFC_EDGES = np.array([1.0, 8.0, _ERFC_UNDERFLOW])
+_ERFC_EDGES = np.array([1.0, 8.0, _least_with_square_above(_MAXLOG)])
 _ERFC_BRANCHES = (_erfc_small, _erfc_tail(_ERFC_PQ), _erfc_tail(_ERFC_RS), _erfc_underflow)
-
-# the same tables as (numerator, denominator) float pairs, for one float
-_ERF_TU_ROWS, _ERFC_PQ_ROWS, _ERFC_RS_ROWS = (
-    [tuple(c[:, 0].tolist()) for c in t] for t in (_ERF_TU, _ERFC_PQ, _ERFC_RS))
-
-
-def _horner_scalar(x: float, rows) -> tuple:
-    """_horner at one float: the same operations in the same order, so each
-    step rounds as the array path's does."""
-    p = q = 0.0
-    for pc, qc in rows:
-        p = p * x + pc
-        q = q * x + qc
-    return p, q
-
-
-def _erfc_scalar(x: float) -> float:
-    """erfc's branches for one float, in math's floats."""
-    a = abs(x)
-    if a < 1.0:
-        t, u = _horner_scalar(x * x, _ERF_TU_ROWS)
-        return 1.0 - x * t / u
-    if not a < _ERFC_UNDERFLOW:
-        return x if x != x else 1.0 - math.copysign(1.0, x)  # NaN stays NaN
-    p, q = _horner_scalar(a, _ERFC_PQ_ROWS if a < 8.0 else _ERFC_RS_ROWS)
-    y = math.exp(-(a * a)) * p / q
-    return 2.0 - y if x < 0.0 else y
 
 
 def erfc(x):
@@ -135,23 +107,23 @@ def erfc(x):
     x^2 > MAXLOG the result is 0 (or 2) without forming any polynomial,
     so huge arguments cannot overflow.  Each branch runs on its own
     elements only, and an array that needs one branch is not split.  A
-    scalar takes the same branches in math's floats, which is much cheaper
-    than a 0-d array pass.
+    scalar takes the array path too, so both agree bit for bit, and comes
+    back as a float.
     """
     x = np.asarray(x, dtype=float)
-    if x.ndim == 0:
-        return _erfc_scalar(float(x))
     flat = x.ravel()
     a = np.abs(flat)
     branch = np.searchsorted(_ERFC_EDGES, a, side="right")  # NaN sorts last
     present = np.flatnonzero(np.bincount(branch, minlength=len(_ERFC_BRANCHES)))
     if present.size == 1:
-        return _ERFC_BRANCHES[present[0]](flat, a).reshape(x.shape)
-    out = np.empty_like(flat)
-    for k in present:
-        sel = branch == k
-        out[sel] = _ERFC_BRANCHES[k](flat[sel], a[sel])
-    return out.reshape(x.shape)
+        out = _ERFC_BRANCHES[present[0]](flat, a)
+    else:
+        out = np.empty_like(flat)
+        for k in present:
+            sel = branch == k
+            out[sel] = _ERFC_BRANCHES[k](flat[sel], a[sel])
+    out = out.reshape(x.shape)
+    return out if out.ndim else float(out)
 
 
 def std_normal_cdf(x):
@@ -289,7 +261,9 @@ def trunc_gauss_params(zeta_list, V: float) -> TruncGaussParams:
 @functools.lru_cache(maxsize=64)
 def scenario_trunc_gauss(sc: Scenario) -> TruncGaussParams:
     """The scenario's aggregate-interference parameters, built once per
-    scenario, so the truncation mass is evaluated once, not per call."""
+    scenario, so the truncation mass is evaluated once, not per call.
+    Callers finish one scenario before they start the next, so a few
+    entries catch every repeat; the bound keeps long runs from growing it."""
     return trunc_gauss_params(sc.zeta_interferers, sc.V)
 
 
