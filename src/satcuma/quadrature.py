@@ -2,14 +2,16 @@
 
 The engine refines level by level: each round makes one integrand call on
 the GL15 and GL7 nodes of every pending panel, and bisects each panel whose
-embedded error estimate misses either tolerance.  Accepted panels are summed
-left to right, the order a depth-first bisection gives, so results are
-bit-reproducible for a given spec.  An exhausted max_subdivisions budget is
-spent level by level, on the leftmost failing panels of each round, so an
-unconverged value differs from the depth-first engine's.  An integrand may
-also return m values per node, an array of shape (m, len(x)): the components
-then share one panel tree, and a panel is accepted only when every
-component meets its tolerance.
+embedded error estimate misses either tolerance.  The edges and estimates
+of all panels, pending and accepted, are kept in left-to-right order; a
+bisected panel is replaced in place by its halves, and the result is one
+running sum over the estimates in the order a depth-first bisection gives,
+bit-reproducible for a given spec.
+An exhausted max_subdivisions budget is spent level by level, on the
+leftmost failing panels of each round, so an unconverged value differs from
+the depth-first engine's.  An integrand may also return m values per node,
+an array of shape (m, len(x)): the components then share one panel tree,
+and a panel is accepted only when every component meets its tolerance.
 
 The engine has no singularity handling of its own: the square-root
 endpoint singularities of the power densities, and the square-root decay
@@ -20,6 +22,7 @@ is bounded and smooth and plain Gauss-Legendre panels converge quickly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,14 +64,6 @@ class QuadratureResult:
     converged: bool
 
 
-def _interleave(left, right):
-    """[left[0], right[0], left[1], right[1], ...]: the two halves of each
-    bisected panel, side by side."""
-    out = np.empty(2 * left.size)
-    out[0::2], out[1::2] = left, right
-    return out
-
-
 def integrate(f, a: float, b: float, spec: QuadratureSpec = DEFAULT_SPEC,
               breakpoints=()) -> QuadratureResult:
     """Integrate f over [a, b].
@@ -82,48 +77,55 @@ def integrate(f, a: float, b: float, spec: QuadratureSpec = DEFAULT_SPEC,
     interval (adaptive refinement alone cannot find structure it never
     samples, and a feature hugging a panel edge can sit between nodes).
     """
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"integration limits must be finite, got [{a}, {b}]")
     if b < a:
         res = integrate(f, b, a, spec, breakpoints)
         return QuadratureResult(-res.value, res.est_error, res.subdivisions, res.converged)
     if a == b:
         return QuadratureResult(0.0, 0.0, 0, True)
 
-    width = b - a
-    edges = np.array([a] + sorted(p for p in set(breakpoints) if a < p < b) + [b])
-    lo, hi = edges[:-1], edges[1:]
-    leaves = []  # (lo, hi, value, error) of the panels each round accepted
-    nsub = 0
-    converged = True
+    # a float array: an integer one would truncate the midpoints written into it
+    edges = np.array([a] + sorted(p for p in set(breakpoints) if a < p < b) + [b], dtype=float)
+    width = edges[-1] - edges[0]
+    todo = np.arange(edges.size - 1)  # positions of the pending panels
+    est = None  # (value, error) x components x panels, in position order
+    nsub, converged = 0, True
     while True:
-        half, mid = 0.5 * (hi - lo), 0.5 * (lo + hi)
+        lo, hi = edges[:-1][todo], edges[1:][todo]
+        span = hi - lo
+        half, mid = 0.5 * span, 0.5 * (lo + hi)
         fx = np.asarray(f((mid[:, None] + half[:, None] * _NODES).ravel()))
         vector = fx.ndim == 2
-        fx = fx.reshape(-1, lo.size, _NODES.size)  # (components, panels, nodes)
+        fx = fx.reshape(-1, todo.size, _NODES.size)  # (components, panels, nodes)
         fine = half * (fx[..., :_FINE_NODES.size] @ _FINE_WEIGHTS)
         coarse = half * (fx[..., _FINE_NODES.size:] @ _COARSE_WEIGHTS)
-        err = np.maximum(np.abs(fine - coarse), _ROUNDOFF * np.abs(fine))
-        tol = np.maximum(spec.abs_tol * (hi - lo) / width, spec.rel_tol * np.abs(fine))
-        failing = np.flatnonzero(~(np.all(err <= tol, axis=0) | ((hi - lo) < 1e-15 * width)))
+        mag = np.abs(fine)
+        err = np.maximum(np.abs(fine - coarse), _ROUNDOFF * mag)
+        tol = np.maximum(spec.abs_tol * span / width, spec.rel_tol * mag)
+        if est is None:  # the first round evaluates every panel
+            est = np.array((fine, err))
+        else:
+            est[:, :, todo] = fine, err
+        accept = np.logical_and.reduce(err <= tol, axis=0) | (span < 1e-15 * width)
+        failing = (~accept).nonzero()[0]
         split = failing[:spec.max_subdivisions - nsub]
         converged = converged and split.size == failing.size
         if not split.size:  # every panel accepted, or the budget is spent
-            leaves.append((lo, hi, fine, err))
             break
-        keep = np.ones(lo.size, dtype=bool)
-        keep[split] = False
-        leaves.append([x[..., keep] for x in (lo, hi, fine, err)])
         nsub += split.size
-        mid = mid[split]
-        lo, hi = _interleave(lo[split], mid), _interleave(mid, hi[split])
+        # bisect in place: repeat each split panel's left edge and (value,
+        # error) slot; the repeated edge becomes the midpoint
+        at = todo[split]
+        rep = np.sort(np.concatenate((np.arange(edges.size), at)))
+        edges, est = edges[rep], est[..., rep[:-1]]
+        todo = (at + np.arange(at.size)).repeat(2)  # each left half, then its right
+        todo[1::2] += 1
+        edges[todo[1::2]] = mid[split]
 
-    leaf_lo, leaf_hi, vals, errs = (np.concatenate(x, axis=-1) for x in zip(*leaves))
-    # (lo, hi) order is the depth-first leaf order: panels are disjoint, and a
-    # zero-width one, left by bisecting below float resolution, sorts first.
-    # The leaves are few, and Python's sort, unlike np.lexsort, adds nothing
-    # to peak RSS.  cumsum adds one leaf at a time in that order (np.sum adds
-    # pairwise, and rounds differently); + 0.0 turns a leading -0.0 into 0.0
-    order = sorted(range(leaf_lo.size), key=lambda i: (leaf_lo[i], leaf_hi[i]))
-    value, est_error = (np.cumsum(x[:, order], axis=1)[:, -1] + 0.0 for x in (vals, errs))
+    # position order is the depth-first leaf order, and cumsum adds one panel
+    # at a time in it (np.sum adds pairwise); + 0.0 turns -0.0 into 0.0
+    value, est_error = est.cumsum(axis=-1)[..., -1] + 0.0
     if not vector:
         value, est_error = float(value[0]), float(est_error[0])
     return QuadratureResult(value=value, est_error=est_error,

@@ -22,12 +22,15 @@ Config files are flat JSON objects.  Recognised keys::
                  per-user values                    [default 1.2e6]
     seed         seed for the reference-port phase draw [default 0]
 
-Unknown keys are a hard error.  dB/dBi conversion happens only here; all
-internal math is linear-scale.
+Unknown keys are a hard error, as is a link budget whose linear gain,
+path-loss coefficient, noise power or nominal SNR is not finite and
+positive.  dB/dBi conversion happens only here; all internal math is
+linear-scale.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -238,8 +241,10 @@ class Scenario:
         return self.derived.Kbar / (2.0 * self.derived.Gamma)
 
 
+@functools.lru_cache(maxsize=64)
 def _draw_phases(u: int, seed: int) -> tuple:
-    """Deterministic reference-port phases, uniform on the open (0, 2*pi)."""
+    """Deterministic reference-port phases, uniform on the open (0, 2*pi);
+    memoised, as a sweep draws them for a few (U, seed) pairs only."""
     gen = np.random.Generator(np.random.Philox(key=seed))
     raw = gen.random(u)
     # exact 0 has probability 2^-53; remap so the open-interval invariant holds
@@ -306,14 +311,26 @@ def build_scenario(source) -> Scenario:
 
     K, W, U, seed = _as_int("K"), _as_int("W"), _as_int("U"), _as_int("seed")
 
+    def _link(what, fields, compute):
+        """compute(), a derived link quantity, which must be finite and positive."""
+        try:
+            value = compute()
+        except OverflowError:
+            value = math.inf
+        if 0.0 < value < math.inf:
+            return value
+        given = ", ".join(f"{key}={merged[key]!r}" for key in fields)
+        raise ScenarioError(f"{what} is {value} for {given}; it must be finite and positive")
+
     antenna = AntennaConfig(K=K, W=W)
     budget = LinkBudget(
         P=float(merged["P_watts"]),
-        G=db_to_linear(float(merged["G_dBi"])),
+        G=_link("linear gain", ("G_dBi",), lambda: db_to_linear(float(merged["G_dBi"]))),
         B=float(merged["B_hz"]),
         T=float(merged["T_kelvin"]),
         f_c=float(merged["f_c_hz"]),
     )
+    _link("noise power", ("T_kelvin", "B_hz"), lambda: budget.noise_power)
 
     dist = merged["distance_m"]
     if isinstance(dist, (list, tuple)):
@@ -322,12 +339,14 @@ def build_scenario(source) -> Scenario:
         distances = [float(d) for d in dist]
     else:
         distances = [float(dist)] * U
-    zeta = tuple(path_loss_coeff(budget.f_c, d) for d in distances)
+    zeta = tuple(_link("path-loss coefficient", ("f_c_hz", "distance_m"),
+                       lambda: path_loss_coeff(budget.f_c, d)) for d in distances)
 
     psi = _draw_phases(U, seed)
     users = UserField(U=U, zeta=zeta, psi=psi)
 
-    gamma = nominal_snr(budget)
+    gamma = _link("nominal SNR", ("P_watts", "G_dBi", "T_kelvin", "B_hz"),
+                  lambda: nominal_snr(budget))
     t = 0.75 - psi[0] / (2.0 * math.pi)
     derived = DerivedChannel(V=antenna.V, t=t, Kbar=antenna.kbar, Gamma=gamma)
 

@@ -212,6 +212,24 @@ class TestCliExitCodes:
         assert f"error: {option} must be" in err
         assert "runtime failure" not in err
 
+    @pytest.mark.parametrize("field,value", [
+        ("G_dBi", "4000"),
+        ("distance_m", "1e-300"),
+        ("P_watts", "1e300"),
+        ("B_hz", "1e-320"),
+        ("T_kelvin", "1e-320"),
+        ("f_c_hz", "1e-300"),
+    ])
+    def test_overflowing_link_budget_is_usage_error_naming_it(self, capsys, field,
+                                                              value):
+        # each value drives a derived link quantity (linear gain, path-loss
+        # coefficient, noise power, nominal SNR) to 0 or inf
+        assert run_cli(["report", "--set", f"{field}={value}"]) == 2
+        err = capsys.readouterr().err
+        assert f"{field}=" in err
+        assert "must be finite and positive" in err
+        assert "runtime failure" not in err
+
     def test_validate_single_trial_is_usage_error(self, capsys):
         # one sample has no spread: the independence check would read nan
         assert run_cli(["validate", "--trials", "1"]) == 2
@@ -436,13 +454,22 @@ class TestWarningPropagation:
         assert "clamped" not in rows[0.1]["warnings"]
 
 
+def _env_with_src():
+    """The environment with the imported satcuma's source on PYTHONPATH, so
+    a child interpreter runs the same code (pytest's own pythonpath setting
+    reaches only this process)."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(satcuma.core.__file__)))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
 class TestModuleEntryPoint:
     def test_python_dash_m(self, tmp_path):
         out = tmp_path / "x.csv"
         proc = subprocess.run(
             [sys.executable, "-m", "satcuma", "sweep", "--preset", "fig11",
-             "--out", str(out)], capture_output=True, text=True)
-        assert proc.returncode == 0
+             "--out", str(out)], capture_output=True, text=True, env=_env_with_src())
+        assert proc.returncode == 0, proc.stderr
         assert out.exists()
 
     def test_runs_without_scipy(self, tmp_path):
@@ -453,10 +480,7 @@ class TestModuleEntryPoint:
                 f"rc = satcuma.cli.main(['sweep', '--preset', 'fig6', '--out', {str(out)!r}])\n"
                 "assert rc == 0, rc\n"
                 "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n")
-        src = os.path.dirname(os.path.dirname(os.path.abspath(satcuma.core.__file__)))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                              text=True, env=env)
+                              text=True, env=_env_with_src())
         assert proc.returncode == 0, proc.stderr
         assert out.exists()

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from satcuma.quadrature import DEFAULT_SPEC, QuadratureResult, QuadratureSpec, integrate
@@ -245,6 +246,79 @@ class TestEngineEquivalence:
         assert len(calls) == depth + 1
         # every panel is evaluated once, on its 15 + 7 nodes
         assert sum(calls) == 22 * (len(bp) + 1 + 2 * res.subdivisions)
+
+
+# positive shapes, so the sum of the panels has no cancellation for the
+# few-ulp differences of each panel's node sum to be relative to
+_SHAPES = {
+    "bump": lambda x, w: np.exp(-(w * x) ** 2),
+    "lorentz": lambda x, w: 1.0 / (1.0 + (w * x) ** 2),
+    "root": lambda x, w: np.sqrt(np.abs(x) + 1e-3 * w),
+    "rough": lambda x, w: np.abs(np.sin(w * x)) ** 0.3 + 0.1,
+}
+
+
+@st.composite
+def _problems(draw):
+    """(f, a, b, spec, breakpoints): integer or float limits in either
+    order, a scalar or 2-3 component integrand, and a budget of 1 to 40."""
+    if draw(st.booleans()):
+        a = draw(st.integers(-5, 5))
+        b = draw(st.integers(-5, 5).filter(lambda v: v != a))
+    else:
+        a = draw(st.floats(-5.0, 5.0))
+        b = draw(st.floats(-5.0, 5.0).filter(lambda v: abs(v - a) > 1e-3))
+    m = draw(st.sampled_from([1, 2, 3]))
+    terms = draw(st.lists(st.tuples(st.sampled_from(sorted(_SHAPES)), st.floats(0.5, 20.0)),
+                          min_size=m, max_size=m))
+    if m == 1 and draw(st.booleans()):
+        (name, w), = terms
+
+        def f(x):
+            return _SHAPES[name](x, w)
+    else:
+        def f(x):
+            return np.stack([_SHAPES[name](x, w) for name, w in terms])
+    abs_tol, rel_tol = draw(st.sampled_from([(1e-10, 1e-9), (1e-13, 1e-12)]))
+    spec = QuadratureSpec(abs_tol, rel_tol, draw(st.integers(1, 40)))
+    breakpoints = tuple(draw(st.lists(st.floats(-6.0, 6.0), max_size=4)))
+    return f, a, b, spec, breakpoints
+
+
+class TestEngineProperties:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(_problems())
+    def test_matches_depth_first_reference(self, problem):
+        f, a, b, spec, bp = problem
+        res = integrate(f, a, b, spec, bp)
+        ref, _ = _depth_first(f, a, b, spec, bp)
+        if ref.converged:
+            assert res.subdivisions == ref.subdivisions
+            assert res.converged is True
+            assert np.all(np.abs(res.value - ref.value) <= 1e-15 * np.abs(ref.value))
+        else:  # the budget is spent before every panel is accepted
+            assert res.converged is False
+            assert res.subdivisions == spec.max_subdivisions
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(_problems())
+    def test_integer_limits_match_float_limits(self, problem):
+        f, a, b, spec, bp = problem
+        a, b = round(a), round(b)
+        if a == b:
+            b = a + 1
+        res = integrate(f, a, b, spec, bp)
+        ref = integrate(f, float(a), float(b), spec, bp)
+        assert np.array_equal(res.value, ref.value)
+        assert np.array_equal(res.est_error, ref.est_error)
+        assert type(res.value) is type(ref.value)
+        assert (res.subdivisions, res.converged) == (ref.subdivisions, ref.converged)
+
+    @pytest.mark.parametrize("a,b", [(0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0),
+                                     (0.0, math.nan)])
+    def test_non_finite_limit_is_rejected(self, a, b):
+        with pytest.raises(ValueError, match="finite"):
+            integrate(np.sin, a, b)
 
 
 class TestSpecValidation:

@@ -7,7 +7,7 @@ import pytest
 from satcuma.scenario import (SPEED_OF_LIGHT, AntennaConfig, LinkBudget,
                               ScenarioError, UserField, build_scenario,
                               db_to_linear, nominal_snr, path_loss_coeff,
-                              table_default_config)
+                              _draw_phases, table_default_config)
 
 
 class TestPathLoss:
@@ -175,6 +175,12 @@ class TestBuildScenario:
         assert a.users.psi == b.users.psi
         c = build_scenario({"K": 9, "W": 2, "U": 4, "seed": 12})
         assert a.users.psi != c.users.psi
+
+    def test_phase_draw_cache_returns_the_uncached_draw(self):
+        cached = _draw_phases(4, 11)
+        assert _draw_phases(4, 11) is cached
+        assert cached == _draw_phases.__wrapped__(4, 11)
+        assert build_scenario({"K": 9, "W": 2, "U": 4, "seed": 11}).users.psi == cached
 
     def test_derived_phase_mapping(self):
         sc = build_scenario({"K": 9, "W": 2, "U": 1})
