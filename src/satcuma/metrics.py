@@ -6,9 +6,14 @@ Outage comes in two flavours.  The exact form integrates the signal-power
 density against the Gaussian interference CDF (a single smooth integral
 after the endpoint substitution); the compact form is the closed-form
 high-density limit.  Both are clamped to [0, 1]: the truncated-Gaussian
-normalization ignores the noise-floor shift of the support, which can push
-the raw value marginally above one near and beyond the SINR supremum (the
-clamp is recorded in the result warnings).
+normalization ignores the noise-floor shift of the support, which pushes
+the raw value above one from a root y_c below the SINR supremum on (the
+clamp is recorded in the result warnings).  The exact ergodic rate keeps
+this clamped law: its survival is zero beyond y_c, so it is found first,
+and the rate is a smooth double integral up to it plus a boundary term
+that makes an error in y_c second order (_rate_exact_nats).  A law cut at
+the noise floor, whose outage reaches one only at the supremum, would
+need neither the root nor the boundary term.
 
 Noise-only scenarios (U = 1) bypass the Gaussian machinery entirely: the
 SINR is then a deterministic rescaling of the signal power and every metric
@@ -31,6 +36,18 @@ WARN_CLAMPED = "clamped"
 WARN_QUAD_LIMIT = "quadrature-limit"
 
 METRIC_SPEC = QuadratureSpec(abs_tol=1e-11, rel_tol=1e-9, max_subdivisions=2000)
+
+# the exact rate's inner Gaussian integral runs over s in [-_S_MAX, _S_MAX]
+# at most: exp(-s^2/2) underflows to zero long before either end
+_S_MAX = 40.0
+# seeds of each inner panel tree, in s: they bracket the Gaussian window
+_S_SEEDS = (-8.0, -4.0, -2.0, 0.0, 2.0, 4.0, 8.0)
+# outer theta nodes (three panels' worth) per inner panel tree of the exact
+# rate: bounds its (theta, t) arrays when the outer integral passes every
+# node of a round at once
+_THETA_CHUNK = 66
+# Newton steps of _outage_root, safeguarded by bisection of the bracket
+_ROOT_STEPS = 100
 
 
 @dataclass(frozen=True)
@@ -178,11 +195,14 @@ def ergodic_rate(sc: Scenario, outage: str = "exact",
                  spec: QuadratureSpec = METRIC_SPEC) -> MetricResult:
     """Network ergodic rate (U*B/ln 2) * E[ln(1 + SINR)].
 
-    With interferers this is the paper's integral of (1 - outage(y))/(1+y);
-    the integrand is exactly zero beyond the SINR supremum (the clamped
-    outage reaches one there for both outage forms), so the upper limit is
-    truncated at the supremum.  Each node set of the exact form is one
-    vector call of the outage integral.
+    With interferers this is the paper's integral of (1 - outage(y))/(1+y)
+    over the clamped outage.  The exact form integrates by parts up to the
+    root y_c where the unclamped outage reaches one, beyond which the
+    integrand is zero: one smooth double integral over theta and the
+    standardised interference, plus the boundary term
+    ln(1 + y_c)(1 - F(y_c)), which leaves only an O(delta^2) error for a
+    y_c off by delta (_rate_exact_nats).  The compact form integrates its
+    closed-form outage over y up to the supremum, where it reaches one.
 
     Noise-only scenarios (U = 1) have no outage model to choose: the rate
     is (B/ln 2) * (mu/pi) * integral over [0, pi/mu] of
@@ -209,26 +229,169 @@ def ergodic_rate(sc: Scenario, outage: str = "exact",
         return MetricResult(value=scale * res.value, est_error=scale * res.est_error,
                             warnings=warnings)
 
-    inner_converged = True
     if outage == "exact":
-        def survival(y):
-            nonlocal inner_converged
-            vals, _, converged = _outage(y, sc, spec)
-            inner_converged = inner_converged and converged
-            return 1.0 - np.clip(vals, 0.0, 1.0)
+        value, est_error, converged = _rate_exact_nats(sc, spec)
     else:
-        def survival(y):
-            return 1.0 - np.asarray(dist.sinr_cdf_compact(y, sc))
+        def integrand(y):
+            return (1.0 - np.asarray(dist.sinr_cdf_compact(y, sc))) / (1.0 + y)
 
-    def integrand(y):
-        return survival(y) / (1.0 + y)
-
-    res = integrate(integrand, 0.0, sinr_supremum(sc), spec, breakpoints=_z_breakpoints(sc))
-    if not (res.converged and inner_converged):
+        res = integrate(integrand, 0.0, sinr_supremum(sc), spec,
+                        breakpoints=_z_breakpoints(sc))
+        value, est_error, converged = res.value, res.est_error, res.converged
+    if not converged:
         warnings = warnings + (WARN_QUAD_LIMIT,)
     scale = U * B / math.log(2.0)
-    return MetricResult(value=scale * res.value, est_error=scale * res.est_error,
+    return MetricResult(value=scale * value, est_error=scale * est_error,
                         warnings=warnings)
+
+
+def _theta_breakpoints(y: float, sc: Scenario) -> list:
+    """Seed points in theta for an integrand of x = (alpha(theta)/y - m)/kappa
+    at one threshold y: the theta where x = -8 and x = 8.  Where the noise
+    term dwarfs kappa, the Gaussian window of x is a sliver of [0, pi/mu]
+    that panels seeded without them may never sample."""
+    params = dist.scenario_trunc_gauss(sc)
+    m = params.omega + sc.noise_term
+    pts = []
+    for j in (-8.0, 8.0):
+        c2 = y * (m + j * params.kappa) * sc.V ** 2 / sc.zeta_u  # cos^2(theta) at x = j
+        if 0.0 < c2 < 1.0:
+            pts.append(math.acos(math.sqrt(c2)))
+    return pts
+
+
+def _outage_slope(y: float, sc: Scenario, spec: QuadratureSpec):
+    """The unclamped outage F(y) of _outage and its slope F'(y) at one
+    threshold, from one integral.  With x = (alpha(theta)/y - m)/kappa,
+    F' = (mu/(pi*tm)) * integral of phi(x) * alpha/(kappa*y^2) over theta.
+    Returns (F, F', est_error of F, converged)."""
+    params = dist.scenario_trunc_gauss(sc)
+    zeta, V, mu = sc.zeta_u, sc.V, sc.mu
+    m = params.omega + sc.noise_term
+    kappa = params.kappa
+    tmass = params.truncation_mass
+
+    def integrand(theta):
+        alpha = zeta * np.cos(theta) ** 2 / V ** 2
+        x = (alpha / y - m) / kappa
+        return np.array((dist.std_normal_cdf(x), np.exp(-0.5 * x * x) * alpha))
+
+    res = integrate(integrand, 0.0, math.pi / mu, spec,
+                    breakpoints=_theta_breakpoints(y, sc))
+    scale = mu / (math.pi * tmass)
+    f, slope = 1.0 / tmass - scale * res.value[0], scale * res.value[1]
+    return (float(f), float(slope) / (math.sqrt(2.0 * math.pi) * kappa * y * y),
+            float(scale * res.est_error[0]), res.converged)
+
+
+def _outage_root(sc: Scenario, spec: QuadratureSpec):
+    """The threshold y_c in (0, supremum] where the unclamped outage F
+    reaches one; the clamped survival 1 - min(F, 1) is zero beyond it.
+
+    One vector call of _outage on the SINR breakpoints and the supremum
+    (where F >= 1) brackets the root.  Newton steps, each one _outage_slope
+    call and bisecting the bracket when a step would leave it, refine it
+    until the second-order error that the remaining step leaves in the
+    rate, (1 - F)^2 / (2 F' (1 + y)), is below a thousandth of the absolute
+    tolerance and of the relative one times ln(1 + y), which bounds the
+    rate.  Returns (y, F(y), that error plus ln(1 + y) times the error of
+    F(y), converged); y is NaN when F or F' leaves the float range.
+    """
+    pts = np.sort(np.array(_z_breakpoints(sc) + (sinr_supremum(sc),)))
+    vals, _, converged = _outage(pts, sc, spec)
+    k = int(np.argmax(vals >= 1.0)) if vals[-1] >= 1.0 else pts.size - 1
+    lo, f_lo = (pts[k - 1], vals[k - 1]) if k else (0.0, 0.0)
+    hi, f_hi = pts[k], vals[k]
+    # start where the chord of the bracket crosses one
+    y = lo + (hi - lo) * (1.0 - f_lo) / (f_hi - f_lo) if f_hi > f_lo else 0.5 * (lo + hi)
+    for _ in range(_ROOT_STEPS):
+        f, slope, f_err, ok = _outage_slope(y, sc, spec)
+        converged = converged and ok
+        if not (math.isfinite(f) and math.isfinite(slope)):  # out of float range
+            return math.nan, math.nan, math.nan, False
+        tail = (1.0 - f) ** 2 / (2.0 * slope * (1.0 + y)) if slope > 0.0 else math.inf
+        if tail <= 1e-3 * min(spec.abs_tol, spec.rel_tol * math.log1p(y)):
+            break
+        if f < 1.0:
+            lo = y
+        else:
+            hi = y
+        step = (1.0 - f) / slope if slope > 0.0 else math.inf
+        y = y + step if lo < y + step < hi else 0.5 * (lo + hi)
+    else:
+        converged = False
+    return y, f, tail + math.log1p(y) * f_err, converged
+
+
+def _rate_exact_nats(sc: Scenario, spec: QuadratureSpec):
+    """E[ln(1 + SINR)] under the clamped exact outage, for U > 1.
+
+    The paper's form is the integral of (1 - min(F, 1))/(1 + y) over
+    y > 0, with F the unclamped outage of _outage.  Up to the root y_c of
+    F = 1 (_outage_root) the clamp does nothing, and beyond it the
+    integrand is zero.  Integrating by parts on [0, y_c],
+
+        integral = ln(1 + y_c) (1 - F(y_c)) + integral of ln(1 + y) F'(y),
+
+    and F' is an integral over theta of the Gaussian density at
+    x = (alpha(theta)/y - m)/kappa.  Swapping the two integrals and
+    substituting s = x turns the second term into
+
+        (mu/(pi tm sqrt(2 pi))) * integral over theta in [0, pi/mu] of
+        integral over s in [x_c(theta), _S_MAX] of
+        ln(1 + alpha(theta)/(m + kappa s)) exp(-s^2/2),
+
+    with x_c(theta) = (alpha(theta)/y_c - m)/kappa, raised to -_S_MAX
+    where it lies below.  Both integrands are smooth, and no CDF is
+    evaluated inside.  The identity holds for any upper limit, so the
+    boundary term makes the result exact for the computed y_c: a y_c off
+    by delta only adds the integral of the survival between the two,
+    O(delta^2), as the survival vanishes linearly at the root.
+
+    The inner integrals of one outer round share one panel tree on t in
+    [0, 1], s = x_c + t*(_S_MAX - x_c), _THETA_CHUNK outer nodes at a
+    time, seeded at _S_SEEDS for the chunk's mean x_c; the outer integral
+    is seeded where x_c = -8 and 8 (_theta_breakpoints).  Returns (value,
+    est_error, converged): the error sums the outer rule's estimate, the
+    largest inner estimate times the outer interval (which bounds the inner
+    errors weighted by the outer rule) and the root term of _outage_root.
+    """
+    dist.require_analytic_density(sc.mu)
+    params = dist.scenario_trunc_gauss(sc)
+    zeta, V, mu = sc.zeta_u, sc.V, sc.mu
+    m = params.omega + sc.noise_term
+    kappa = params.kappa
+    y_c, f_c, root_err, converged = _outage_root(sc, spec)
+    inner_err, inner_converged = 0.0, True
+
+    def outer(theta):
+        nonlocal inner_err, inner_converged
+        alpha = zeta * np.cos(theta) ** 2 / V ** 2
+        x_c = np.maximum((alpha / y_c - m) / kappa, -_S_MAX)
+        width = np.maximum(_S_MAX - x_c, 0.0)
+        out = np.empty(theta.size)
+        for c in range(0, theta.size, _THETA_CHUNK):
+            a, s0, w = (v[c:c + _THETA_CHUNK, None] for v in (alpha, x_c, width))
+
+            def inner(t):
+                s = s0 + w * t
+                return w * np.exp(-0.5 * s * s) * np.log1p(a / (m + kappa * s))
+
+            # the window moves with theta: seed it for the chunk's mean x_c
+            s_mid = float(s0.mean())
+            seeds = [(v - s_mid) / (_S_MAX - s_mid) for v in _S_SEEDS] if s_mid < _S_MAX else ()
+            res = integrate(inner, 0.0, 1.0, spec, breakpoints=seeds)
+            out[c:c + _THETA_CHUNK] = res.value
+            inner_err = max(inner_err, float(res.est_error.max()))
+            inner_converged = inner_converged and res.converged
+        return out
+
+    res = integrate(outer, 0.0, math.pi / mu, spec,
+                    breakpoints=_theta_breakpoints(y_c, sc))
+    scale = mu / (math.pi * params.truncation_mass * math.sqrt(2.0 * math.pi))
+    value = scale * res.value + math.log1p(y_c) * (1.0 - f_c)
+    est_error = scale * (res.est_error + inner_err * math.pi / mu) + root_err
+    return value, est_error, converged and res.converged and inner_converged
 
 
 def mean_sinr(sc: Scenario, spec: QuadratureSpec = METRIC_SPEC) -> float:

@@ -108,9 +108,12 @@ def integrate(f, a: float, b: float, spec: QuadratureSpec = DEFAULT_SPEC,
         else:
             est[:, :, todo] = fine, err
         accept = np.logical_and.reduce(err <= tol, axis=0) | (span < 1e-15 * width)
-        failing = (~accept).nonzero()[0]
+        # a non-finite estimate stays as it is: bisecting it would spend the
+        # whole budget on halves that are just as non-finite
+        finite = np.logical_and.reduce(np.isfinite(err), axis=0)
+        failing = (~accept & finite).nonzero()[0]
         split = failing[:spec.max_subdivisions - nsub]
-        converged = converged and split.size == failing.size
+        converged = converged and split.size == failing.size and bool(finite.all())
         if not split.size:  # every panel accepted, or the budget is spent
             break
         nsub += split.size

@@ -211,6 +211,17 @@ class Scenario:
     seed: int = 0
     warnings: tuple = ()
 
+    def __post_init__(self):
+        # the scenario keys per-scenario caches, so it is hashed once, not
+        # through its nested parts at every lookup.  warnings follows from
+        # the antenna and is left out: strings hash differently in each
+        # process, and a pickled scenario carries this value with it.
+        object.__setattr__(self, "_hash", hash(
+            (self.antenna, self.budget, self.users, self.derived, self.seed)))
+
+    def __hash__(self):
+        return self._hash
+
     @property
     def zeta_u(self) -> float:
         return self.users.zeta_u

@@ -472,6 +472,18 @@ class TestModuleEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert out.exists()
 
+    def test_report_out_of_float_range_finishes(self):
+        # B = 1e300 Hz puts the SINR supremum near 1e-293, where the SINR
+        # integrands leave the float range: report shows NaN for the mean
+        # SINR and the rate, and finishes at once
+        proc = subprocess.run(
+            [sys.executable, "-m", "satcuma", "report", "--set", "B_hz=1e300"],
+            capture_output=True, text=True, env=_env_with_src(), timeout=30)
+        assert proc.returncode == 0, proc.stderr
+        rows = {line.rsplit(None, 1)[0]: line.split()[-1]
+                for line in proc.stdout.splitlines() if line.startswith(("mean SINR", "ergodic"))}
+        assert rows == {"mean SINR": "nan", "ergodic rate (bits/s)": "nan"}
+
     def test_runs_without_scipy(self, tmp_path):
         # SciPy is a test-only dependency; this process has imported it, so
         # the check runs in a fresh interpreter

@@ -4,6 +4,9 @@ import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import quad
+from scipy.optimize import brentq
+from scipy.special import ndtr
 
 from satcuma import distributions as dist, metrics, run_trials
 from satcuma.distributions import scenario_trunc_gauss, signal_cdf, sinr_pdf_exact
@@ -335,6 +338,59 @@ class TestHighPrecisionReference:
         r = outage_exact(gamma, table_scenario)
         assert r.warnings == ()
         assert abs(r.value - ref) <= r.est_error + 1e-12 * abs(ref)
+
+
+def _scipy_exact_rate(sc):
+    """The U > 1 exact rate evaluated independently: the unclamped outage F
+    over theta by quad, its root y_c by brentq, then the paper's integral of
+    (1 - F)/(1 + y) over [0, y_c], beyond which the clamped survival is 0."""
+    p = scenario_trunc_gauss(sc)
+    m, kappa, tm = p.omega + sc.noise_term, p.kappa, p.truncation_mass
+    peak, mu = sc.zeta_u / sc.V ** 2, sc.mu
+
+    def outage(y):
+        body = quad(lambda th: ndtr((peak * math.cos(th) ** 2 / y - m) / kappa),
+                    0.0, math.pi / mu, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+        return (1.0 - mu / math.pi * body) / tm
+
+    sup = sinr_supremum(sc)
+    y_c = brentq(lambda y: outage(y) - 1.0, 1e-12 * sup, sup, xtol=1e-15 * sup, rtol=1e-15)
+    points = [b for b in _z_breakpoints(sc) if b < y_c]
+    body = quad(lambda y: (1.0 - outage(y)) / (1.0 + y), 0.0, y_c, points=points or None,
+                epsabs=0.0, epsrel=1e-13, limit=400)[0]
+    return sc.users.U * sc.budget.B / math.log(2.0) * body
+
+
+class TestExactRate:
+    """The U > 1 exact rate: one smooth double integral after the root of
+    F = 1, checked against an independent SciPy evaluation of the same law."""
+
+    @pytest.mark.parametrize("K,W,U", [(31, 3, 10), (9, 2, 5), (21, 2, 5), (61, 3, 20)])
+    def test_matches_scipy_reference(self, K, W, U):
+        # (31, 3, 10) is fig9's mu=10 U=10 point, where the y-domain rule
+        # this form replaced was 7.5e-11 off while claiming 1.6e-12
+        sc = reference_scenario(K=K, W=W, U=U)
+        ref = _scipy_exact_rate(sc)
+        r = ergodic_rate(sc, outage="exact")
+        assert WARN_QUAD_LIMIT not in r.warnings
+        assert abs(r.value - ref) <= r.est_error + 1e-12 * abs(ref)
+
+    def test_exhausted_budget_flagged(self, table_scenario):
+        tight = QuadratureSpec(abs_tol=1e-30, rel_tol=1e-30, max_subdivisions=1)
+        assert WARN_QUAD_LIMIT in ergodic_rate(table_scenario, spec=tight).warnings
+
+    def test_cdf_work_over_the_figure_rates(self, monkeypatch):
+        # the rate evaluates the Gaussian CDF only to find the root of F = 1:
+        # 26 616 erfc elements over fig7/8/9's U > 1 rates, against
+        # 1 309 304 when every outer node ran a full outage integral
+        elements = []
+        erfc = dist.erfc
+        monkeypatch.setattr(dist, "erfc", lambda x: elements.append(np.size(x)) or erfc(x))
+        points = _preset_points("fig7", "fig8", "fig9")
+        assert len(points) == 84
+        for label, sc in points:
+            assert WARN_QUAD_LIMIT not in ergodic_rate(sc, outage="exact").warnings, label
+        assert sum(elements) <= 35000
 
 
 class TestOutageProperties:

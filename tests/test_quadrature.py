@@ -111,6 +111,22 @@ class TestAdaptivity:
             abs_tol=1e-15, rel_tol=1e-14, max_subdivisions=3))
         assert not res.converged
 
+    @pytest.mark.parametrize("breakpoints", [(), (0.25,)], ids=["nan", "finite-and-nan"])
+    def test_non_finite_panel_is_neither_accepted_nor_bisected(self, breakpoints):
+        # NaN fails every tolerance test; bisecting it would spend the whole
+        # budget on halves that are just as NaN
+        calls = []
+
+        def f(x):
+            calls.append(x.size)
+            return np.where(x < 0.25, 1.0, np.nan)
+
+        res = integrate(f, 0.0, 1.0, breakpoints=breakpoints)
+        assert len(calls) == 1
+        assert res.subdivisions == 0
+        assert res.converged is False
+        assert math.isnan(res.value)
+
     @pytest.mark.parametrize("f,a,b", [
         (lambda x: x ** 7 - 3 * x ** 2, -1.0, 2.0),
         # GL7 and GL15 agree bit for bit here, on the panel and both halves

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import pickle
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import satcuma
 from satcuma.scenario import (SPEED_OF_LIGHT, AntennaConfig, LinkBudget,
                               ScenarioError, UserField, build_scenario,
                               db_to_linear, nominal_snr, path_loss_coeff,
@@ -190,3 +195,36 @@ class TestBuildScenario:
         sc = build_scenario({"K": 9, "W": 2, "U": 1})
         with pytest.raises(AttributeError):
             sc.antenna = None
+
+    def test_equal_scenarios_hash_equal(self):
+        a = build_scenario({"K": 11, "W": 2, "U": 3})
+        b = build_scenario({"K": 11, "W": 2, "U": 3})
+        assert a == b and hash(a) == hash(b)
+        assert a != build_scenario({"K": 11, "W": 2, "U": 3, "seed": 1})
+
+    def test_hash_survives_pickles_from_other_processes(self):
+        # a pickled scenario carries its hash into pool workers, and string
+        # hashes differ between processes: scenarios pickled under two hash
+        # seeds must still hash equal (this one carries the odd-mu warning)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(satcuma.__file__)))
+        code = ("import pickle, sys\nfrom satcuma import build_scenario\n"
+                "sc = build_scenario({'K': 11, 'W': 2, 'U': 3})\n"
+                "sys.stdout.buffer.write(pickle.dumps(sc))\n")
+        pickled = [pickle.loads(subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, check=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)).stdout)
+            for seed in ("1", "2")]
+        here = build_scenario({"K": 11, "W": 2, "U": 3})
+        assert here.warnings and pickled == [here, here]
+        assert hash(pickled[0]) == hash(pickled[1]) == hash(here)
+
+    def test_hash_does_not_rehash_the_parts(self, monkeypatch):
+        # the scenario keys per-scenario caches; each lookup must not hash
+        # the nested dataclasses again
+        sc = build_scenario({"K": 21, "W": 2, "U": 5})
+        calls = []
+        part_hash = UserField.__hash__
+        monkeypatch.setattr(UserField, "__hash__",
+                            lambda self: calls.append(self) or part_hash(self))
+        assert hash(sc) == hash(sc)
+        assert calls == []
