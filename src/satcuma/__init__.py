@@ -19,7 +19,6 @@ from .scenario import (
     table_default_config,
 )
 from .core import (
-    InstantPower,
     PortSet,
     PortSetKind,
     activated_set,
@@ -36,7 +35,6 @@ from .distributions import (
     cdf_difference,
     interference_cdf_per_user,
     interference_pdf_per_user,
-    interference_plus_noise_pdf,
     pdf_ratio,
     signal_cdf,
     signal_pdf,
@@ -55,8 +53,6 @@ from .metrics import (
 )
 from .quadrature import QuadratureSpec
 from .benchmarks import (
-    GainComparison,
-    MrcConfig,
     cuma_beamforming_gains,
     min_ports_vs_mrc,
     mrc_sinr,

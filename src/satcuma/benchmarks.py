@@ -23,37 +23,6 @@ from .quadrature import QuadratureSpec
 from .scenario import Scenario, UserField
 
 
-@dataclass(frozen=True)
-class MrcConfig:
-    """Maximum-ratio combiner with M antennas (one RF chain each)."""
-
-    M: int
-
-    def __post_init__(self):
-        if not isinstance(self.M, int) or self.M < 1:
-            raise ValueError(f"M must be an integer >= 1, got {self.M}")
-
-
-@dataclass(frozen=True)
-class GainComparison:
-    """Beamforming-gain comparison between the port aggregator and MRC."""
-
-    cuma_gain: float          # 4(K-1)/pi^2
-    mrc_gain: float           # M
-    delta: tuple              # per-interferer suppression 1 - sin^2(...)
-    epsilon: float            # port-density threshold
-    min_ports: int
-
-    def __post_init__(self):
-        if self.cuma_gain <= 0:
-            raise ValueError("cuma_gain must be positive")
-        for d in self.delta:
-            if not (0.0 <= d <= 1.0):
-                raise ValueError(f"delta entries must lie in [0, 1], got {d}")
-        if self.min_ports < 2:
-            raise ValueError("min_ports must be >= 2")
-
-
 def mrc_sinr(M: int, zeta_list, Gamma: float, desired: int = 0) -> float:
     """MRC SINR under identical angles: M*zeta_u / (M*sum(zeta_others) + 1/Gamma).
 
@@ -102,11 +71,22 @@ def min_ports_vs_mrc(M: int, Gamma: float, zeta_list, delta_list,
     MRC with M antennas, subject to the density floor mu >= epsilon.
 
     K must exceed max(ceil((pi^2 M/4) / (M*Gamma*sum(zeta*delta) + 1)),
-    ceil(epsilon*W)) by more than one.
+    ceil(epsilon*W)) by more than one.  delta_list holds each interferer's
+    suppression (interferer_suppression), evaluated at the scenario's own
+    mu.  delta changes with mu, so a bound computed at one K need not hold
+    at another.
     """
+    if not isinstance(M, int) or M < 1:
+        raise ValueError(f"M must be an integer >= 1, got {M}")
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    s = sum(z * d for z, d in zip(zeta_list, delta_list))
+    zetas, deltas = list(zeta_list), list(delta_list)
+    if len(zetas) != len(deltas):
+        raise ValueError(f"{len(zetas)} zeta entries but {len(deltas)} delta entries")
+    for d in deltas:
+        if not (0.0 <= d <= 1.0):
+            raise ValueError(f"delta entries must lie in [0, 1], got {d}")
+    s = sum(z * d for z, d in zip(zetas, deltas))
     gain_term = math.ceil((math.pi ** 2 * M / 4.0) / (M * Gamma * s + 1.0))
     return max(gain_term, math.ceil(epsilon * W)) + 2
 
@@ -121,16 +101,6 @@ def min_ports_interference_limited(epsilon: float, W: int) -> int:
     """Interference-limited regime: the aggregator always wins once the
     density floor is met, K > ceil(eps W) + 1."""
     return math.ceil(epsilon * W) + 2
-
-
-def gain_comparison(sc: Scenario, M: int, epsilon: float = 7.0) -> GainComparison:
-    """Bundle the gain comparison for a scenario's drawn phases."""
-    t = sc.derived.t
-    delta = tuple(interferer_suppression(p, t, sc.mu) for p in sc.users.psi[1:])
-    min_ports = min_ports_vs_mrc(M, sc.Gamma, sc.zeta_interferers, delta,
-                                 epsilon, sc.antenna.W)
-    return GainComparison(cuma_gain=cuma_signal_gain(sc.antenna.K), mrc_gain=float(M),
-                          delta=delta, epsilon=epsilon, min_ports=min_ports)
 
 
 _SV_CUTOFF = 1e-8  # relative singular-value cutoff of the ZF pseudo-inverse

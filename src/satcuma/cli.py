@@ -18,6 +18,8 @@ import json
 import sys
 
 from . import metrics, montecarlo as mc, validate as val
+from .benchmarks import (cuma_signal_gain, min_ports_interference_limited,
+                         min_ports_noise_limited)
 from .scenario import Scenario, ScenarioError, build_scenario, load_config
 from .sweep import (SweepSpecError, load_sweep_file, preset_sweeps, run_sweep,
                     write_csv, write_json)
@@ -147,8 +149,6 @@ def _cmd_report(args) -> int:
     lines.append(f"mean SNR                 {metrics.mean_snr(sc):.6g}")
     rate = metrics.ergodic_rate(sc, outage="exact")
     lines.append(f"ergodic rate (bits/s)    {rate.value:.6g}")
-    from .benchmarks import (cuma_signal_gain, min_ports_interference_limited,
-                             min_ports_noise_limited)
     lines.append("-" * 60)
     lines.append(f"beamforming gain         {cuma_signal_gain(sc.antenna.K):.4g} "
                  f"(MRC needs that many antennas)")

@@ -44,23 +44,6 @@ class PortSet:
         return len(self.indices)
 
 
-@dataclass(frozen=True)
-class InstantPower:
-    """One realization of the normalized in-phase powers and SINR."""
-
-    alpha: float
-    y_per_user: tuple
-    beta: float
-    sinr: float
-
-    def __post_init__(self):
-        if self.alpha < 0 or any(y < 0 for y in self.y_per_user):
-            raise ValueError("powers must be non-negative")
-        if not math.isclose(self.beta, sum(self.y_per_user),
-                            rel_tol=1e-12, abs_tol=1e-300):
-            raise ValueError("beta must equal the sum of per-user powers")
-
-
 class WindowBounds(NamedTuple):
     k_low: int
     k_up: int
@@ -158,25 +141,6 @@ def instant_sinr(alpha: float, y_list, kbar: float, gamma: float) -> float:
         raise ValueError(f"gamma must be positive, got {gamma}")
     denom = sum(y_list) + kbar / (2.0 * gamma)
     return alpha / denom if denom > 0.0 else 0.0
-
-
-def instant_power(psi: tuple, zeta: tuple, cfg: AntennaConfig, gamma: float) -> InstantPower:
-    """Full brute-force power record for one phase realization.
-
-    psi[0]/zeta[0] belong to the desired user; the activated set is built
-    from the desired phase and reused for every interferer.  The noise term
-    uses the realized activated-port count.
-    """
-    pset = activated_set(psi[0], cfg, PortSetKind.POSITIVE_INPHASE)
-    amp = signal_amplitude_bruteforce(psi[0], zeta[0], pset, cfg)
-    alpha = amp * amp
-    ys = tuple(
-        signal_amplitude_bruteforce(psi[u], zeta[u], pset, cfg) ** 2
-        for u in range(1, len(psi))
-    )
-    beta = sum(ys)
-    sinr = instant_sinr(alpha, ys, len(pset), gamma)
-    return InstantPower(alpha=alpha, y_per_user=ys, beta=beta, sinr=sinr)
 
 
 def k2_residual_bound(cfg: AntennaConfig) -> float:

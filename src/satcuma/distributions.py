@@ -163,9 +163,6 @@ class SupportInterval:
         if not (0.0 <= self.lo < self.hi):
             raise ValueError(f"invalid support [{self.lo}, {self.hi}]")
 
-    def contains(self, x) -> bool:
-        return self.lo <= x <= self.hi
-
 
 def require_analytic_density(mu: float) -> None:
     """The closed forms need mu >= 2: below that the single-wavelength
@@ -238,14 +235,6 @@ def interference_pdf_per_user(y, zeta: float, V: float):
     return out if out.ndim else float(out)
 
 
-def interference_mean_per_user(zeta: float, V: float) -> float:
-    return zeta / (2.0 * V ** 2)
-
-
-def interference_variance_per_user(zeta: float, V: float) -> float:
-    return zeta ** 2 / (8.0 * V ** 4)
-
-
 def trunc_gauss_params(zeta_list, V: float) -> TruncGaussParams:
     """Aggregate-interference parameters: omega = sum(zeta)/(2 V^2) and
     kappa = sqrt(sum(zeta^2)/(8 V^4))."""
@@ -282,14 +271,6 @@ def total_interference_cdf(beta, params: TruncGaussParams):
     cdf = (std_normal_cdf((beta - params.omega) / params.kappa) - lo) / params.truncation_mass
     out = np.clip(np.where(beta < 0.0, 0.0, cdf), 0.0, 1.0)
     return out if out.ndim else float(out)
-
-
-def interference_plus_noise_pdf(beta_tilde, params: TruncGaussParams,
-                                Kbar: float, Gamma: float):
-    """Density of beta + Kbar/(2*Gamma): the interference law shifted by the
-    in-phase noise term."""
-    shift = Kbar / (2.0 * Gamma)
-    return total_interference_pdf(np.asarray(beta_tilde, dtype=float) - shift, params)
 
 
 def sinr_pdf_exact(z, sc: Scenario, spec: QuadratureSpec = DEFAULT_SPEC):

@@ -30,7 +30,7 @@ import numpy as np
 from . import distributions as dist
 from .distributions import sinr_supremum
 from .quadrature import QuadratureSpec, integrate
-from .scenario import WARN_ODD_MU, Scenario  # noqa: F401 (re-exported)
+from .scenario import Scenario
 
 WARN_CLAMPED = "clamped"
 WARN_QUAD_LIMIT = "quadrature-limit"

@@ -69,7 +69,7 @@ def db_to_linear(value_db: float) -> float:
     return 10.0 ** (value_db / 10.0)
 
 
-def path_loss_coeff(f_c: float, r: float, speed_of_light: float = SPEED_OF_LIGHT) -> float:
+def path_loss_coeff(f_c: float, r: float) -> float:
     """Free-space path-loss power coefficient (lambda / 4 pi r)^2.
 
     Monotone decreasing in both carrier frequency and distance.
@@ -78,7 +78,7 @@ def path_loss_coeff(f_c: float, r: float, speed_of_light: float = SPEED_OF_LIGHT
         raise ScenarioError(f"f_c must be positive, got {f_c}")
     if r <= 0:
         raise ScenarioError(f"r must be positive, got {r}")
-    lam = speed_of_light / f_c
+    lam = SPEED_OF_LIGHT / f_c
     return (lam / (4.0 * math.pi * r)) ** 2
 
 
@@ -367,10 +367,10 @@ def build_scenario(source) -> Scenario:
 
 
 def table_default_config(K: int, W: int, U: int, **overrides) -> dict:
-    """Config dict with the standard LEO uplink parameter set.
+    """Config dict holding K, W and U plus any overrides.
 
-    30 GHz carrier, 10 MHz bandwidth, 1 W transmit power, 40 dBi gain,
-    207 K clear-sky temperature, 1200 km transmission distance.
+    The other keys are left out: build_scenario fills them in from
+    _CONFIG_DEFAULTS, the standard LEO uplink parameter set.
     """
     cfg = {"K": K, "W": W, "U": U}
     cfg.update(overrides)

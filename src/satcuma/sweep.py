@@ -338,13 +338,9 @@ def write_json(rows, path) -> None:
 
 # --- presets ----------------------------------------------------------------
 
-def _base(K, W, U, **over):
-    return table_default_config(K=K, W=W, U=U, **over)
-
-
 def _preset_fig3(seed, trials):
     grid = tuple(range(2, 21))
-    return [SweepSpec(param="mu", grid=grid, base=_base(21, 2, 5),
+    return [SweepSpec(param="mu", grid=grid, base=table_default_config(21, 2, 5),
                       metrics=("outage_exact", "outage_compact", "mean_sinr",
                                "mrc_mean_sinr", "zf_mean_sinr"),
                       series="W=2,U=5,gamma=0.35", gamma=0.35, mrc_M=15,
@@ -354,7 +350,7 @@ def _preset_fig3(seed, trials):
 def _preset_fig4(seed, trials):
     grid = tuple(range(9, 82, 8))
     combos = [(2, 5), (4, 5), (2, 8)]
-    return [SweepSpec(param="K", grid=grid, base=_base(9, w, u),
+    return [SweepSpec(param="K", grid=grid, base=table_default_config(9, w, u),
                       metrics=("outage_exact", "mean_sinr"),
                       series=f"W={w},U={u}", gamma=0.35, trials=trials, seed=seed)
             for w, u in combos]
@@ -362,7 +358,7 @@ def _preset_fig4(seed, trials):
 
 def _preset_fig5(seed, trials):
     grid = tuple(range(2, 21, 2))
-    return [SweepSpec(param="U", grid=grid, base=_base(m * 2 + 1, 2, 2),
+    return [SweepSpec(param="U", grid=grid, base=table_default_config(m * 2 + 1, 2, 2),
                       metrics=("outage_exact", "mean_sinr"),
                       series=f"mu={m}", gamma=0.35, trials=trials, seed=seed)
             for m in (5, 10)]
@@ -371,7 +367,7 @@ def _preset_fig5(seed, trials):
 def _preset_fig6(seed, trials):
     specs = []
     for m in (4, 6):
-        cfg = _base(m * 2 + 1, 2, 2)
+        cfg = table_default_config(m * 2 + 1, 2, 2)
         sc = build_scenario(cfg)
         hi = sc.zeta_u / sc.V ** 2
         grid = tuple(np.linspace(hi * 0.01, hi * 0.99, 50))
@@ -383,7 +379,7 @@ def _preset_fig6(seed, trials):
 
 def _preset_fig7(seed, trials):
     grid = tuple(float(b) for b in np.geomspace(1e6, 1e8, 13))
-    return [SweepSpec(param="B", grid=grid, base=_base(61, 3, u),
+    return [SweepSpec(param="B", grid=grid, base=table_default_config(61, 3, u),
                       metrics=("rate_exact", "mean_snr"),
                       series=("O-CUMA" if u == 1 else f"N-CUMA,U={u}"),
                       trials=trials, seed=seed)
@@ -396,7 +392,7 @@ def _preset_fig8(seed, trials):
     for b in (1e7, 2e7):
         for u in (1, 5, 20):
             specs.append(SweepSpec(
-                param="mu", grid=grid, base=_base(61, 3, u, B_hz=b),
+                param="mu", grid=grid, base=table_default_config(61, 3, u, B_hz=b),
                 metrics=("rate_exact", "mean_snr_compact"),
                 series=(("O-CUMA" if u == 1 else f"N-CUMA,U={u}") + f",B={b:g}"),
                 trials=trials, seed=seed))
@@ -405,7 +401,7 @@ def _preset_fig8(seed, trials):
 
 def _preset_fig9(seed, trials):
     grid = tuple(range(1, 31, 3))
-    return [SweepSpec(param="U", grid=grid, base=_base(m * 3 + 1, 3, 1),
+    return [SweepSpec(param="U", grid=grid, base=table_default_config(m * 3 + 1, 3, 1),
                       metrics=("rate_exact",), series=f"mu={m}",
                       trials=trials, seed=seed)
             for m in (10, 50)]
@@ -414,7 +410,7 @@ def _preset_fig9(seed, trials):
 def _preset_fig10(seed, trials):
     grid = (11, 16, 21, 26, 31, 36, 41, 43, 45, 46, 47, 49, 51, 56, 61,
             81, 101, 121, 141, 161, 181, 201)
-    return [SweepSpec(param="K", grid=grid, base=_base(11, 3, 1),
+    return [SweepSpec(param="K", grid=grid, base=table_default_config(11, 3, 1),
                       metrics=("mean_snr", "mean_snr_compact", "mrc_mean_snr"),
                       series=f"M={m}", mrc_M=m, trials=trials, seed=seed)
             for m in (18, 3, 1)]
@@ -422,7 +418,7 @@ def _preset_fig10(seed, trials):
 
 def _preset_fig11(seed, trials):
     grid = tuple(np.linspace(0.02, 2.0 * math.pi - 0.02, 64))
-    return [SweepSpec(param="psi_tilde", grid=grid, base=_base(51, 5, 2),
+    return [SweepSpec(param="psi_tilde", grid=grid, base=table_default_config(51, 5, 2),
                       metrics=("interferer_gain", "signal_gain"),
                       series="psi_u=pi,K=51,W=5", psi_u=math.pi,
                       trials=trials, seed=seed)]

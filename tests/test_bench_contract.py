@@ -1,8 +1,11 @@
 """The benchmark under perfbench/ times satcuma from outside: it wraps the
 public functions named in perfbench/spans.py's TARGETS and binds some of
-their arguments by name.  These checks keep a change to satcuma from
-silently breaking traced benchmark runs; perfbench/spans.py is only read."""
+their arguments by name, and it checks each pass's outputs against the
+references recorded under perfbench/reference/.  These checks keep a change
+to satcuma from silently breaking traced benchmark runs or moving a
+recorded output; the files under perfbench/ are only read."""
 
+import contextlib
 import importlib
 import importlib.util
 import pathlib
@@ -13,14 +16,19 @@ from satcuma import metrics, montecarlo, quadrature
 
 from conftest import reference_scenario
 
-SPANS_PATH = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH_DIR = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PATH)
+def _perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH_DIR / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _spans():
+    return _perfbench("spans")
 
 
 def test_every_target_resolves():
@@ -69,3 +77,15 @@ def test_integrand_evals_count_each_panel_once():
     assert res.subdivisions > 0
     assert rec.counters["quadrature.subdivisions"] == res.subdivisions
     assert rec.counters["quadrature.integrand_evals"] == 22 * (3 + 2 * res.subdivisions)
+
+
+def test_figures_analytic_matches_reference(tmp_path):
+    # one untraced figures-analytic pass (all nine presets, analytic only),
+    # judged by the benchmark's own checker against program seed 0's reference
+    workloads, check = _perfbench("workloads"), _perfbench("check")
+    workload = workloads.FiguresAnalytic(0, str(tmp_path))
+    workload.setup()
+    _, outputs, _ = workload.run_pass(lambda name: contextlib.nullcontext())
+    tally = check.check_outputs(workload.name, check.load_reference(workload.name, 0), outputs)
+    assert tally.attempted > 0
+    assert tally.failed == 0, tally.messages

@@ -4,8 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from satcuma.benchmarks import (GainComparison, MrcConfig, cuma_beamforming_gains,
-                                cuma_signal_gain, gain_comparison,
+from satcuma.benchmarks import (cuma_beamforming_gains, cuma_signal_gain,
                                 interferer_suppression,
                                 min_ports_interference_limited,
                                 min_ports_noise_limited, min_ports_vs_mrc,
@@ -14,7 +13,8 @@ from satcuma.benchmarks import (GainComparison, MrcConfig, cuma_beamforming_gain
 from satcuma import benchmarks, sweep
 from satcuma.sweep import preset_sweeps, run_sweep
 from satcuma.metrics import ergodic_rate, mean_snr
-from satcuma.core import ceil_t_mu
+from satcuma.core import (PortSetKind, activated_set, ceil_t_mu, instant_sinr,
+                          signal_amplitude_bruteforce)
 
 from conftest import reference_scenario
 
@@ -36,8 +36,6 @@ class TestMrc:
         assert mrc_mean_snr(18, 2.0, 5.0) == 180.0
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            MrcConfig(M=0)
         with pytest.raises(ValueError):
             mrc_sinr(0, [1.0], 1.0)
 
@@ -109,12 +107,46 @@ class TestMinPorts:
         with pytest.raises(ValueError):
             min_ports_vs_mrc(3, 1.0, [1.0], [1.0], 0.0, 3)
 
-    def test_gain_comparison_bundle(self, table_scenario):
-        gc = gain_comparison(table_scenario, M=18)
-        assert isinstance(gc, GainComparison)
-        assert gc.cuma_gain == pytest.approx(cuma_signal_gain(21), rel=1e-12)
-        assert gc.min_ports >= 2
-        assert all(0.0 <= d <= 1.0 for d in gc.delta)
+    @pytest.mark.parametrize("M", [0, -3, 2.0])
+    def test_antenna_count_validation(self, M):
+        with pytest.raises(ValueError, match="M must be an integer"):
+            min_ports_vs_mrc(M, 1.0, [1.0], [1.0], 7.0, 3)
+
+    def test_list_lengths_must_match(self):
+        # zip would drop the two unpaired interferers and return 23
+        with pytest.raises(ValueError, match="delta entries"):
+            min_ports_vs_mrc(18, 1.0, [1.0, 1.0, 1.0], [1.0], 7.0, 3)
+
+    @pytest.mark.parametrize("delta", [-0.1, 1.5])
+    def test_delta_range_validation(self, delta):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            min_ports_vs_mrc(18, 1.0, [1.0, 1.0], [0.5, delta], 7.0, 3)
+
+    @staticmethod
+    def _bruteforce_sinr(sc):
+        psi, zeta = sc.users.psi, sc.users.zeta
+        pset = activated_set(psi[0], sc.antenna, PortSetKind.POSITIVE_INPHASE)
+        amps = [signal_amplitude_bruteforce(p, z, pset, sc.antenna)
+                for p, z in zip(psi, zeta)]
+        return instant_sinr(amps[0] ** 2, [a * a for a in amps[1:]], len(pset), sc.Gamma)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("P", [1e-7, 1e-6, 1e-5, 1.0, 1e4])
+    def test_bound_meets_bruteforce_crossing(self, seed, P):
+        # W=3, M=18, eps=7: scan K from the density floor (mu >= 7) and find
+        # the first K whose brute-force SINR beats MRC.  delta is taken from
+        # each scenario's drawn phases at its own mu; with U=5 the bound does
+        # not move over the scan (U=2 would: there delta swings with mu).
+        M, eps, W = 18, 7.0, 3
+        wins, bounds = [], []
+        for K in range(22, 61):
+            sc = reference_scenario(K=K, W=W, U=5, P_watts=P, seed=seed)
+            wins.append(self._bruteforce_sinr(sc) > mrc_sinr(M, sc.users.zeta, sc.Gamma))
+            delta = [interferer_suppression(p, sc.derived.t, sc.mu)
+                     for p in sc.users.psi[1:]]
+            bounds.append(min_ports_vs_mrc(M, sc.Gamma, sc.zeta_interferers, delta, eps, W))
+        first = 22 + wins.index(True)
+        assert all(first <= b <= first + 1 for b in bounds), (first, set(bounds))
 
 
 def _trial_channel(rng, M, sc, channel_fn):

@@ -269,25 +269,17 @@ class TestCompactFormArrays:
         assert isinstance(interference_power_compact(math.pi / 2, 1.0, t, CFG_MU4), float)
 
 
-class TestInstantPowerRecord:
-    def test_consistency_enforced(self):
-        from satcuma.core import InstantPower
-        with pytest.raises(ValueError, match="beta"):
-            InstantPower(alpha=1.0, y_per_user=(1.0, 2.0), beta=5.0, sinr=0.1)
-        with pytest.raises(ValueError, match="non-negative"):
-            InstantPower(alpha=-1.0, y_per_user=(), beta=0.0, sinr=0.0)
-
-    def test_instant_power_bundle(self):
-        from satcuma.core import instant_power
-        psi = (math.pi / 3, math.pi / 2)
-        rec = instant_power(psi, (1.0, 1.0), CFG_MU4, gamma=10.0)
-        assert rec.alpha == pytest.approx(4 + 2 * math.sqrt(3), rel=1e-12)
-        assert rec.y_per_user[0] == pytest.approx(4.0, rel=1e-12)
-        assert rec.beta == pytest.approx(4.0, rel=1e-12)
-        assert rec.sinr == pytest.approx(rec.alpha / (4.0 + 4 / 20), rel=1e-12)
-
-
 class TestInstantSinr:
+    def test_bruteforce_composition(self):
+        # the desired user's positive set collects the interferer too
+        pset = activated_set(math.pi / 3, CFG_MU4, PortSetKind.POSITIVE_INPHASE)
+        alpha = signal_amplitude_bruteforce(math.pi / 3, 1.0, pset, CFG_MU4) ** 2
+        y = signal_amplitude_bruteforce(math.pi / 2, 1.0, pset, CFG_MU4) ** 2
+        assert alpha == pytest.approx(4 + 2 * math.sqrt(3), rel=1e-12)
+        assert y == pytest.approx(4.0, rel=1e-12)
+        assert instant_sinr(alpha, [y], len(pset), 10.0) == pytest.approx(
+            alpha / (4.0 + 4 / 20), rel=1e-12)
+
     def test_worked_example(self):
         assert instant_sinr(4 + 2 * math.sqrt(3), [], 4, 10.0) == pytest.approx(
             (4 + 2 * math.sqrt(3)) / 0.2, rel=1e-12)  # 37.3205

@@ -12,11 +12,8 @@ from satcuma import run_trials
 from satcuma.distributions import (_MAXLOG, _Z_CHUNK, SupportInterval,
                                    cdf_difference, erfc,
                                    interference_cdf_per_user,
-                                   interference_mean_per_user,
                                    interference_pdf_per_user,
-                                   interference_plus_noise_pdf,
-                                   interference_support,
-                                   interference_variance_per_user, pdf_ratio,
+                                   interference_support, pdf_ratio,
                                    signal_cdf,
                                    signal_pdf, signal_support, sinr_cdf_compact,
                                    sinr_pdf_compact, sinr_pdf_exact,
@@ -184,8 +181,10 @@ class TestInterferenceDistribution:
         assert interference_cdf_per_user(9.0, 1.0, V_MU4) == 1.0
 
     def test_moments_closed_form(self):
-        assert interference_mean_per_user(1.0, V_MU4) == pytest.approx(4.0, rel=1e-12)
-        assert interference_variance_per_user(1.0, V_MU4) == pytest.approx(8.0, rel=1e-12)
+        # one interferer: the aggregate parameters are its own mean and variance
+        p = trunc_gauss_params([1.0], V_MU4)
+        assert p.omega == pytest.approx(4.0, rel=1e-12)
+        assert p.kappa ** 2 == pytest.approx(8.0, rel=1e-12)
 
     def test_moments_against_quadrature(self):
         m1, _ = quad(lambda y: y * float(interference_pdf_per_user(y, 1.0, V_MU4)),
@@ -222,8 +221,11 @@ class TestTruncGauss:
         assert p.omega / p.kappa == pytest.approx(math.sqrt(2 * 4), rel=1e-12)
 
     def test_single_interferer_matches_per_user_mean(self):
-        p = trunc_gauss_params([1.0], V_MU4)
-        assert p.omega == pytest.approx(interference_mean_per_user(1.0, V_MU4), rel=1e-12)
+        zeta = 2.5
+        p = trunc_gauss_params([zeta], V_MU4)
+        m1, _ = quad(lambda y: y * float(interference_pdf_per_user(y, zeta, V_MU4)),
+                     0.0, zeta / V_MU4 ** 2, limit=200)
+        assert p.omega == pytest.approx(m1, rel=1e-8)
 
     def test_truncation_mass_grows_with_users(self):
         masses = [trunc_gauss_params([1.0] * m, V_MU4).truncation_mass
@@ -251,13 +253,6 @@ class TestTruncGauss:
         p = trunc_gauss_params([1.0] * 4, V_MU4)
         assert total_interference_pdf(-0.5, p) == 0.0
         assert total_interference_cdf(-0.5, p) == 0.0
-
-    def test_noise_shift(self):
-        p = trunc_gauss_params([1.0] * 4, V_MU4)
-        kbar, gamma = 4.0, 10.0
-        shift = kbar / (2 * gamma)
-        assert interference_plus_noise_pdf(p.omega + shift, p, kbar, gamma) == \
-            pytest.approx(total_interference_pdf(p.omega, p), rel=1e-12)
 
 
 class TestSinrDensity:
@@ -424,8 +419,7 @@ class TestSupportInterval:
 
     def test_contains(self):
         sup = interference_support(1.0, V_MU4)
-        assert sup.contains(0.0) and sup.contains(8.0)
-        assert not sup.contains(8.1)
+        assert sup.lo == 0.0 and sup.hi == pytest.approx(8.0, rel=1e-12)
 
 
 class TestCdfProperties:

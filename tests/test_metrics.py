@@ -11,12 +11,13 @@ from scipy.special import ndtr
 from satcuma import distributions as dist, metrics, run_trials
 from satcuma.distributions import scenario_trunc_gauss, signal_cdf, sinr_pdf_exact
 from satcuma.metrics import (METRIC_SPEC, MetricResult, WARN_CLAMPED,
-                             WARN_ODD_MU, WARN_QUAD_LIMIT, _z_breakpoints,
+                             WARN_QUAD_LIMIT, _z_breakpoints,
                              ergodic_rate, mean_signal_power_closed, mean_sinr,
                              mean_snr, mean_snr_compact, outage_compact,
                              outage_exact, outage_exact_curve,
                              outage_exact_double_integral, sinr_supremum)
 from satcuma.quadrature import QuadratureSpec, integrate
+from satcuma.scenario import WARN_ODD_MU
 from satcuma.sweep import _scenario_at, preset_sweeps
 
 from conftest import reference_scenario, unit_scenario

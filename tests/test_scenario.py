@@ -16,20 +16,12 @@ from satcuma.scenario import (SPEED_OF_LIGHT, AntennaConfig, LinkBudget,
 
 
 class TestPathLoss:
-    def test_rounded_wavelength_convention(self):
-        # lambda = 0.01 m exactly (c rounded to 3e8 at 30 GHz), r = 1200 km
-        zeta = path_loss_coeff(30e9, 1.2e6, speed_of_light=3e8)
-        assert zeta == pytest.approx(4.397620817809799e-19, rel=1e-12)
-
     def test_exact_light_speed_convention(self):
         zeta = path_loss_coeff(30e9, 1.2e6)
         assert zeta == pytest.approx(4.391538315697107e-19, rel=1e-12)
 
     def test_table_values_within_band(self):
-        # both conventions land in the same narrow band
-        for c in (3e8, SPEED_OF_LIGHT):
-            zeta = path_loss_coeff(30e9, 1.2e6, speed_of_light=c)
-            assert 4.3e-19 <= zeta <= 4.5e-19
+        assert 4.3e-19 <= path_loss_coeff(30e9, 1.2e6) <= 4.5e-19
 
     def test_unit_path_loss_distance(self):
         lam = SPEED_OF_LIGHT / 30e9
