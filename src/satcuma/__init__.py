@@ -8,7 +8,6 @@ parameter sweeps and validation runs.
 
 from .scenario import (
     AntennaConfig,
-    DerivedChannel,
     LinkBudget,
     Scenario,
     ScenarioError,

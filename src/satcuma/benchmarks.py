@@ -18,21 +18,20 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import ceil_t_mu
-from .metrics import METRIC_SPEC, MetricResult, ergodic_rate
-from .quadrature import QuadratureSpec
+from .metrics import MetricResult, ergodic_rate
 from .scenario import Scenario, UserField
 
 
-def mrc_sinr(M: int, zeta_list, Gamma: float, desired: int = 0) -> float:
-    """MRC SINR under identical angles: M*zeta_u / (M*sum(zeta_others) + 1/Gamma).
+def mrc_sinr(M: int, zeta_list, Gamma: float) -> float:
+    """MRC SINR under identical angles: M*zeta_u / (M*sum(zeta_others) + 1/Gamma),
+    with zeta_list[0] the desired user's.
 
     Signal and interference receive the same array gain M, so MRC only
     suppresses noise in this geometry.
     """
     if M < 1:
         raise ValueError(f"M must be >= 1, got {M}")
-    zs = list(zeta_list)
-    zu = zs.pop(desired)
+    zu, *zs = zeta_list
     return M * zu / (M * sum(zs) + 1.0 / Gamma)
 
 
@@ -186,10 +185,10 @@ def single_user_scenario(sc: Scenario) -> Scenario:
     return replace(sc, users=users)
 
 
-def ocuma_rate(sc: Scenario, spec: QuadratureSpec = METRIC_SPEC) -> MetricResult:
+def ocuma_rate(sc: Scenario) -> MetricResult:
     """Orthogonal-access rate: one user at a time with the full band.
 
     Evaluated as the single-user ergodic rate with prefactor B; the input
     scenario's U is ignored apart from selecting the desired user.
     """
-    return ergodic_rate(single_user_scenario(sc), outage="exact", spec=spec)
+    return ergodic_rate(single_user_scenario(sc), outage="exact")

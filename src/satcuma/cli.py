@@ -20,7 +20,7 @@ import sys
 from . import metrics, montecarlo as mc, validate as val
 from .benchmarks import (cuma_signal_gain, min_ports_interference_limited,
                          min_ports_noise_limited)
-from .scenario import Scenario, ScenarioError, build_scenario, load_config
+from .scenario import SEED_BOUND, Scenario, ScenarioError, build_scenario, load_config
 from .sweep import (SweepSpecError, load_sweep_file, preset_sweeps, run_sweep,
                     write_csv, write_json)
 
@@ -174,6 +174,8 @@ def _bad_option(args):
     """The usage error in an option value that no verb can run with, or None."""
     if args.trials < 0:
         return f"--trials must be >= 0, got {args.trials}"
+    if not 0 <= args.seed < SEED_BOUND:
+        return f"--seed must be in [0, 2**128), got {args.seed}"
     if args.command == "validate" and args.trials == 1:
         # one sample has no spread: its signal-interference correlation is nan
         return ("--trials must be >= 2 for validate, which needs at least 2 trials "

@@ -144,7 +144,6 @@ class TrialBatch:
     """Columnar record of one Monte-Carlo run; immutable once built."""
 
     n_trials: int
-    master_seed: int
     alpha: np.ndarray
     ys: np.ndarray      # shape (n_trials, U-1)
     beta: np.ndarray
@@ -157,7 +156,6 @@ class NegativeSetBatch:
     """Per-trial comparison of the positive-cosine and negative-cosine sets."""
 
     n_trials: int
-    master_seed: int
     amp_pos: np.ndarray   # sqrt(alpha) over the positive set
     amp_neg: np.ndarray   # |sum| over the negative set
     sinr_pos: np.ndarray | None  # None from an amplitude-only pass
@@ -238,10 +236,9 @@ def oracle_pass(sc: Scenario, n: int, master_seed: int, block_size: int = DEFAUL
             for result in pool.map(_block_sums, blocks):
                 _store(result)
 
-    batch = TrialBatch(n_trials=n, master_seed=master_seed,
-                       **{name: cols[name] for name in _K1_COLUMNS})
-    neg = NegativeSetBatch(n_trials=n_k2, master_seed=master_seed,
-                           **{name: cols.get(name) for name in _K2_COLUMNS}) if n_k2 else None
+    batch = TrialBatch(n_trials=n, **{name: cols[name] for name in _K1_COLUMNS})
+    neg = (NegativeSetBatch(n_trials=n_k2, **{name: cols.get(name) for name in _K2_COLUMNS})
+           if n_k2 else None)
     return batch, neg
 
 

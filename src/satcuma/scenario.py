@@ -3,10 +3,11 @@
 A scenario bundles everything the analysis needs: the fluid-antenna
 geometry (port count K, aperture W wavelengths, port density mu), the RF
 link budget (power, gain, bandwidth, noise temperature), and the per-user
-path-loss coefficients and reference-port phases.  All derived channel
-constants (V, t, activated-port count, nominal SNR) are computed once at
-build time and the whole bundle is immutable, so scenarios can be shared
-freely across threads and processes.
+path-loss coefficients and reference-port phases.  A scenario stores only
+these inputs; the channel constants (V, t, activated-port count, nominal
+SNR, the odd-mu warning) are computed from them on access, so they cannot
+disagree with the inputs, and the bundle is immutable, so scenarios can be
+shared freely across threads and processes.
 
 Config files are flat JSON objects.  Recognised keys::
 
@@ -20,7 +21,8 @@ Config files are flat JSON objects.  Recognised keys::
     f_c_hz       carrier frequency in Hz            [default 30e9]
     distance_m   ground-to-satellite distance, scalar or list of U
                  per-user values                    [default 1.2e6]
-    seed         seed for the reference-port phase draw [default 0]
+    seed         seed for the reference-port phase draw, an integer
+                 in [0, 2**128)                     [default 0]
 
 Unknown keys are a hard error, as is a link budget whose linear gain,
 path-loss coefficient, noise power or nominal SNR is not finite and
@@ -44,6 +46,8 @@ BOLTZMANN = 1.381e-23  # J/K
 
 WARN_ODD_MU = "odd-mu"
 
+SEED_BOUND = 2 ** 128  # Philox keys, and so seeds, lie in [0, 2**128)
+
 _CONFIG_KEYS = {
     "K", "W", "U", "P_watts", "G_dBi", "B_hz", "T_kelvin", "f_c_hz",
     "distance_m", "seed",
@@ -62,6 +66,12 @@ _CONFIG_DEFAULTS = {
 
 class ScenarioError(ValueError):
     """Invalid scenario configuration; the message names the offending field."""
+
+
+def is_integral(v) -> bool:
+    """Whether v is an int, or a float with an integral value (bools are not)."""
+    return isinstance(v, int) and not isinstance(v, bool) or \
+        isinstance(v, float) and v.is_integer()
 
 
 def db_to_linear(value_db: float) -> float:
@@ -185,39 +195,22 @@ class UserField:
 
 
 @dataclass(frozen=True)
-class DerivedChannel:
-    """Channel constants derived from geometry, budget and the desired phase."""
-
-    V: float       # sin(pi/mu)/W
-    t: float       # 3/4 - psi_u/(2*pi)
-    Kbar: float    # activated-port count (K-1)/2
-    Gamma: float   # nominal SNR
-
-    def __post_init__(self):
-        if self.V <= 0:
-            raise ScenarioError(f"V must be positive, got {self.V}")
-        if not (-0.25 < self.t < 0.75):
-            raise ScenarioError(f"t must lie in (-1/4, 3/4), got {self.t}")
-
-
-@dataclass(frozen=True)
 class Scenario:
-    """Validated scenario: geometry + budget + users + derived constants."""
+    """Validated scenario: geometry + budget + users; the channel constants
+    are computed from these."""
 
     antenna: AntennaConfig
     budget: LinkBudget
     users: UserField
-    derived: DerivedChannel
     seed: int = 0
-    warnings: tuple = ()
 
     def __post_init__(self):
+        if self.V <= 0:
+            raise ScenarioError(f"V must be positive, got {self.V}")
         # the scenario keys per-scenario caches, so it is hashed once, not
-        # through its nested parts at every lookup.  warnings follows from
-        # the antenna and is left out: strings hash differently in each
-        # process, and a pickled scenario carries this value with it.
+        # through its nested parts at every lookup
         object.__setattr__(self, "_hash", hash(
-            (self.antenna, self.budget, self.users, self.derived, self.seed)))
+            (self.antenna, self.budget, self.users, self.seed)))
 
     def __hash__(self):
         return self._hash
@@ -234,22 +227,35 @@ class Scenario:
     def mu(self) -> float:
         return self.antenna.mu_float
 
-    @property
+    @functools.cached_property
     def V(self) -> float:
-        return self.derived.V
+        """Signal scaling constant sin(pi/mu)/W."""
+        return self.antenna.V
+
+    @property
+    def t(self) -> float:
+        """Phase offset 3/4 - psi_u/(2*pi) of the desired user, in (-1/4, 3/4)."""
+        return 0.75 - self.users.psi[0] / (2.0 * math.pi)
 
     @property
     def Kbar(self) -> float:
-        return self.derived.Kbar
+        """Activated-port count (K-1)/2."""
+        return self.antenna.kbar
 
-    @property
+    @functools.cached_property
     def Gamma(self) -> float:
-        return self.derived.Gamma
+        """Nominal SNR P G / (k T B)."""
+        return nominal_snr(self.budget)
 
     @property
     def noise_term(self) -> float:
         """In-phase noise power term Kbar/(2*Gamma) in the SINR denominator."""
-        return self.derived.Kbar / (2.0 * self.derived.Gamma)
+        return self.Kbar / (2.0 * self.Gamma)
+
+    @property
+    def warnings(self) -> tuple:
+        """(WARN_ODD_MU,) when mu is not an even integer, else ()."""
+        return () if self.antenna.mu_is_even_integer else (WARN_ODD_MU,)
 
 
 @functools.lru_cache(maxsize=64)
@@ -299,7 +305,7 @@ def build_scenario(source) -> Scenario:
 
     Accepts whatever load_config does: a dict, a path to a JSON file, or a
     JSON string.  Unknown keys raise ScenarioError.  When mu is not an even
-    integer the scenario still builds, but carries the odd-mu warning record
+    integer the scenario still builds, but its warnings name the odd-mu case
     so consumers can tell the guaranteed regime from the empirical one.
     """
     cfg = load_config(source)
@@ -316,11 +322,22 @@ def build_scenario(source) -> Scenario:
 
     def _as_int(key):
         v = merged[key]
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or v != int(v):
+        if not is_integral(v):
             raise ScenarioError(f"{key} must be an integer, got {v!r}")
         return int(v)
 
+    def _as_float(key, v):
+        """v, the value of key or one entry of it, as a float."""
+        if not isinstance(v, bool):
+            try:
+                return float(v)
+            except (TypeError, ValueError, OverflowError):
+                pass
+        raise ScenarioError(f"{key} must be a number, got {v!r}")
+
     K, W, U, seed = _as_int("K"), _as_int("W"), _as_int("U"), _as_int("seed")
+    if not 0 <= seed < SEED_BOUND:
+        raise ScenarioError(f"seed must be in [0, 2**128), got {seed}")
 
     def _link(what, fields, compute):
         """compute(), a derived link quantity, which must be finite and positive."""
@@ -335,11 +352,12 @@ def build_scenario(source) -> Scenario:
 
     antenna = AntennaConfig(K=K, W=W)
     budget = LinkBudget(
-        P=float(merged["P_watts"]),
-        G=_link("linear gain", ("G_dBi",), lambda: db_to_linear(float(merged["G_dBi"]))),
-        B=float(merged["B_hz"]),
-        T=float(merged["T_kelvin"]),
-        f_c=float(merged["f_c_hz"]),
+        P=_as_float("P_watts", merged["P_watts"]),
+        G=_link("linear gain", ("G_dBi",),
+                lambda: db_to_linear(_as_float("G_dBi", merged["G_dBi"]))),
+        B=_as_float("B_hz", merged["B_hz"]),
+        T=_as_float("T_kelvin", merged["T_kelvin"]),
+        f_c=_as_float("f_c_hz", merged["f_c_hz"]),
     )
     _link("noise power", ("T_kelvin", "B_hz"), lambda: budget.noise_power)
 
@@ -347,23 +365,18 @@ def build_scenario(source) -> Scenario:
     if isinstance(dist, (list, tuple)):
         if len(dist) != U:
             raise ScenarioError(f"distance_m list must have U={U} entries, got {len(dist)}")
-        distances = [float(d) for d in dist]
+        distances = [_as_float("distance_m", d) for d in dist]
     else:
-        distances = [float(dist)] * U
+        distances = [_as_float("distance_m", dist)] * U
     zeta = tuple(_link("path-loss coefficient", ("f_c_hz", "distance_m"),
                        lambda: path_loss_coeff(budget.f_c, d)) for d in distances)
 
     psi = _draw_phases(U, seed)
     users = UserField(U=U, zeta=zeta, psi=psi)
 
-    gamma = _link("nominal SNR", ("P_watts", "G_dBi", "T_kelvin", "B_hz"),
-                  lambda: nominal_snr(budget))
-    t = 0.75 - psi[0] / (2.0 * math.pi)
-    derived = DerivedChannel(V=antenna.V, t=t, Kbar=antenna.kbar, Gamma=gamma)
-
-    warnings = () if antenna.mu_is_even_integer else (WARN_ODD_MU,)
-    return Scenario(antenna=antenna, budget=budget, users=users,
-                    derived=derived, seed=seed, warnings=warnings)
+    _link("nominal SNR", ("P_watts", "G_dBi", "T_kelvin", "B_hz"),
+          lambda: nominal_snr(budget))
+    return Scenario(antenna=antenna, budget=budget, users=users, seed=seed)
 
 
 def table_default_config(K: int, W: int, U: int, **overrides) -> dict:

@@ -24,7 +24,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import benchmarks, distributions as dist, metrics, montecarlo as mc
-from .scenario import Scenario, ScenarioError, build_scenario, table_default_config
+from .scenario import (SEED_BOUND, Scenario, ScenarioError, build_scenario,
+                       is_integral, table_default_config)
 
 SWEEP_PARAMS = ("mu", "K", "U", "B", "gamma", "W", "psi_tilde")
 
@@ -71,18 +72,33 @@ class SweepSpec:
                                      f"{sorted(METRIC_REGISTRY)}")
         if self.trials < 0:
             raise SweepSpecError("trials must be >= 0")
-        if self.param == "mu" and "W" not in self.base:
-            raise SweepSpecError("a 'mu' sweep needs the scenario key 'W' (K = mu*W + 1)")
+        if not 0 <= self.seed < SEED_BOUND:
+            raise SweepSpecError(f"sweep field 'seed' must be in [0, 2**128), "
+                                 f"got {self.seed}")
+        if self.param == "mu":
+            if "W" not in self.base:
+                raise SweepSpecError("a 'mu' sweep needs the scenario key 'W' (K = mu*W + 1)")
+            w = self.base["W"]
+            if not is_integral(w):
+                raise SweepSpecError(f"a 'mu' sweep needs an integer scenario key 'W', "
+                                     f"got {w!r}")
+            for v in g:
+                k = v * w + 1
+                if not (math.isfinite(k) and abs(k - round(k)) <= 1e-9):
+                    raise SweepSpecError(f"mu={v} with W={w:g} gives non-integer port count")
+        mrc = [m for m in self.metrics if m in _MRC_METRICS]
+        if mrc and self.mrc_M < 1:
+            raise SweepSpecError(f"metric {mrc[0]!r} needs sweep field 'mrc_M' >= 1, "
+                                 f"got {self.mrc_M}")
+        if "interferer_gain" in self.metrics and self.param != "psi_tilde":
+            raise SweepSpecError("metric 'interferer_gain' needs a 'psi_tilde' sweep, "
+                                 f"got a {self.param!r} sweep")
 
 
 def _scenario_at(spec: SweepSpec, value) -> Scenario:
     cfg = dict(spec.base)
     if spec.param == "mu":
-        w = int(cfg["W"])
-        k = value * w + 1
-        if abs(k - round(k)) > 1e-9:
-            raise SweepSpecError(f"mu={value} with W={w} gives non-integer port count")
-        cfg["K"] = int(round(k))
+        cfg["K"] = int(round(value * cfg["W"] + 1))
     elif spec.param == "K":
         cfg["K"] = int(value)
     elif spec.param == "U":
@@ -103,7 +119,7 @@ def _gamma_at(spec: SweepSpec, value) -> float:
 def _t_of(spec: SweepSpec, sc: Scenario) -> float:
     if spec.psi_u > 0.0:
         return 0.75 - spec.psi_u / (2.0 * math.pi)
-    return sc.derived.t
+    return sc.t
 
 
 # --- metric evaluators ------------------------------------------------------
@@ -148,14 +164,10 @@ def _m_rate_ocuma(sc, spec, x):
 
 
 def _m_mrc_mean_sinr(sc, spec, x):
-    if spec.mrc_M < 1:
-        raise SweepSpecError("mrc metrics require mrc_M >= 1")
-    return benchmarks.mrc_sinr(spec.mrc_M, list(sc.users.zeta), sc.Gamma), 0.0, ()
+    return benchmarks.mrc_sinr(spec.mrc_M, sc.users.zeta, sc.Gamma), 0.0, ()
 
 
 def _m_mrc_mean_snr(sc, spec, x):
-    if spec.mrc_M < 1:
-        raise SweepSpecError("mrc metrics require mrc_M >= 1")
     return benchmarks.mrc_mean_snr(spec.mrc_M, sc.zeta_u, sc.Gamma), 0.0, ()
 
 
@@ -179,8 +191,6 @@ def _m_signal_gain(sc, spec, x):
 
 
 def _m_interferer_gain(sc, spec, x):
-    if spec.param != "psi_tilde":
-        raise SweepSpecError("interferer_gain metric requires a psi_tilde sweep")
     _, gains = benchmarks.cuma_beamforming_gains(
         sc.antenna.K, [float(x)], _t_of(spec, sc), sc.mu)
     return gains[0], 0.0, sc.warnings
@@ -214,11 +224,7 @@ def _mc_zf(sc, spec, x, batch):
     # the identical-angle LoS channel is rank one, so the truncated ZF
     # combiner is the matched filter and every trial's SINR is the MRC SINR;
     # the tests pin this to the Monte-Carlo of benchmarks.zf_sinr_mc
-    if spec.mrc_M < 1:
-        raise SweepSpecError("zf_mean_sinr requires mrc_M >= 1")
-    if spec.trials == 0:
-        return None
-    v = benchmarks.mrc_sinr(spec.mrc_M, list(sc.users.zeta), sc.Gamma)
+    v = benchmarks.mrc_sinr(spec.mrc_M, sc.users.zeta, sc.Gamma)
     return v, v, v
 
 
@@ -250,6 +256,9 @@ METRIC_REGISTRY = {
     "interferer_gain": (_m_interferer_gain, None),
 }
 
+# the metrics that read the sweep field mrc_M
+_MRC_METRICS = ("mrc_mean_sinr", "mrc_mean_snr", "zf_mean_sinr")
+
 # batches are only built when a requested metric can use them; the ZF
 # baseline is stated in closed form and reads none
 _MC_BATCH_METRICS = {name for name, (_, mc_fn) in METRIC_REGISTRY.items()
@@ -276,14 +285,10 @@ def _eval_point(args):
             row["analytic"] = val
             row["est_error"] = err
             row["warnings"] = ";".join(warns)
-        except SweepSpecError:
-            raise
         except Exception as exc:  # metric failure: warn on the row, keep going
             row["warnings"] = f"metric-failure: {exc}"
         if spec.trials > 0 and mc_fn is not None:
-            est = mc_fn(sc, spec, x, batch)
-            if est is not None:
-                row["mc_value"], row["mc_ci_low"], row["mc_ci_high"] = est
+            row["mc_value"], row["mc_ci_low"], row["mc_ci_high"] = mc_fn(sc, spec, x, batch)
         rows.append(row)
     return idx, rows
 

@@ -120,6 +120,12 @@ def run_validation(sc: Scenario, n_trials: int, master_seed: int,
     even = sc.antenna.mu_is_even_integer
     mu, V = sc.mu, sc.V
     zeta_u = sc.zeta_u
+
+    def check(name, statistic, threshold, gating=True, note=""):
+        report.checks.append(CheckResult(
+            name=name, passed=statistic <= threshold, statistic=statistic,
+            threshold=threshold, note=note, informational=not gating))
+
     # one brute-force pass; the negative-set amplitudes cover its first trials
     n_k2 = min(n_trials, NEGATIVE_SET_TRIALS)
     batch, neg = mc.oracle_pass(sc, n_trials, master_seed, workers=workers,
@@ -129,11 +135,8 @@ def run_validation(sc: Scenario, n_trials: int, master_seed: int,
     n_sub = min(n_trials, EQUIVALENCE_SUBSAMPLE)
     psi = mc._draw_block(master_seed, 0, n_sub, sc.users.U)
     dev = _compact_equivalence(sc, psi, batch.alpha[:n_sub], batch.ys[:n_sub])
-    report.checks.append(CheckResult(
-        name="compact-form-equivalence", passed=(dev <= EQUIVALENCE_REL) or not even,
-        statistic=dev, threshold=EQUIVALENCE_REL,
-        note="" if even else "odd density: compact forms only empirically valid",
-        informational=not even))
+    check("compact-form-equivalence", dev, EQUIVALENCE_REL, even,
+          "" if even else "odd density: compact forms only empirically valid")
 
     # 2. activated-port count
     expect = (sc.antenna.K - 1) / 2.0
@@ -146,30 +149,20 @@ def run_validation(sc: Scenario, n_trials: int, master_seed: int,
 
     # 3-4. per-variable distribution fits
     d_alpha = mc.ks_distance(batch.alpha, lambda a: dist.signal_cdf(a, zeta_u, mu, V))
-    thr_a = _ks_floor(KS_SIGNAL, n_trials)
-    report.checks.append(CheckResult(
-        name="signal-distribution-fit", passed=(d_alpha <= thr_a) or not even,
-        statistic=d_alpha, threshold=thr_a, informational=not even))
+    check("signal-distribution-fit", d_alpha, _ks_floor(KS_SIGNAL, n_trials), even)
 
     if sc.users.U > 1:
         z1 = sc.users.zeta[1]
         d_y = mc.ks_distance(batch.ys[:, 0], lambda y: dist.interference_cdf_per_user(y, z1, V))
-        thr_y = _ks_floor(KS_INTERFERENCE, n_trials)
-        report.checks.append(CheckResult(
-            name="interference-distribution-fit", passed=(d_y <= thr_y) or not even,
-            statistic=d_y, threshold=thr_y, informational=not even))
+        check("interference-distribution-fit", d_y, _ks_floor(KS_INTERFERENCE, n_trials),
+              even)
 
         # 5. aggregate interference CLT fit
         params = dist.scenario_trunc_gauss(sc)
         d_b = mc.ks_distance(batch.beta, lambda b: dist.total_interference_cdf(b, params))
         clt_regime = sc.users.U >= 20
-        thr_b = _ks_floor(KS_AGGREGATE, n_trials)
-        report.checks.append(CheckResult(
-            name="aggregate-interference-fit",
-            passed=(d_b <= thr_b) or not (clt_regime and even),
-            statistic=d_b, threshold=thr_b,
-            note="" if clt_regime else "below massive-access regime",
-            informational=not (clt_regime and even)))
+        check("aggregate-interference-fit", d_b, _ks_floor(KS_AGGREGATE, n_trials),
+              clt_regime and even, "" if clt_regime else "below massive-access regime")
 
         # 6. SINR distribution fit against the exact analytic CDF.  Signal
         # and interference are independent, so F_SINR(z) = E[1 - F_beta(
@@ -183,20 +176,14 @@ def run_validation(sc: Scenario, n_trials: int, master_seed: int,
         thr = max(_ks_floor(KS_SINR_TIGHT if mu >= KS_SINR_COMPACT_MU
                             else KS_SINR_LOOSE, n_trials),
                   d_b + _KS_NOISE_MULT / math.sqrt(n_trials))
-        report.checks.append(CheckResult(
-            name="sinr-distribution-fit", passed=(d_sinr <= thr) or not even,
-            statistic=d_sinr, threshold=thr, informational=not even))
+        check("sinr-distribution-fit", d_sinr, thr, even)
 
         # 7. compact SINR form: expected to fit only at high density
         d_cmp = mc.ks_distance(batch.sinr, lambda z: dist.sinr_cdf_compact(z, sc))
         compact_regime = mu >= KS_SINR_COMPACT_MU
-        thr_c = _ks_floor(KS_COMPACT_PDF, n_trials)
-        report.checks.append(CheckResult(
-            name="sinr-compact-fit",
-            passed=(d_cmp <= thr_c) or not (compact_regime and even),
-            statistic=d_cmp, threshold=thr_c,
-            note="" if compact_regime else "expected-fail below compact regime",
-            informational=not (compact_regime and even)))
+        check("sinr-compact-fit", d_cmp, _ks_floor(KS_COMPACT_PDF, n_trials),
+              compact_regime and even,
+              "" if compact_regime else "expected-fail below compact regime")
 
     # 8. outage agreement at the reference threshold
     emp, ci_lo, ci_hi = mc.empirical_outage(batch, gamma)
@@ -221,25 +208,18 @@ def run_validation(sc: Scenario, n_trials: int, master_seed: int,
         Fy = mc.empirical_cdf(batch.ys[:, 0], thresholds)
         sigma = np.sqrt(Fa * (1 - Fa) / n_trials + Fy * (1 - Fy) / n_trials)
         margin = float(np.max(Fa - Fy - FSD_SIGMA * sigma))
-        report.checks.append(CheckResult(
-            name="stochastic-dominance", passed=margin <= 0.0,
-            statistic=margin, threshold=0.0,
-            note="max(F_signal - F_interference - 3*sigma)"))
+        check("stochastic-dominance", margin, 0.0,
+              note="max(F_signal - F_interference - 3*sigma)")
 
         # 10. independence of signal and each interferer power
         worst_corr = max(abs(float(np.corrcoef(batch.alpha, batch.ys[:, j])[0, 1]))
                          for j in range(batch.ys.shape[1]))
-        thr_ind = max(INDEPENDENCE_BOUND, _CORR_NOISE_MULT / math.sqrt(n_trials))
-        report.checks.append(CheckResult(
-            name="signal-interference-independence", passed=worst_corr <= thr_ind,
-            statistic=worst_corr, threshold=thr_ind))
+        check("signal-interference-independence", worst_corr,
+              max(INDEPENDENCE_BOUND, _CORR_NOISE_MULT / math.sqrt(n_trials)))
 
     # 11. negative-set residual bound
     bound = core.k2_residual_bound(sc.antenna) * math.sqrt(zeta_u)
     worst_gap = float(np.max(np.abs(neg.amp_neg - neg.amp_pos)))
-    report.checks.append(CheckResult(
-        name="negative-set-residual", passed=worst_gap <= bound,
-        statistic=worst_gap, threshold=bound,
-        note=f"over {n_k2} trials"))
+    check("negative-set-residual", worst_gap, bound, note=f"over {n_k2} trials")
 
     return report

@@ -3,8 +3,7 @@ import math
 import pytest
 
 from satcuma import build_scenario, table_default_config
-from satcuma.scenario import (AntennaConfig, DerivedChannel, LinkBudget,
-                              Scenario, UserField)
+from satcuma.scenario import AntennaConfig, LinkBudget, Scenario, UserField
 
 
 def reference_scenario(K=21, W=2, U=5, **over):
@@ -19,15 +18,10 @@ def unit_scenario(K=9, W=2, U=5, gamma_snr=1e30, psi_u=math.pi / 3):
     nominal SNR is set through the transmit power; the default makes the
     noise term negligible.
     """
-    antenna = AntennaConfig(K=K, W=W)
-    budget = LinkBudget(P=gamma_snr * BASE_NOISE, G=1.0, B=1e7, T=207.0)
     psi = (psi_u,) + tuple(0.4 + 0.9 * j for j in range(1, U))
-    users = UserField(U=U, zeta=(1.0,) * U, psi=psi)
-    t = 0.75 - psi_u / (2.0 * math.pi)
-    derived = DerivedChannel(V=antenna.V, t=t, Kbar=antenna.kbar, Gamma=gamma_snr)
-    warn = () if antenna.mu_is_even_integer else ("odd-mu",)
-    return Scenario(antenna=antenna, budget=budget, users=users, derived=derived,
-                    warnings=warn)
+    return Scenario(antenna=AntennaConfig(K=K, W=W),
+                    budget=LinkBudget(P=gamma_snr * BASE_NOISE, G=1.0, B=1e7, T=207.0),
+                    users=UserField(U=U, zeta=(1.0,) * U, psi=psi))
 
 
 BASE_NOISE = 1.381e-23 * 207.0 * 1e7  # noise power of the synthetic budget

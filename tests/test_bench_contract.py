@@ -89,3 +89,15 @@ def test_figures_analytic_matches_reference(tmp_path):
     tally = check.check_outputs(workload.name, check.load_reference(workload.name, 0), outputs)
     assert tally.attempted > 0
     assert tally.failed == 0, tally.messages
+
+
+def test_oracle_cli_matches_reference(tmp_path):
+    # one untraced oracle-cli pass (validate, report and a fig3 sweep with
+    # trials), judged against program seed 0's reference
+    workloads, check = _perfbench("workloads"), _perfbench("check")
+    workload = workloads.OracleCli(0, str(tmp_path))
+    workload.setup()
+    _, outputs, _ = workload.run_pass(lambda name: contextlib.nullcontext())
+    tally = check.check_outputs(workload.name, check.load_reference(workload.name, 0), outputs)
+    assert tally.attempted > 0
+    assert tally.failed == 0, tally.messages

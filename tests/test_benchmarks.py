@@ -142,7 +142,7 @@ class TestMinPorts:
         for K in range(22, 61):
             sc = reference_scenario(K=K, W=W, U=5, P_watts=P, seed=seed)
             wins.append(self._bruteforce_sinr(sc) > mrc_sinr(M, sc.users.zeta, sc.Gamma))
-            delta = [interferer_suppression(p, sc.derived.t, sc.mu)
+            delta = [interferer_suppression(p, sc.t, sc.mu)
                      for p in sc.users.psi[1:]]
             bounds.append(min_ports_vs_mrc(M, sc.Gamma, sc.zeta_interferers, delta, eps, W))
         first = 22 + wins.index(True)

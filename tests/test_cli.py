@@ -43,9 +43,9 @@ class TestSweepSpec:
 
     def test_non_integer_port_count(self):
         # mu = 2.5 with W = 3 would need K = 8.5
-        spec = SweepSpec(param="mu", grid=(2.5,), base={"K": 10, "W": 3, "U": 2},
-                         metrics=("mean_snr",))
         with pytest.raises(SweepSpecError, match="non-integer"):
+            spec = SweepSpec(param="mu", grid=(2.5,), base={"K": 10, "W": 3, "U": 2},
+                             metrics=("mean_snr",))
             run_sweep([spec])
 
     def test_row_count_is_grid_times_metrics(self):
@@ -205,7 +205,12 @@ class TestCliExitCodes:
         (["report", "--trials", "-3"], "--trials"),
         (["validate", "--trials", "10", "--gamma", "-1"], "--gamma"),
         (["validate", "--trials", "10", "--gamma", "nan"], "--gamma"),
-    ], ids=["validate-trials", "report-trials", "gamma-negative", "gamma-nan"])
+        (["report", "--seed", "-1"], "--seed"),
+        (["validate", "--seed", "-1"], "--seed"),
+        (["sweep", "--preset", "fig6", "--seed", "-1"], "--seed"),
+        (["report", "--seed", str(2 ** 128)], "--seed"),
+    ], ids=["validate-trials", "report-trials", "gamma-negative", "gamma-nan",
+            "report-seed", "validate-seed", "sweep-seed", "seed-2**128"])
     def test_bad_option_value_is_usage_error_naming_it(self, capsys, argv, option):
         assert run_cli(argv) == 2
         err = capsys.readouterr().err
@@ -229,6 +234,59 @@ class TestCliExitCodes:
         assert f"{field}=" in err
         assert "must be finite and positive" in err
         assert "runtime failure" not in err
+
+    @pytest.mark.parametrize("argv,field", [
+        (["report", "--set", "P_watts=abc"], "P_watts"),
+        (["report", "--set", "B_hz=null"], "B_hz"),
+        (["report", "--set", "G_dBi=[1]"], "G_dBi"),
+        (["report", "--set", "U=2", "--set", 'distance_m=[1e6, "far"]'], "distance_m"),
+        (["report", "--set", "K=1e400"], "K"),
+        (["report", "--set", "seed=-1"], "seed"),
+        (["sweep", "--preset", "fig6", "--set", "seed=-1"], "sweep field 'seed'"),
+    ], ids=["P-string", "B-null", "G-list", "distance-entry", "K-inf", "seed-key",
+            "sweep-seed-field"])
+    def test_bad_scenario_value_is_usage_error_naming_it(self, capsys, monkeypatch,
+                                                         tmp_path, argv, field):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(argv) == 2
+        err = capsys.readouterr().err
+        assert f"error: {field} must" in err
+        assert "runtime failure" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("doc,message", [
+        ({"param": "mu", "scenario": {"K": 9, "W": "abc", "U": 2}}, "integer scenario key 'W'"),
+        ({"param": "mu", "scenario": {"K": 9, "W": "2", "U": 2}}, "integer scenario key 'W'"),
+        ({"param": "mu", "scenario": {"K": 9, "W": 2.5, "U": 2}}, "integer scenario key 'W'"),
+        ({"param": "mu", "scenario": {"K": 9, "W": True, "U": 2}}, "integer scenario key 'W'"),
+        ({"param": "mu", "grid": [4, 4.5], "scenario": {"K": 9, "W": 1, "U": 2}},
+         "mu=4.5 with W=1 gives non-integer port count"),
+        ({"param": "mu", "grid": [4, float("inf")], "scenario": {"K": 9, "W": 2, "U": 2}},
+         "mu=inf with W=2 gives non-integer port count"),
+        ({"metrics": ["zf_mean_sinr"]}, "'zf_mean_sinr' needs sweep field 'mrc_M' >= 1"),
+        ({"metrics": ["mrc_mean_sinr"]}, "'mrc_mean_sinr' needs sweep field 'mrc_M' >= 1"),
+        ({"metrics": ["mrc_mean_snr"], "mrc_M": 0}, "'mrc_mean_snr' needs sweep field"),
+        ({"metrics": ["interferer_gain"]}, "'psi_tilde' sweep"),
+        ({"seed": -1}, "sweep field 'seed'"),
+        ({"seed": 2 ** 128}, "sweep field 'seed'"),
+    ], ids=["W-string", "W-numeric-string", "W-fraction", "W-bool", "mu-grid", "mu-inf",
+            "zf-mrc_M", "mrc-sinr-mrc_M", "mrc-snr-mrc_M", "interferer-gain",
+            "seed-negative", "seed-2**128"])
+    def test_bad_sweep_spec_is_usage_error_before_any_row(self, tmp_path, capsys,
+                                                          monkeypatch, doc, message):
+        import satcuma.sweep as sweep_mod
+        built = []
+        build = sweep_mod.build_scenario
+        monkeypatch.setattr(sweep_mod, "build_scenario",
+                            lambda cfg: built.append(cfg) or build(cfg))
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"param": "U", "grid": [2, 3],
+                                    "scenario": {"K": 9, "W": 2, "U": 2},
+                                    "metrics": ["outage_exact"], **doc}))
+        out = tmp_path / "x.csv"
+        assert run_cli(["sweep", "--spec", str(spec), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert built == [] and not out.exists()
 
     def test_validate_single_trial_is_usage_error(self, capsys):
         # one sample has no spread: the independence check would read nan

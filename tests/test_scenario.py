@@ -4,12 +4,13 @@ import os
 import pickle
 import subprocess
 import sys
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
 
 import satcuma
-from satcuma.scenario import (SPEED_OF_LIGHT, AntennaConfig, LinkBudget,
+from satcuma.scenario import (SPEED_OF_LIGHT, AntennaConfig, LinkBudget, Scenario,
                               ScenarioError, UserField, build_scenario,
                               db_to_linear, nominal_snr, path_loss_coeff,
                               _draw_phases, table_default_config)
@@ -181,7 +182,34 @@ class TestBuildScenario:
 
     def test_derived_phase_mapping(self):
         sc = build_scenario({"K": 9, "W": 2, "U": 1})
-        assert sc.derived.t == pytest.approx(0.75 - sc.users.psi[0] / (2 * math.pi))
+        assert sc.t == pytest.approx(0.75 - sc.users.psi[0] / (2 * math.pi))
+
+    def test_numeric_strings_accepted(self):
+        plain = build_scenario({"K": 9, "W": 2, "U": 2})
+        assert build_scenario({"K": 9, "W": 2, "U": 2, "T_kelvin": "207",
+                               "distance_m": ["1.2e6", 1.2e6]}) == plain
+
+    def test_nonpositive_v_rejected(self):
+        # mu = 1/2: sin(2*pi) rounds to a tiny negative number
+        with pytest.raises(ScenarioError, match="V must be positive"):
+            build_scenario({"K": 3, "W": 4, "U": 1})
+
+    def test_stores_only_its_inputs(self):
+        assert [f.name for f in fields(Scenario)] == ["antenna", "budget", "users", "seed"]
+        assert not hasattr(satcuma, "DerivedChannel")
+        assert not hasattr(satcuma.scenario, "DerivedChannel")
+
+    def test_constants_follow_replaced_inputs(self):
+        sc = build_scenario({"K": 21, "W": 2, "U": 5})
+        assert sc.warnings == () and sc.Kbar == 10
+        odd = replace(sc, antenna=AntennaConfig(K=23, W=2))
+        assert odd.mu == 11 and "odd-mu" in odd.warnings
+        assert odd.V == odd.antenna.V != sc.V
+        assert odd.Kbar == 11
+        wide = replace(sc, budget=replace(sc.budget, B=2 * sc.budget.B))
+        assert wide.Gamma == sc.Gamma / 2
+        assert wide.noise_term == 2 * sc.noise_term
+        assert hash(wide) != hash(sc) and wide != sc
 
     def test_immutability(self):
         sc = build_scenario({"K": 9, "W": 2, "U": 1})
