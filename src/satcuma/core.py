@@ -19,10 +19,6 @@ import numpy as np
 
 from .scenario import AntennaConfig
 
-# tolerance for flagging a port at the cos()=0 sign boundary; membership
-# itself always uses the strict inequality
-COS_BOUNDARY_TOL = 1e-12
-
 
 class PortSetKind(enum.Enum):
     POSITIVE_INPHASE = "K1"

@@ -52,31 +52,19 @@ def _chunk_rows(k: int) -> int:
     return max(1, _CHUNK_ENTRIES // (k - 1))
 
 
-def _sinr(alpha, beta, kbar, gamma):
-    denom = beta + kbar / (2.0 * gamma)
-    # an empty activation set collects nothing: SINR is zero, not 0/0
-    return np.divide(alpha, denom, out=np.zeros_like(alpha), where=denom > 0.0)
-
-
-# what a block computes besides the positive-cosine (K1) columns
-_K1_ONLY, _K2_AMPLITUDES, _K2_FULL = 0, 1, 2
-
-
 def _block_sums(args):
     """Brute-force port sums for trials [lo, hi) (picklable worker).
 
-    Returns the columns of the positive-cosine (K1) activation set and, by
-    the block's k2 mode, also the negative-cosine (K2) set's amplitudes
-    (_K2_AMPLITUDES, from the desired user's cosines of the K1 pass) or all
-    of its columns (_K2_FULL, with per-interferer K2 sums).  Rows are
-    processed in chunks of _chunk_rows(k) through preallocated buffers.
-    Outside _K2_FULL, an interferer's cosines are evaluated only on the
+    Returns the columns of the positive-cosine (K1) activation set and, when
+    the block's amps flag is set, the signal amplitudes over the K1 set and
+    over the negative-cosine (K2) set, both from the desired user's cosines
+    of the K1 pass.  Rows are processed in chunks of _chunk_rows(k) through
+    preallocated buffers.  An interferer's cosines are evaluated only on the
     activated ports; the other slots of the summed buffer keep the signed
     zeros of the signal product, and a zero of either sign leaves a row sum
     unchanged up to the sign of an all-zero sum, which squaring removes.
     """
-    (master_seed, lo, hi, u, k, mu, zeta, gamma, k2) = args
-    amps, full = k2 != _K1_ONLY, k2 == _K2_FULL
+    (master_seed, lo, hi, u, k, mu, zeta, gamma, amps) = args
     psi = _draw_block(master_seed, lo, hi, u)
     ports = 2.0 * math.pi * np.arange(1, k) / mu  # k-1 phase offsets, ports 2..K
     m = hi - lo
@@ -85,9 +73,6 @@ def _block_sums(args):
     ys = np.empty((m, u - 1))
     if amps:
         amp_n = np.empty(m)
-    if full:
-        kbar_n = np.empty(m, dtype=np.int64)
-        ys_n = np.empty((m, u - 1))
     rows = min(m, _chunk_rows(k))
     phase = np.empty((rows, k - 1))
     cos = np.empty_like(phase)
@@ -106,36 +91,21 @@ def _block_sums(args):
             # the masked interferer cosines below keep its signed zeros
             np.less(cs, 0.0, out=mn)
             amp_n[r] = np.multiply(cs, mn, out=pt).sum(axis=1)
-        if full:
-            kbar_n[r] = mn.sum(axis=1)
         amp[r] = np.multiply(cs, mp, out=pt).sum(axis=1)
         kbar[r] = mp.sum(axis=1)
         for j in range(1, u):
             np.add(psi[r, j:j + 1], ports, out=ph)
-            if full:
-                np.cos(ph, out=cs)
-                s = np.multiply(cs, mp, out=pt).sum(axis=1)
-                ys_n[r, j - 1] = zeta[j] * np.multiply(cs, mn, out=pt).sum(axis=1) ** 2
-            else:
-                s = np.cos(ph, out=pt, where=mp).sum(axis=1)
+            s = np.cos(ph, out=pt, where=mp).sum(axis=1)
             ys[r, j - 1] = zeta[j] * s ** 2
     alpha = zeta[0] * amp ** 2
     beta = ys.sum(axis=1)
-    out = {"alpha": alpha, "ys": ys, "beta": beta,
-           "sinr": _sinr(alpha, beta, kbar, gamma), "kbar": kbar}
+    denom = beta + kbar / (2.0 * gamma)
+    # an empty activation set collects nothing: SINR is zero, not 0/0
+    sinr = np.divide(alpha, denom, out=np.zeros_like(alpha), where=denom > 0.0)
+    out = {"alpha": alpha, "ys": ys, "beta": beta, "sinr": sinr, "kbar": kbar}
     if amps:
         out["amp_pos"] = math.sqrt(zeta[0]) * amp
         out["amp_neg"] = math.sqrt(zeta[0]) * np.abs(amp_n)
-    if full:
-        # per-set interference is summed in interferer order, unlike the
-        # pairwise row sum of the beta column, and keeps that rounding
-        beta_p = np.zeros(m)
-        beta_n = np.zeros(m)
-        for j in range(u - 1):
-            beta_p += ys[:, j]
-            beta_n += ys_n[:, j]
-        out["sinr_pos"] = _sinr(alpha, beta_p, kbar, gamma)
-        out["sinr_neg"] = _sinr(zeta[0] * amp_n ** 2, beta_n, kbar_n, gamma)
     return lo, out
 
 
@@ -153,18 +123,15 @@ class TrialBatch:
 
 @dataclass(frozen=True)
 class NegativeSetBatch:
-    """Per-trial comparison of the positive-cosine and negative-cosine sets."""
+    """Per-trial signal amplitudes over the positive- and negative-cosine sets."""
 
     n_trials: int
     amp_pos: np.ndarray   # sqrt(alpha) over the positive set
     amp_neg: np.ndarray   # |sum| over the negative set
-    sinr_pos: np.ndarray | None  # None from an amplitude-only pass
-    sinr_neg: np.ndarray | None
 
 
 _K1_COLUMNS = ("alpha", "ys", "beta", "sinr", "kbar")
-_K2_AMP_COLUMNS = ("amp_pos", "amp_neg")
-_K2_COLUMNS = _K2_AMP_COLUMNS + ("sinr_pos", "sinr_neg")
+_K2_COLUMNS = ("amp_pos", "amp_neg")
 
 
 def _block_plan(n: int, block_size: int, workers: int, n_k2: int):
@@ -188,17 +155,13 @@ def _block_plan(n: int, block_size: int, workers: int, n_k2: int):
 
 
 def oracle_pass(sc: Scenario, n: int, master_seed: int, block_size: int = DEFAULT_BLOCK,
-                workers: int = 1, k2_trials: int = 0, k2_sinr: bool = True):
+                workers: int = 1, k2_trials: int = 0):
     """One brute-force pass over n trials: (TrialBatch, NegativeSetBatch).
 
     The negative-set batch covers the first min(k2_trials, n) trials of the
-    same draws (None when k2_trials is 0).  With k2_sinr, its trials also go
-    through the full negative-set pass, which sums every interferer over
-    the negative-cosine set for sinr_pos and sinr_neg.  Without it, the
-    batch holds only amp_pos and amp_neg (sinr_pos and sinr_neg are None),
-    and these come from the desired user's cosines that the positive-set
-    pass computes anyway: the same operations, so the same bits, at almost
-    no extra cost.
+    same draws (None when k2_trials is 0).  Its amp_pos and amp_neg come
+    from the desired user's cosines that the positive-set pass computes
+    anyway, at almost no extra cost.
 
     One worker runs blocks of block_size trials in process.  More workers
     share the trials out by _block_plan: min(workers, ceil(n / block_size))
@@ -209,23 +172,22 @@ def oracle_pass(sc: Scenario, n: int, master_seed: int, block_size: int = DEFAUL
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    if block_size < 1:
+        raise ValueError(f"block_size must be >= 1, got {block_size}")
     u, k = sc.users.U, sc.antenna.K
     n_k2 = min(max(k2_trials, 0), n)
-    mode = _K2_FULL if k2_sinr else _K2_AMPLITUDES
-    k2_columns = _K2_COLUMNS if k2_sinr else _K2_AMP_COLUMNS
     edges, procs = _block_plan(n, block_size, workers, n_k2)
-    blocks = [(master_seed, lo, hi, u, k, sc.mu, tuple(sc.users.zeta), sc.Gamma,
-               mode if hi <= n_k2 else _K1_ONLY)
+    blocks = [(master_seed, lo, hi, u, k, sc.mu, tuple(sc.users.zeta), sc.Gamma, hi <= n_k2)
               for lo, hi in zip(edges, edges[1:])]
 
     cols = {"alpha": np.empty(n), "ys": np.empty((n, u - 1)), "beta": np.empty(n),
             "sinr": np.empty(n), "kbar": np.empty(n, dtype=np.int64)}
-    cols.update((name, np.empty(n_k2)) for name in k2_columns)
+    cols.update((name, np.empty(n_k2)) for name in _K2_COLUMNS)
 
     def _store(result):
         lo, out = result
         hi = lo + out["alpha"].shape[0]
-        for name in _K1_COLUMNS + (k2_columns if hi <= n_k2 else ()):
+        for name in _K1_COLUMNS + (_K2_COLUMNS if hi <= n_k2 else ()):
             cols[name][lo:hi] = out[name]
 
     if procs == 1:
@@ -237,7 +199,7 @@ def oracle_pass(sc: Scenario, n: int, master_seed: int, block_size: int = DEFAUL
                 _store(result)
 
     batch = TrialBatch(n_trials=n, **{name: cols[name] for name in _K1_COLUMNS})
-    neg = (NegativeSetBatch(n_trials=n_k2, **{name: cols.get(name) for name in _K2_COLUMNS})
+    neg = (NegativeSetBatch(n_trials=n_k2, **{name: cols[name] for name in _K2_COLUMNS})
            if n_k2 else None)
     return batch, neg
 
@@ -254,7 +216,7 @@ def run_trials(sc: Scenario, n: int, master_seed: int,
 
 def negative_set_trials(sc: Scenario, n: int, master_seed: int,
                         block_size: int = DEFAULT_BLOCK) -> NegativeSetBatch:
-    """Brute-force both activation sets per trial, with per-set SINR."""
+    """Brute-force signal amplitudes over both activation sets per trial."""
     return oracle_pass(sc, n, master_seed, block_size, k2_trials=n)[1]
 
 

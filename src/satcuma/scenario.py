@@ -68,10 +68,21 @@ class ScenarioError(ValueError):
     """Invalid scenario configuration; the message names the offending field."""
 
 
+def is_number(v) -> bool:
+    """Whether v is an int or a float (bools are not) that float() takes: an
+    int too large for a float is not."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        float(v)
+    except OverflowError:
+        return False
+    return True
+
+
 def is_integral(v) -> bool:
-    """Whether v is an int, or a float with an integral value (bools are not)."""
-    return isinstance(v, int) and not isinstance(v, bool) or \
-        isinstance(v, float) and v.is_integer()
+    """Whether v is a number, as is_number says, with an integral value."""
+    return is_number(v) and float(v).is_integer()
 
 
 def db_to_linear(value_db: float) -> float:
@@ -96,8 +107,10 @@ def path_loss_coeff(f_c: float, r: float) -> float:
 class AntennaConfig:
     """Fluid-antenna geometry: K ports spread over W wavelengths.
 
-    The port density mu = (K-1)/W is stored as an exact rational so the
-    evenness check (which gates the analytic compact forms) is exact.
+    The port density mu = (K-1)/W is stored as an exact rational, the mu
+    that `satcuma report` and the `satcuma validate` scenario label print
+    (5/2, not 2.5).  The evenness check that gates the analytic compact
+    forms reads K and W directly.
     """
 
     K: int
@@ -323,7 +336,7 @@ def build_scenario(source) -> Scenario:
     def _as_int(key):
         v = merged[key]
         if not is_integral(v):
-            raise ScenarioError(f"{key} must be an integer, got {v!r}")
+            raise ScenarioError(f"{key} must be an integer in the float range, got {v!r}")
         return int(v)
 
     def _as_float(key, v):

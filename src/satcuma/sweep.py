@@ -25,7 +25,7 @@ import numpy as np
 
 from . import benchmarks, distributions as dist, metrics, montecarlo as mc
 from .scenario import (SEED_BOUND, Scenario, ScenarioError, build_scenario,
-                       is_integral, table_default_config)
+                       is_integral, is_number, table_default_config)
 
 SWEEP_PARAMS = ("mu", "K", "U", "B", "gamma", "W", "psi_tilde")
 
@@ -457,28 +457,28 @@ def preset_sweeps(name: str, seed: int = 0, trials: int = 0,
 _SPEC_FIELDS = {f.name: typing.get_type_hints(SweepSpec)[f.name]
                 for f in dataclasses.fields(SweepSpec)
                 if f.default is not dataclasses.MISSING}
-_KIND_NAMES = {str: "a string or number", float: "a number", int: "an integer"}
+_KIND_NAMES = {str: "a string or a number in the float range",
+               float: "a number in the float range", int: "an integer in the float range"}
 
 
 def _spec_field(name: str, value):
     """value as the optional SweepSpec field name: a string field also takes
     a number as its text, an int field only an integral number.  A value of
-    the wrong type raises SweepSpecError naming the field."""
+    the wrong type, or an int too large for a float, raises SweepSpecError
+    naming the field."""
     kind = _SPEC_FIELDS[name]
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    ok = (number or isinstance(value, str)) if kind is str else \
-        number and (kind is float or float(value).is_integer())
+    ok = (is_number(value) or isinstance(value, str)) if kind is str else \
+        is_number(value) if kind is float else is_integral(value)
     if not ok:
         raise SweepSpecError(f"sweep field {name!r} must be {_KIND_NAMES[kind]}, "
                              f"got {value!r}")
     return kind(value)
 
 
-def _list_field(item: dict, name: str, element, what: str) -> tuple:
-    """A required list-valued sweep field, each element of type element."""
+def _list_field(item: dict, name: str, accept, what: str) -> tuple:
+    """A required list-valued sweep field, each element one that accept takes."""
     value = item[name]
-    if not (isinstance(value, list) and all(
-            isinstance(v, element) and not isinstance(v, bool) for v in value)):
+    if not (isinstance(value, list) and all(accept(v) for v in value)):
         raise SweepSpecError(f"sweep field {name!r} must be a list of {what}, got {value!r}")
     return tuple(value)
 
@@ -527,9 +527,11 @@ def load_sweep_file(path, seed: int = 0, trials: int = 0,
         optional = {"trials": trials, "seed": seed}
         optional.update((k, v) for k, v in item.items() if k in _SPEC_FIELDS)
         specs.append(SweepSpec(
-            param=item["param"], grid=_list_field(item, "grid", (int, float), "numbers"),
+            param=item["param"], grid=_list_field(item, "grid", is_number,
+                                                  "numbers in the float range"),
             base=dict(item["scenario"]),
-            metrics=_list_field(item, "metrics", str, "metric names"),
+            metrics=_list_field(item, "metrics", lambda v: isinstance(v, str),
+                                "metric names"),
             **{k: _spec_field(k, v) for k, v in optional.items()}))
     if overrides:
         specs = [_apply_overrides(s, overrides) for s in specs]

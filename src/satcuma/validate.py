@@ -128,8 +128,7 @@ def run_validation(sc: Scenario, n_trials: int, master_seed: int,
 
     # one brute-force pass; the negative-set amplitudes cover its first trials
     n_k2 = min(n_trials, NEGATIVE_SET_TRIALS)
-    batch, neg = mc.oracle_pass(sc, n_trials, master_seed, workers=workers,
-                                k2_trials=n_k2, k2_sinr=False)
+    batch, neg = mc.oracle_pass(sc, n_trials, master_seed, workers=workers, k2_trials=n_k2)
 
     # 1. compact-form equivalence on the first trials of the batch
     n_sub = min(n_trials, EQUIVALENCE_SUBSAMPLE)

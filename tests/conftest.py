@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from satcuma import build_scenario, table_default_config
@@ -25,6 +26,52 @@ def unit_scenario(K=9, W=2, U=5, gamma_snr=1e30, psi_u=math.pi / 3):
 
 
 BASE_NOISE = 1.381e-23 * 207.0 * 1e7  # noise power of the synthetic budget
+
+
+def naive_block(sc, psi):
+    """Straightforward full-cosine port sums, one interferer at a time: the
+    kernel's reference, kept as the unblocked array code it replaced."""
+    u, k, zeta, gamma = sc.users.U, sc.antenna.K, sc.users.zeta, sc.Gamma
+    ports = 2.0 * math.pi * np.arange(1, k) / sc.mu
+    cos0 = np.cos(psi[:, :1] + ports[None, :])
+    mask = cos0 > 0.0
+    amp = (cos0 * mask).sum(axis=1)
+    alpha = zeta[0] * amp ** 2
+    kbar = mask.sum(axis=1)
+    ys = np.empty((psi.shape[0], u - 1))
+    for j in range(1, u):
+        s = (np.cos(psi[:, j:j + 1] + ports[None, :]) * mask).sum(axis=1)
+        ys[:, j - 1] = zeta[j] * s ** 2
+    beta = ys.sum(axis=1)
+    denom = beta + kbar / (2.0 * gamma)
+    sinr = np.divide(alpha, denom, out=np.zeros_like(alpha), where=denom > 0.0)
+    return {"alpha": alpha, "ys": ys, "beta": beta, "sinr": sinr, "kbar": kbar}
+
+
+def naive_negative_set(sc, psi):
+    """Both activation sets from full cosines: the amplitudes the kernel
+    returns, and the per-set SINR that only criterion 9 needs (reference)."""
+    u, k, zeta, gamma = sc.users.U, sc.antenna.K, sc.users.zeta, sc.Gamma
+    ports = 2.0 * math.pi * np.arange(1, k) / sc.mu
+    cos0 = np.cos(psi[:, :1] + ports[None, :])
+    mpos = cos0 > 0.0
+    mneg = cos0 < 0.0
+    sp = (cos0 * mpos).sum(axis=1)
+    sn = (cos0 * mneg).sum(axis=1)
+    beta_p = np.zeros(psi.shape[0])
+    beta_n = np.zeros(psi.shape[0])
+    for j in range(1, u):
+        cj = np.cos(psi[:, j:j + 1] + ports[None, :])
+        beta_p += zeta[j] * (cj * mpos).sum(axis=1) ** 2
+        beta_n += zeta[j] * (cj * mneg).sum(axis=1) ** 2
+    den_p = beta_p + mpos.sum(axis=1) / (2.0 * gamma)
+    den_n = beta_n + mneg.sum(axis=1) / (2.0 * gamma)
+    ap = zeta[0] * sp ** 2
+    an = zeta[0] * sn ** 2
+    return {"amp_pos": math.sqrt(zeta[0]) * sp,
+            "amp_neg": math.sqrt(zeta[0]) * np.abs(sn),
+            "sinr_pos": np.divide(ap, den_p, out=np.zeros_like(ap), where=den_p > 0.0),
+            "sinr_neg": np.divide(an, den_n, out=np.zeros_like(an), where=den_n > 0.0)}
 
 
 @pytest.fixture

@@ -16,6 +16,9 @@ from satcuma.validate import run_validation
 from conftest import reference_scenario
 
 
+HUGE = 10 ** 400  # an integer too large for a float
+
+
 def run_cli(args):
     return main(list(args))
 
@@ -161,7 +164,14 @@ class TestCliExitCodes:
         ("gamma", {}, ["--set", "gamma=abc"]),
         ("metrics", {"metrics": "outage_exact"}, []),
         ("trials", {}, ["--set", "trials=1.5"]),
-    ], ids=["grid-int", "gamma-file", "gamma-set", "metrics-string", "trials-fraction"])
+        ("mrc_M", {}, ["--set", f"mrc_M={HUGE}"]),
+        ("gamma", {}, ["--set", f"gamma={HUGE}"]),
+        ("trials", {}, ["--set", f"trials={HUGE}"]),
+        ("gamma", {"gamma": HUGE}, []),
+        ("grid", {"grid": [2, HUGE]}, []),
+    ], ids=["grid-int", "gamma-file", "gamma-set", "metrics-string", "trials-fraction",
+            "mrc_M-huge-set", "gamma-huge-set", "trials-huge-set", "gamma-huge-file",
+            "grid-huge-entry"])
     def test_bad_sweep_field_is_usage_error_naming_it(self, tmp_path, capsys,
                                                       field, doc, sets):
         spec = tmp_path / "spec.json"
@@ -243,8 +253,11 @@ class TestCliExitCodes:
         (["report", "--set", "K=1e400"], "K"),
         (["report", "--set", "seed=-1"], "seed"),
         (["sweep", "--preset", "fig6", "--set", "seed=-1"], "sweep field 'seed'"),
+        (["report", "--set", f"K={HUGE}"], "K"),
+        (["report", "--set", f"W={HUGE}"], "W"),
+        (["report", "--set", f"U={HUGE}"], "U"),
     ], ids=["P-string", "B-null", "G-list", "distance-entry", "K-inf", "seed-key",
-            "sweep-seed-field"])
+            "sweep-seed-field", "K-huge", "W-huge", "U-huge"])
     def test_bad_scenario_value_is_usage_error_naming_it(self, capsys, monkeypatch,
                                                          tmp_path, argv, field):
         monkeypatch.chdir(tmp_path)

@@ -11,7 +11,7 @@ from satcuma.montecarlo import (empirical_cdf, empirical_outage, ks_distance,
                                 negative_set_trials, oracle_pass, run_trials,
                                 _block_plan, _chunk_rows, _draw_block)
 
-from conftest import reference_scenario
+from conftest import naive_block, naive_negative_set, reference_scenario
 
 
 class TestDeterminism:
@@ -134,64 +134,20 @@ class TestBlockPlan:
     def test_validate_pass_bit_identical_across_workers(self):
         sc = reference_scenario(K=61, W=3, U=20)
         args = (sc, 100000, 4)
-        kw = dict(k2_trials=100000, k2_sinr=False)
-        ref_batch, ref_neg = oracle_pass(*args, workers=1, **kw)
-        got_batch, got_neg = oracle_pass(*args, workers=2, **kw)
+        ref_batch, ref_neg = oracle_pass(*args, workers=1, k2_trials=100000)
+        got_batch, got_neg = oracle_pass(*args, workers=2, k2_trials=100000)
         for col in ("alpha", "ys", "beta", "sinr", "kbar"):
             assert np.array_equal(getattr(got_batch, col), getattr(ref_batch, col))
         for col in ("amp_pos", "amp_neg"):
             assert np.array_equal(getattr(got_neg, col), getattr(ref_neg, col))
-        assert got_neg.sinr_pos is None and got_neg.sinr_neg is None
 
 
-def _naive_block(sc, psi):
-    """Straightforward full-cosine port sums, one interferer at a time: the
-    kernel's reference, kept as the unblocked array code it replaced."""
-    u, k, zeta, gamma = sc.users.U, sc.antenna.K, sc.users.zeta, sc.Gamma
-    ports = 2.0 * math.pi * np.arange(1, k) / sc.mu
-    cos0 = np.cos(psi[:, :1] + ports[None, :])
-    mask = cos0 > 0.0
-    amp = (cos0 * mask).sum(axis=1)
-    alpha = zeta[0] * amp ** 2
-    kbar = mask.sum(axis=1)
-    ys = np.empty((psi.shape[0], u - 1))
-    for j in range(1, u):
-        s = (np.cos(psi[:, j:j + 1] + ports[None, :]) * mask).sum(axis=1)
-        ys[:, j - 1] = zeta[j] * s ** 2
-    beta = ys.sum(axis=1)
-    denom = beta + kbar / (2.0 * gamma)
-    sinr = np.divide(alpha, denom, out=np.zeros_like(alpha), where=denom > 0.0)
-    return {"alpha": alpha, "ys": ys, "beta": beta, "sinr": sinr, "kbar": kbar}
+_AMP_COLUMNS = ("amp_pos", "amp_neg")
 
 
-def _naive_negative_set(sc, psi):
-    """Both activation sets from full cosines, per-set SINR (reference)."""
-    u, k, zeta, gamma = sc.users.U, sc.antenna.K, sc.users.zeta, sc.Gamma
-    ports = 2.0 * math.pi * np.arange(1, k) / sc.mu
-    cos0 = np.cos(psi[:, :1] + ports[None, :])
-    mpos = cos0 > 0.0
-    mneg = cos0 < 0.0
-    sp = (cos0 * mpos).sum(axis=1)
-    sn = (cos0 * mneg).sum(axis=1)
-    beta_p = np.zeros(psi.shape[0])
-    beta_n = np.zeros(psi.shape[0])
-    for j in range(1, u):
-        cj = np.cos(psi[:, j:j + 1] + ports[None, :])
-        beta_p += zeta[j] * (cj * mpos).sum(axis=1) ** 2
-        beta_n += zeta[j] * (cj * mneg).sum(axis=1) ** 2
-    den_p = beta_p + mpos.sum(axis=1) / (2.0 * gamma)
-    den_n = beta_n + mneg.sum(axis=1) / (2.0 * gamma)
-    ap = zeta[0] * sp ** 2
-    an = zeta[0] * sn ** 2
-    return {"amp_pos": math.sqrt(zeta[0]) * sp,
-            "amp_neg": math.sqrt(zeta[0]) * np.abs(sn),
-            "sinr_pos": np.divide(ap, den_p, out=np.zeros_like(ap), where=den_p > 0.0),
-            "sinr_neg": np.divide(an, den_n, out=np.zeros_like(an), where=den_n > 0.0)}
-
-
-def _assert_columns_equal(obj, ref):
-    for name, want in ref.items():
-        got = getattr(obj, name)
+def _assert_columns_equal(obj, ref, names=None):
+    for name in names or ref:
+        got, want = getattr(obj, name), ref[name]
         assert got.shape == want.shape, name
         assert np.array_equal(got, want), name
 
@@ -210,7 +166,7 @@ class TestKernelBitIdentity:
     def test_trials_match_naive_reference(self, K, W, U):
         sc = reference_scenario(K=K, W=W, U=U)
         n = self.n_trials(K)
-        ref = _naive_block(sc, _draw_block(71, 0, n, U))
+        ref = naive_block(sc, _draw_block(71, 0, n, U))
         for kwargs in ({}, {"block_size": 977}, {"block_size": 977, "workers": 2}):
             _assert_columns_equal(run_trials(sc, n, 71, **kwargs), ref)
 
@@ -218,9 +174,9 @@ class TestKernelBitIdentity:
     def test_negative_set_matches_naive_reference(self, K, W, U):
         sc = reference_scenario(K=K, W=W, U=U)
         n = self.n_trials(K)
-        ref = _naive_negative_set(sc, _draw_block(73, 0, n, U))
+        ref = naive_negative_set(sc, _draw_block(73, 0, n, U))
         for block_size in (65536, 977):
-            _assert_columns_equal(negative_set_trials(sc, n, 73, block_size), ref)
+            _assert_columns_equal(negative_set_trials(sc, n, 73, block_size), ref, _AMP_COLUMNS)
 
     def test_one_pass_gives_both_batches(self):
         # the negative-set columns of a pass are those of its first trials
@@ -228,27 +184,24 @@ class TestKernelBitIdentity:
         n, n_k2 = self.n_trials(21), _chunk_rows(21) + 5
         psi = _draw_block(79, 0, n, 5)
         batch, neg = oracle_pass(sc, n, 79, block_size=977, workers=2, k2_trials=n_k2)
-        _assert_columns_equal(batch, _naive_block(sc, psi))
+        _assert_columns_equal(batch, naive_block(sc, psi))
         assert neg.n_trials == n_k2
-        _assert_columns_equal(neg, _naive_negative_set(sc, psi[:n_k2]))
+        _assert_columns_equal(neg, naive_negative_set(sc, psi[:n_k2]), _AMP_COLUMNS)
         assert oracle_pass(sc, n, 79)[1] is None
 
     @pytest.mark.parametrize("K,W,U", CASES)
     def test_amplitude_only_pass_is_bit_identical(self, K, W, U):
-        # the amplitudes come from the positive-set pass's desired-user
-        # cosines, and that pass's own columns are those of run_trials
+        # the amplitudes of the first n_k2 trials come from the positive-set
+        # pass's desired-user cosines, and that pass's own columns stay exact
         sc = reference_scenario(K=K, W=W, U=U)
         n, n_k2 = self.n_trials(K), _chunk_rows(K) + 5
-        full = negative_set_trials(sc, n_k2, 83)
-        ref = run_trials(sc, n, 83)
+        psi = _draw_block(83, 0, n, U)
+        ref, ref_neg = naive_block(sc, psi), naive_negative_set(sc, psi[:n_k2])
         for kwargs in ({}, {"block_size": 977}, {"block_size": 977, "workers": 2}):
-            batch, neg = oracle_pass(sc, n, 83, k2_trials=n_k2, k2_sinr=False, **kwargs)
+            batch, neg = oracle_pass(sc, n, 83, k2_trials=n_k2, **kwargs)
             assert neg.n_trials == n_k2
-            assert neg.sinr_pos is None and neg.sinr_neg is None
-            for name in ("amp_pos", "amp_neg"):
-                assert np.array_equal(getattr(neg, name), getattr(full, name)), name
-            for name in ("alpha", "ys", "beta", "sinr", "kbar"):
-                assert np.array_equal(getattr(batch, name), getattr(ref, name)), name
+            _assert_columns_equal(neg, ref_neg, _AMP_COLUMNS)
+            _assert_columns_equal(batch, ref)
 
 
 class TestTrialPhysics:
@@ -314,6 +267,11 @@ class TestTrialPhysics:
     def test_n_validation(self, table_scenario):
         with pytest.raises(ValueError):
             run_trials(table_scenario, 0, 1)
+
+    @pytest.mark.parametrize("block_size", [0, -5])
+    def test_block_size_validation(self, table_scenario, block_size):
+        with pytest.raises(ValueError, match="block_size"):
+            oracle_pass(table_scenario, 100, 1, block_size=block_size)
 
 
 class TestNegativeSet:
