@@ -176,6 +176,8 @@ def _bad_option(args):
         return f"--trials must be >= 0, got {args.trials}"
     if not 0 <= args.seed < SEED_BOUND:
         return f"--seed must be in [0, 2**128), got {args.seed}"
+    if args.workers < 1:
+        return f"--workers must be >= 1, got {args.workers}"
     if args.command == "validate" and args.trials == 1:
         # one sample has no spread: its signal-interference correlation is nan
         return ("--trials must be >= 2 for validate, which needs at least 2 trials "

@@ -9,7 +9,9 @@ Reproducibility contract: the phase stream is a counter-based generator
 (Philox) indexed by absolute draw position, with a fixed number of draws
 reserved per trial.  A batch is therefore bit-identical for a given
 (scenario, master_seed, n_trials) regardless of block size or worker count,
-and blocks can run in any order on any executor.
+and blocks can run in any order on any executor.  The kernel draws a
+block's phases one row chunk at a time from one stream; these are the same
+bits as one draw over the block.
 """
 
 from __future__ import annotations
@@ -31,15 +33,25 @@ def _stride(u: int) -> int:
     return ((u + _WORDS_PER_COUNTER - 1) // _WORDS_PER_COUNTER) * _WORDS_PER_COUNTER
 
 
+def _generator_at(master_seed: int, lo: int, u: int) -> np.random.Generator:
+    """The phase stream from the first draw of trial lo on."""
+    bitgen = np.random.Philox(key=master_seed)
+    bitgen.advance(lo * _stride(u) // _WORDS_PER_COUNTER)
+    return np.random.Generator(bitgen)
+
+
+def _phases(gen: np.random.Generator, raw: np.ndarray, u: int) -> np.ndarray:
+    """The next draws of gen in raw, a C-contiguous (trials, _stride(u))
+    buffer; its first u columns, made phases on (0, 2*pi) in place."""
+    psi = gen.random(out=raw)[:, :u]
+    psi[psi == 0.0] = 0.5 ** 53  # keep the open-interval support
+    psi *= 2.0 * math.pi
+    return psi
+
+
 def _draw_block(master_seed: int, lo: int, hi: int, u: int) -> np.ndarray:
     """Phases for trials [lo, hi), shape (hi-lo, u), uniform on (0, 2*pi)."""
-    stride = _stride(u)
-    bitgen = np.random.Philox(key=master_seed)
-    bitgen.advance(lo * stride // _WORDS_PER_COUNTER)
-    raw = np.random.Generator(bitgen).random((hi - lo) * stride)
-    raw = raw.reshape(hi - lo, stride)[:, :u]
-    raw[raw == 0.0] = 0.5 ** 53  # keep the open-interval support
-    return 2.0 * math.pi * raw
+    return _phases(_generator_at(master_seed, lo, u), np.empty((hi - lo, _stride(u))), u)
 
 
 # port-sum entries per buffer of a row chunk: a chunk's few buffers then stay
@@ -52,61 +64,59 @@ def _chunk_rows(k: int) -> int:
     return max(1, _CHUNK_ENTRIES // (k - 1))
 
 
-def _block_sums(args):
-    """Brute-force port sums for trials [lo, hi) (picklable worker).
+def _block_sums(cols, master_seed, lo, hi, u, k, mu, zeta, gamma, amps):
+    """Brute-force port sums for trials [lo, hi), written into cols.
 
-    Returns the columns of the positive-cosine (K1) activation set and, when
-    the block's amps flag is set, the signal amplitudes over the K1 set and
-    over the negative-cosine (K2) set, both from the desired user's cosines
-    of the K1 pass.  Rows are processed in chunks of _chunk_rows(k) through
-    preallocated buffers.  An interferer's cosines are evaluated only on the
-    activated ports; the other slots of the summed buffer keep the signed
-    zeros of the signal product, and a zero of either sign leaves a row sum
-    unchanged up to the sign of an all-zero sum, which squaring removes.
+    cols maps each column name to an array of the block's hi - lo rows: the
+    columns of the positive-cosine (K1) activation set and, when amps is
+    set, the signal amplitudes over the K1 set and over the negative-cosine
+    (K2) set, both from the desired user's cosines of the K1 pass.  Rows are
+    processed in chunks of _chunk_rows(k).  Each chunk draws its phases into
+    one reused buffer, continuing the block's Philox stream (the bits of one
+    draw over the block), so every scratch array holds one chunk.  An
+    interferer's cosines are evaluated only on the activated ports; the
+    other slots of the summed buffer keep the signed zeros of the signal
+    product, and a zero of either sign leaves a row sum unchanged up to the
+    sign of an all-zero sum, which squaring removes.
     """
-    (master_seed, lo, hi, u, k, mu, zeta, gamma, amps) = args
-    psi = _draw_block(master_seed, lo, hi, u)
     ports = 2.0 * math.pi * np.arange(1, k) / mu  # k-1 phase offsets, ports 2..K
+    col_alpha, col_ys, col_beta, col_sinr, col_kbar = (cols[name] for name in _K1_COLUMNS)
     m = hi - lo
-    amp = np.empty(m)
-    kbar = np.empty(m, dtype=np.int64)
-    ys = np.empty((m, u - 1))
-    if amps:
-        amp_n = np.empty(m)
     rows = min(m, _chunk_rows(k))
     phase = np.empty((rows, k - 1))
     cos = np.empty_like(phase)
     part = np.empty_like(phase)
     pos = np.empty(phase.shape, dtype=bool)
     neg = np.empty_like(pos)
+    gen, raw = _generator_at(master_seed, lo, u), np.empty((rows, _stride(u)))
     for c in range(0, m, rows):
         r = slice(c, min(c + rows, m))
         nr = r.stop - c
+        psi = _phases(gen, raw[:nr], u)
         ph, cs, pt, mp, mn = phase[:nr], cos[:nr], part[:nr], pos[:nr], neg[:nr]
-        np.add(psi[r, :1], ports, out=ph)
+        np.add(psi[:, :1], ports, out=ph)
         np.cos(ph, out=cs)
         np.greater(cs, 0.0, out=mp)
         if amps:
             # before the signal product, which must be the last write to pt:
             # the masked interferer cosines below keep its signed zeros
             np.less(cs, 0.0, out=mn)
-            amp_n[r] = np.multiply(cs, mn, out=pt).sum(axis=1)
-        amp[r] = np.multiply(cs, mp, out=pt).sum(axis=1)
-        kbar[r] = mp.sum(axis=1)
+            amp_n = np.multiply(cs, mn, out=pt).sum(axis=1)
+        amp = np.multiply(cs, mp, out=pt).sum(axis=1)
+        if amps:
+            cols["amp_pos"][r] = math.sqrt(zeta[0]) * amp
+            cols["amp_neg"][r] = math.sqrt(zeta[0]) * np.abs(amp_n)
+        kbar = col_kbar[r] = mp.sum(axis=1)
+        ys = col_ys[r]
         for j in range(1, u):
-            np.add(psi[r, j:j + 1], ports, out=ph)
+            np.add(psi[:, j:j + 1], ports, out=ph)
             s = np.cos(ph, out=pt, where=mp).sum(axis=1)
-            ys[r, j - 1] = zeta[j] * s ** 2
-    alpha = zeta[0] * amp ** 2
-    beta = ys.sum(axis=1)
-    denom = beta + kbar / (2.0 * gamma)
-    # an empty activation set collects nothing: SINR is zero, not 0/0
-    sinr = np.divide(alpha, denom, out=np.zeros_like(alpha), where=denom > 0.0)
-    out = {"alpha": alpha, "ys": ys, "beta": beta, "sinr": sinr, "kbar": kbar}
-    if amps:
-        out["amp_pos"] = math.sqrt(zeta[0]) * amp
-        out["amp_neg"] = math.sqrt(zeta[0]) * np.abs(amp_n)
-    return lo, out
+            ys[:, j - 1] = zeta[j] * s ** 2
+        alpha = col_alpha[r] = zeta[0] * amp ** 2
+        beta = col_beta[r] = ys.sum(axis=1)
+        denom = beta + kbar / (2.0 * gamma)
+        # an empty activation set collects nothing: SINR is zero, not 0/0
+        col_sinr[r] = np.divide(alpha, denom, out=np.zeros_like(alpha), where=denom > 0.0)
 
 
 @dataclass(frozen=True)
@@ -132,6 +142,22 @@ class NegativeSetBatch:
 
 _K1_COLUMNS = ("alpha", "ys", "beta", "sinr", "kbar")
 _K2_COLUMNS = ("amp_pos", "amp_neg")
+
+
+def _columns(n: int, u: int, n_k2: int) -> dict:
+    """Empty columns for n trials, the first n_k2 of them with amplitudes."""
+    cols = {"alpha": np.empty(n), "ys": np.empty((n, u - 1)), "beta": np.empty(n),
+            "sinr": np.empty(n), "kbar": np.empty(n, dtype=np.int64)}
+    cols.update((name, np.empty(n_k2)) for name in _K2_COLUMNS)
+    return cols
+
+
+def _block_columns(block):
+    """One block's columns, allocated and filled (picklable pool worker)."""
+    _, lo, hi, u, *_, amps = block
+    cols = _columns(hi - lo, u, hi - lo if amps else 0)
+    _block_sums(cols, *block)
+    return lo, cols
 
 
 def _block_plan(n: int, block_size: int, workers: int, n_k2: int):
@@ -163,40 +189,39 @@ def oracle_pass(sc: Scenario, n: int, master_seed: int, block_size: int = DEFAUL
     from the desired user's cosines that the positive-set pass computes
     anyway, at almost no extra cost.
 
-    One worker runs blocks of block_size trials in process.  More workers
-    share the trials out by _block_plan: min(workers, ceil(n / block_size))
-    processes get two blocks each of equal size (to within one trial, and
-    at most block_size), with one more cut at trial n_k2.  Every column is
-    independent of block_size and workers; blocks are seeded by absolute
-    trial index and gathered in index order.
+    One worker runs blocks of block_size trials in process and writes them
+    in place into the output columns, so the pass holds those columns and
+    one row chunk's scratch (about 1 MB), whatever U or block_size.  More
+    workers share the trials out by _block_plan: min(workers,
+    ceil(n / block_size)) processes get two blocks each of equal size (to
+    within one trial, and at most block_size), with one more cut at trial
+    n_k2; each worker fills and returns one block's columns at a time.
+    Every column is independent of block_size and workers; blocks are
+    seeded by absolute trial index and gathered in index order.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if block_size < 1:
         raise ValueError(f"block_size must be >= 1, got {block_size}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     u, k = sc.users.U, sc.antenna.K
     n_k2 = min(max(k2_trials, 0), n)
     edges, procs = _block_plan(n, block_size, workers, n_k2)
     blocks = [(master_seed, lo, hi, u, k, sc.mu, tuple(sc.users.zeta), sc.Gamma, hi <= n_k2)
               for lo, hi in zip(edges, edges[1:])]
 
-    cols = {"alpha": np.empty(n), "ys": np.empty((n, u - 1)), "beta": np.empty(n),
-            "sinr": np.empty(n), "kbar": np.empty(n, dtype=np.int64)}
-    cols.update((name, np.empty(n_k2)) for name in _K2_COLUMNS)
-
-    def _store(result):
-        lo, out = result
-        hi = lo + out["alpha"].shape[0]
-        for name in _K1_COLUMNS + (_K2_COLUMNS if hi <= n_k2 else ()):
-            cols[name][lo:hi] = out[name]
-
+    cols = _columns(n, u, n_k2)
     if procs == 1:
         for blk in blocks:
-            _store(_block_sums(blk))
+            lo, hi = blk[1], blk[2]
+            _block_sums({name: col[lo:hi] for name, col in cols.items()}, *blk)
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=procs) as pool:
-            for result in pool.map(_block_sums, blocks):
-                _store(result)
+            for lo, out in pool.map(_block_columns, blocks):
+                hi = lo + out["alpha"].shape[0]
+                for name, col in out.items():
+                    cols[name][lo:hi] = col
 
     batch = TrialBatch(n_trials=n, **{name: cols[name] for name in _K1_COLUMNS})
     neg = (NegativeSetBatch(n_trials=n_k2, **{name: cols[name] for name in _K2_COLUMNS})
@@ -244,8 +269,11 @@ def empirical_outage(batch: TrialBatch, gamma: float):
     """Outage estimate with its Wilson 95% interval: (p, lo, hi)."""
     if gamma <= 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
-    n = batch.n_trials
-    p = float((batch.sinr < gamma).mean())
+    return wilson_interval(float((batch.sinr < gamma).mean()), batch.n_trials)
+
+
+def wilson_interval(p: float, n: int):
+    """A proportion p of n trials with its Wilson 95% interval: (p, lo, hi)."""
     z = 1.959963984540054
     denom = 1.0 + z * z / n
     center = (p + z * z / (2 * n)) / denom

@@ -228,14 +228,17 @@ def _mc_zf(sc, spec, x, batch):
     return v, v, v
 
 
+def _mc_cdf(samples, spec, x):
+    p = float(mc.empirical_cdf(samples, [_gamma_at(spec, x)])[0])
+    return mc.wilson_interval(p, samples.size)
+
+
 def _mc_cdf_alpha(sc, spec, x, batch):
-    p = float(mc.empirical_cdf(batch.alpha, [_gamma_at(spec, x)])[0])
-    return p, p, p
+    return _mc_cdf(batch.alpha, spec, x)
 
 
 def _mc_cdf_y(sc, spec, x, batch):
-    p = float(mc.empirical_cdf(batch.ys[:, 0], [_gamma_at(spec, x)])[0])
-    return p, p, p
+    return _mc_cdf(batch.ys[:, 0], spec, x)
 
 
 METRIC_REGISTRY = {

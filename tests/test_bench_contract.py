@@ -79,25 +79,28 @@ def test_integrand_evals_count_each_panel_once():
     assert rec.counters["quadrature.integrand_evals"] == 22 * (3 + 2 * res.subdivisions)
 
 
-def test_figures_analytic_matches_reference(tmp_path):
-    # one untraced figures-analytic pass (all nine presets, analytic only),
-    # judged by the benchmark's own checker against program seed 0's reference
-    workloads, check = _perfbench("workloads"), _perfbench("check")
-    workload = workloads.FiguresAnalytic(0, str(tmp_path))
+def _assert_pass_matches_reference(workload):
+    # one untraced pass, judged by the benchmark's own checker against
+    # program seed 0's reference
+    check = _perfbench("check")
     workload.setup()
     _, outputs, _ = workload.run_pass(lambda name: contextlib.nullcontext())
     tally = check.check_outputs(workload.name, check.load_reference(workload.name, 0), outputs)
     assert tally.attempted > 0
     assert tally.failed == 0, tally.messages
+
+
+def test_figures_analytic_matches_reference(tmp_path):
+    # all nine presets, analytic only
+    _assert_pass_matches_reference(_perfbench("workloads").FiguresAnalytic(0, str(tmp_path)))
 
 
 def test_oracle_cli_matches_reference(tmp_path):
-    # one untraced oracle-cli pass (validate, report and a fig3 sweep with
-    # trials), judged against program seed 0's reference
-    workloads, check = _perfbench("workloads"), _perfbench("check")
-    workload = workloads.OracleCli(0, str(tmp_path))
-    workload.setup()
-    _, outputs, _ = workload.run_pass(lambda name: contextlib.nullcontext())
-    tally = check.check_outputs(workload.name, check.load_reference(workload.name, 0), outputs)
-    assert tally.attempted > 0
-    assert tally.failed == 0, tally.messages
+    # validate, report and a fig3 sweep with trials
+    _assert_pass_matches_reference(_perfbench("workloads").OracleCli(0, str(tmp_path)))
+
+
+def test_mc_kernel_matches_reference(tmp_path):
+    # run_trials in process on the three kernel sizes, each a whole number
+    # of default blocks
+    _assert_pass_matches_reference(_perfbench("workloads").McKernel(0, str(tmp_path)))

@@ -9,6 +9,7 @@ import pytest
 import satcuma.core
 from satcuma import metrics
 from satcuma.cli import _build_parser, _load_scenario, main
+from satcuma.montecarlo import wilson_interval
 from satcuma.sweep import (SweepSpec, SweepSpecError, load_sweep_file,
                            preset_sweeps, run_sweep)
 from satcuma.validate import run_validation
@@ -98,6 +99,16 @@ class TestSweepSpec:
         assert all(r["warnings"].startswith("metric-failure") for r in failed)
         good = [r for r in rows if r["metric"] == "outage_exact"]
         assert all(r["analytic"] is not None for r in good)
+
+    def test_cdf_rows_carry_wilson_interval(self):
+        # an empirical CDF value is a proportion of the trials, so its row
+        # carries the same Wilson 95% interval as an empirical outage
+        rows = run_sweep(preset_sweeps("fig6", seed=9, trials=2000))
+        assert {r["metric"] for r in rows} == {"cdf_alpha", "cdf_y"}
+        for row in rows:
+            p, lo, hi = row["mc_value"], row["mc_ci_low"], row["mc_ci_high"]
+            assert (p, lo, hi) == wilson_interval(p, 2000)
+            assert 0.0 <= lo < hi <= 1.0
 
     def test_presets_instantiate(self):
         for name in ("fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9",
@@ -219,8 +230,14 @@ class TestCliExitCodes:
         (["validate", "--seed", "-1"], "--seed"),
         (["sweep", "--preset", "fig6", "--seed", "-1"], "--seed"),
         (["report", "--seed", str(2 ** 128)], "--seed"),
+        (["sweep", "--preset", "fig3", "--trials", "100", "--workers", "0"], "--workers"),
+        (["sweep", "--preset", "fig3", "--trials", "100", "--workers", "-2"], "--workers"),
+        (["validate", "--trials", "1000", "--workers", "0"], "--workers"),
+        (["report", "--trials", "100", "--workers", "-1"], "--workers"),
     ], ids=["validate-trials", "report-trials", "gamma-negative", "gamma-nan",
-            "report-seed", "validate-seed", "sweep-seed", "seed-2**128"])
+            "report-seed", "validate-seed", "sweep-seed", "seed-2**128",
+            "sweep-workers-0", "sweep-workers-negative", "validate-workers-0",
+            "report-workers-negative"])
     def test_bad_option_value_is_usage_error_naming_it(self, capsys, argv, option):
         assert run_cli(argv) == 2
         err = capsys.readouterr().err

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -204,6 +205,23 @@ class TestKernelBitIdentity:
             _assert_columns_equal(batch, ref)
 
 
+class TestKernelMemory:
+    @pytest.mark.parametrize("K,W,U,n", [(61, 3, 20, 65536), (21, 2, 5, 4 * 65536)])
+    def test_scratch_is_chunk_sized(self, K, W, U, n):
+        # an in-process pass holds its output columns and one row chunk's
+        # scratch, however large U or the block
+        sc = reference_scenario(K=K, W=W, U=U)
+        tracemalloc.start()
+        try:
+            batch = run_trials(sc, n, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        columns = sum(getattr(batch, name).nbytes
+                      for name in ("alpha", "ys", "beta", "sinr", "kbar"))
+        assert peak - columns <= 4 * 2 ** 20
+
+
 class TestTrialPhysics:
     def test_matches_scalar_bruteforce(self, table_scenario):
         batch = run_trials(table_scenario, 64, 13)
@@ -272,6 +290,11 @@ class TestTrialPhysics:
     def test_block_size_validation(self, table_scenario, block_size):
         with pytest.raises(ValueError, match="block_size"):
             oracle_pass(table_scenario, 100, 1, block_size=block_size)
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_workers_validation(self, table_scenario, workers):
+        with pytest.raises(ValueError, match="workers"):
+            oracle_pass(table_scenario, 100, 1, workers=workers)
 
 
 class TestNegativeSet:
