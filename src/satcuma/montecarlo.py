@@ -273,9 +273,12 @@ def empirical_outage(batch: TrialBatch, gamma: float):
 
 
 def wilson_interval(p: float, n: int):
-    """A proportion p of n trials with its Wilson 95% interval: (p, lo, hi)."""
+    """A proportion p of n trials with its Wilson 95% interval: (p, lo, hi).
+
+    The bounds are clamped to [0, p] and [p, 1]: at p = 0 or 1 the interval
+    ends at p exactly, where roundoff would otherwise leave p just outside."""
     z = 1.959963984540054
     denom = 1.0 + z * z / n
     center = (p + z * z / (2 * n)) / denom
     half = z * math.sqrt(p * (1.0 - p) / n + z * z / (4.0 * n * n)) / denom
-    return p, max(center - half, 0.0), min(center + half, 1.0)
+    return p, min(max(center - half, 0.0), p), max(min(center + half, 1.0), p)

@@ -6,6 +6,10 @@ scenario, optionally adding Monte-Carlo counterparts with confidence
 intervals.  Presets encode the reference experiment configurations so each
 study is one command; every preset parameter can be overridden.
 
+METRIC_REGISTRY maps each metric to its (analytic, oracle) pair: analytic
+returns a metrics.MetricResult, oracle the Monte-Carlo (value, ci_low,
+ci_high), and either is None where the metric has no such form.
+
 Output rows are written in deterministic grid order with 12-significant-
 digit decimals, so files are byte-identical for identical spec + seed
 regardless of worker count.
@@ -122,102 +126,42 @@ def _t_of(spec: SweepSpec, sc: Scenario) -> float:
     return sc.t
 
 
-# --- metric evaluators ------------------------------------------------------
-# analytic: fn(sc, spec, x) -> (value | None, est_error, warnings)
-# monte-carlo: fn(sc, spec, x, batch) -> (value, ci_low, ci_high) | None
+# --- the metric table -------------------------------------------------------
+# METRIC_REGISTRY maps a metric name to its (analytic, oracle) pair.
+# analytic(sc, spec, x) returns the metrics.MetricResult behind the row's
+# analytic, est_error and warnings columns; oracle(sc, spec, x, batch) returns
+# (mc_value, mc_ci_low, mc_ci_high) from the grid point's TrialBatch.  Either
+# is None where the metric has no such form, and leaves its columns empty.
+# Entries look metrics up on their module at call time, so a wrapper
+# installed on the module attribute sees every call.
 
-def _m_outage_exact(sc, spec, x):
-    r = metrics.outage_exact(_gamma_at(spec, x), sc)
-    return r.value, r.est_error, r.warnings
-
-
-def _m_outage_compact(sc, spec, x):
-    r = metrics.outage_compact(_gamma_at(spec, x), sc)
-    return r.value, r.est_error, r.warnings
-
-
-def _m_mean_sinr(sc, spec, x):
-    return metrics.mean_sinr(sc), 0.0, sc.warnings
+def _closed(value, warnings=()) -> metrics.MetricResult:
+    """A closed form's value: exact, so its est_error is 0."""
+    return metrics.MetricResult(value=value, est_error=0.0, warnings=warnings)
 
 
-def _m_mean_snr(sc, spec, x):
-    return metrics.mean_snr(sc), 0.0, sc.warnings
+def _mean_ci(samples):
+    """A sample mean with its +-1.96 standard-error interval: (m, lo, hi)."""
+    m = float(samples.mean())
+    half = 1.96 * float(samples.std()) / math.sqrt(samples.size)
+    return m, m - half, m + half
 
 
-def _m_mean_snr_compact(sc, spec, x):
-    return metrics.mean_snr_compact(sc), 0.0, sc.warnings
-
-
-def _m_rate_exact(sc, spec, x):
-    r = metrics.ergodic_rate(sc, outage="exact")
-    return r.value, r.est_error, r.warnings
-
-
-def _m_rate_compact(sc, spec, x):
-    r = metrics.ergodic_rate(sc, outage="compact")
-    return r.value, r.est_error, r.warnings
-
-
-def _m_rate_ocuma(sc, spec, x):
-    r = benchmarks.ocuma_rate(sc)
-    return r.value, r.est_error, r.warnings
-
-
-def _m_mrc_mean_sinr(sc, spec, x):
-    return benchmarks.mrc_sinr(spec.mrc_M, sc.users.zeta, sc.Gamma), 0.0, ()
-
-
-def _m_mrc_mean_snr(sc, spec, x):
-    return benchmarks.mrc_mean_snr(spec.mrc_M, sc.zeta_u, sc.Gamma), 0.0, ()
-
-
-def _m_zf_mean_sinr(sc, spec, x):
-    return None, 0.0, ()  # Monte-Carlo only
-
-
-def _m_cdf_alpha(sc, spec, x):
-    v = dist.signal_cdf(_gamma_at(spec, x), sc.zeta_u, sc.mu, sc.V)
-    return float(v), 0.0, sc.warnings
-
-
-def _m_cdf_y(sc, spec, x):
-    zeta = sc.users.zeta[1] if sc.users.U > 1 else sc.zeta_u
-    v = dist.interference_cdf_per_user(_gamma_at(spec, x), zeta, sc.V)
-    return float(v), 0.0, sc.warnings
-
-
-def _m_signal_gain(sc, spec, x):
-    return benchmarks.cuma_signal_gain(sc.antenna.K), 0.0, ()
-
-
-def _m_interferer_gain(sc, spec, x):
-    _, gains = benchmarks.cuma_beamforming_gains(
-        sc.antenna.K, [float(x)], _t_of(spec, sc), sc.mu)
-    return gains[0], 0.0, sc.warnings
+def _mc_cdf(samples, spec, x):
+    p = float(mc.empirical_cdf(samples, [_gamma_at(spec, x)])[0])
+    return mc.wilson_interval(p, samples.size)
 
 
 def _mc_outage(sc, spec, x, batch):
     return mc.empirical_outage(batch, _gamma_at(spec, x))
 
 
-def _mc_mean_sinr(sc, spec, x, batch):
-    m = float(batch.sinr.mean())
-    half = 1.96 * float(batch.sinr.std()) / math.sqrt(batch.n_trials)
-    return m, m - half, m + half
-
-
-def _mc_mean_snr(sc, spec, x, batch):
-    snr = 2.0 * sc.Gamma * batch.alpha / np.maximum(batch.kbar, 1)
-    m = float(snr.mean())
-    half = 1.96 * float(snr.std()) / math.sqrt(batch.n_trials)
-    return m, m - half, m + half
+def _mc_snr(sc, spec, x, batch):
+    return _mean_ci(2.0 * sc.Gamma * batch.alpha / np.maximum(batch.kbar, 1))
 
 
 def _mc_rate(sc, spec, x, batch):
-    per = sc.users.U * sc.budget.B * np.log2(1.0 + batch.sinr)
-    m = float(per.mean())
-    half = 1.96 * float(per.std()) / math.sqrt(batch.n_trials)
-    return m, m - half, m + half
+    return _mean_ci(sc.users.U * sc.budget.B * np.log2(1.0 + batch.sinr))
 
 
 def _mc_zf(sc, spec, x, batch):
@@ -228,35 +172,46 @@ def _mc_zf(sc, spec, x, batch):
     return v, v, v
 
 
-def _mc_cdf(samples, spec, x):
-    p = float(mc.empirical_cdf(samples, [_gamma_at(spec, x)])[0])
-    return mc.wilson_interval(p, samples.size)
-
-
-def _mc_cdf_alpha(sc, spec, x, batch):
-    return _mc_cdf(batch.alpha, spec, x)
-
-
-def _mc_cdf_y(sc, spec, x, batch):
-    return _mc_cdf(batch.ys[:, 0], spec, x)
-
-
 METRIC_REGISTRY = {
-    "outage_exact": (_m_outage_exact, _mc_outage),
-    "outage_compact": (_m_outage_compact, _mc_outage),
-    "mean_sinr": (_m_mean_sinr, _mc_mean_sinr),
-    "mean_snr": (_m_mean_snr, _mc_mean_snr),
-    "mean_snr_compact": (_m_mean_snr_compact, _mc_mean_snr),
-    "rate_exact": (_m_rate_exact, _mc_rate),
-    "rate_compact": (_m_rate_compact, _mc_rate),
-    "rate_ocuma": (_m_rate_ocuma, None),
-    "mrc_mean_sinr": (_m_mrc_mean_sinr, None),
-    "mrc_mean_snr": (_m_mrc_mean_snr, None),
-    "zf_mean_sinr": (_m_zf_mean_sinr, _mc_zf),
-    "cdf_alpha": (_m_cdf_alpha, _mc_cdf_alpha),
-    "cdf_y": (_m_cdf_y, _mc_cdf_y),
-    "signal_gain": (_m_signal_gain, None),
-    "interferer_gain": (_m_interferer_gain, None),
+    "outage_exact": (
+        lambda sc, spec, x: metrics.outage_exact(_gamma_at(spec, x), sc), _mc_outage),
+    "outage_compact": (
+        lambda sc, spec, x: metrics.outage_compact(_gamma_at(spec, x), sc), _mc_outage),
+    "mean_sinr": (
+        lambda sc, spec, x: _closed(metrics.mean_sinr(sc), sc.warnings),
+        lambda sc, spec, x, batch: _mean_ci(batch.sinr)),
+    "mean_snr": (
+        lambda sc, spec, x: _closed(metrics.mean_snr(sc), sc.warnings), _mc_snr),
+    "mean_snr_compact": (
+        lambda sc, spec, x: _closed(metrics.mean_snr_compact(sc), sc.warnings), _mc_snr),
+    "rate_exact": (
+        lambda sc, spec, x: metrics.ergodic_rate(sc, outage="exact"), _mc_rate),
+    "rate_compact": (
+        lambda sc, spec, x: metrics.ergodic_rate(sc, outage="compact"), _mc_rate),
+    "rate_ocuma": (lambda sc, spec, x: benchmarks.ocuma_rate(sc), None),
+    "mrc_mean_sinr": (
+        lambda sc, spec, x: _closed(benchmarks.mrc_sinr(spec.mrc_M, sc.users.zeta, sc.Gamma)),
+        None),
+    "mrc_mean_snr": (
+        lambda sc, spec, x: _closed(benchmarks.mrc_mean_snr(spec.mrc_M, sc.zeta_u, sc.Gamma)),
+        None),
+    "zf_mean_sinr": (None, _mc_zf),  # Monte-Carlo only
+    "cdf_alpha": (
+        lambda sc, spec, x: _closed(
+            float(dist.signal_cdf(_gamma_at(spec, x), sc.zeta_u, sc.mu, sc.V)), sc.warnings),
+        lambda sc, spec, x, batch: _mc_cdf(batch.alpha, spec, x)),
+    # the first interferer's power, or the desired user's in a one-user scenario
+    "cdf_y": (
+        lambda sc, spec, x: _closed(float(dist.interference_cdf_per_user(
+            _gamma_at(spec, x), sc.users.zeta[1] if sc.users.U > 1 else sc.zeta_u,
+            sc.V)), sc.warnings),
+        lambda sc, spec, x, batch: _mc_cdf(batch.ys[:, 0], spec, x)),
+    "signal_gain": (
+        lambda sc, spec, x: _closed(benchmarks.cuma_signal_gain(sc.antenna.K)), None),
+    "interferer_gain": (
+        lambda sc, spec, x: _closed(benchmarks.cuma_beamforming_gains(
+            sc.antenna.K, [float(x)], _t_of(spec, sc), sc.mu)[1][0], sc.warnings),
+        None),
 }
 
 # the metrics that read the sweep field mrc_M
@@ -268,10 +223,8 @@ _MC_BATCH_METRICS = {name for name, (_, mc_fn) in METRIC_REGISTRY.items()
                      if mc_fn not in (None, _mc_zf)}
 
 
-def _eval_point(args):
-    """Evaluate all metrics of one grid point (picklable worker)."""
-    spec, idx = args
-    x = spec.grid[idx]
+def _eval_point(spec, x):
+    """The rows of one grid point, in metric order (picklable worker)."""
     rows = []
     sc = _scenario_at(spec, x)
     batch = None
@@ -283,37 +236,36 @@ def _eval_point(args):
                "metric": name, "analytic": None, "est_error": 0.0,
                "warnings": "", "mc_value": None, "mc_ci_low": None,
                "mc_ci_high": None}
-        try:
-            val, err, warns = analytic_fn(sc, spec, x)
-            row["analytic"] = val
-            row["est_error"] = err
-            row["warnings"] = ";".join(warns)
-        except Exception as exc:  # metric failure: warn on the row, keep going
-            row["warnings"] = f"metric-failure: {exc}"
+        if analytic_fn is not None:
+            try:
+                r = analytic_fn(sc, spec, x)
+                row["analytic"] = r.value
+                row["est_error"] = r.est_error
+                row["warnings"] = ";".join(r.warnings)
+            except Exception as exc:  # metric failure: warn on the row, keep going
+                row["warnings"] = f"metric-failure: {exc}"
         if spec.trials > 0 and mc_fn is not None:
             row["mc_value"], row["mc_ci_low"], row["mc_ci_high"] = mc_fn(sc, spec, x, batch)
         rows.append(row)
-    return idx, rows
+    return rows
 
 
 def run_sweep(specs, workers: int = 1) -> list:
-    """Evaluate sweeps; rows come back in (spec, grid, metric) order."""
+    """Evaluate sweeps; rows come back in (spec, grid, metric) order, as map
+    and the pool's map both yield results in grid order."""
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     all_rows = []
     for spec in specs:
-        jobs = [(spec, i) for i in range(len(spec.grid))]
-        results = {}
-        if workers <= 1 or len(jobs) == 1:
-            for job in jobs:
-                idx, rows = _eval_point(job)
-                results[idx] = rows
+        n = len(spec.grid)
+        if workers == 1 or n == 1:
+            points = list(map(_eval_point, [spec] * n, spec.grid))
         else:
             # a forked pool starts all max_workers processes at once
-            with concurrent.futures.ProcessPoolExecutor(
-                    max_workers=min(workers, len(jobs))) as pool:
-                for idx, rows in pool.map(_eval_point, jobs):
-                    results[idx] = rows
-        for i in range(len(spec.grid)):
-            all_rows.extend(results[i])
+            with concurrent.futures.ProcessPoolExecutor(max_workers=min(workers, n)) as pool:
+                points = list(pool.map(_eval_point, [spec] * n, spec.grid))
+        for rows in points:
+            all_rows.extend(rows)
     return all_rows
 
 

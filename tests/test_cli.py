@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,11 +8,12 @@ import numpy as np
 import pytest
 
 import satcuma.core
-from satcuma import metrics
+from satcuma import benchmarks, metrics
 from satcuma.cli import _build_parser, _load_scenario, main
-from satcuma.montecarlo import wilson_interval
-from satcuma.sweep import (SweepSpec, SweepSpecError, load_sweep_file,
-                           preset_sweeps, run_sweep)
+from satcuma.montecarlo import run_trials, wilson_interval
+from satcuma.scenario import build_scenario
+from satcuma.sweep import (METRIC_REGISTRY, SweepSpec, SweepSpecError, load_sweep_file,
+                           preset_sweeps, run_sweep, write_csv)
 from satcuma.validate import run_validation
 
 from conftest import reference_scenario
@@ -82,6 +84,11 @@ class TestSweepSpec:
         assert run_sweep([spec], workers=10 ** 6) == run_sweep([spec])
         assert started == [3]
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_worker_count_below_one_raises_naming_it(self, workers):
+        with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
+            run_sweep(preset_sweeps("fig11"), workers=workers)
+
     def test_metric_failure_warns_row_and_continues(self, monkeypatch):
         import satcuma.sweep as sweep_mod
 
@@ -151,6 +158,85 @@ class TestSweepSpec:
                                     "metrics": ["mean_snr"], "nope": 1}))
         with pytest.raises(SweepSpecError, match="unknown sweep fields"):
             load_sweep_file(str(path))
+
+
+class TestMetricTable:
+    NAMES = {"outage_exact", "outage_compact", "mean_sinr", "mean_snr",
+             "mean_snr_compact", "rate_exact", "rate_compact", "rate_ocuma",
+             "mrc_mean_sinr", "mrc_mean_snr", "zf_mean_sinr", "cdf_alpha", "cdf_y",
+             "signal_gain", "interferer_gain"}
+    # the metrics whose analytic value depends on the scenario's port density
+    SCENARIO_METRICS = {"outage_exact", "outage_compact", "mean_sinr", "mean_snr",
+                        "mean_snr_compact", "rate_exact", "rate_compact", "rate_ocuma",
+                        "cdf_alpha", "cdf_y", "interferer_gain"}
+
+    def test_registry_names(self):
+        assert set(METRIC_REGISTRY) == self.NAMES
+
+    def test_oracle_columns_recomputed_from_the_batch(self):
+        # a gamma sweep whose first threshold is inside the power CDFs'
+        # support and whose second is inside the SINR's: the rows of each
+        # metric hold its rule applied to the one run_trials batch
+        cfg = {"K": 21, "W": 2, "U": 3}
+        sc = build_scenario({**cfg, "seed": 6})
+        n = 2000
+        batch = run_trials(sc, n, 6)
+        g_power = 0.95 * sc.zeta_u / sc.V ** 2
+        spec = SweepSpec(param="gamma", grid=(g_power, 0.35), base=cfg,
+                         metrics=tuple(sorted(self.NAMES - {"interferer_gain"})),
+                         mrc_M=3, trials=n, seed=6)
+
+        def mean_rule(samples):
+            m = float(samples.mean())
+            half = 1.96 * float(samples.std()) / math.sqrt(n)
+            return m, m - half, m + half
+
+        def proportion(samples, g, strict):
+            hits = samples < g if strict else samples <= g
+            return wilson_interval(np.count_nonzero(hits) / n, n)
+
+        snr = 2.0 * sc.Gamma * batch.alpha / np.maximum(batch.kbar, 1)
+        rate = sc.users.U * sc.budget.B * np.log2(1.0 + batch.sinr)
+        mrc = benchmarks.mrc_sinr(3, sc.users.zeta, sc.Gamma)
+        rows = run_sweep([spec])
+        assert len(rows) == 2 * len(spec.metrics)
+        for row in rows:
+            g = row["value"]
+            expected = {
+                "outage_exact": proportion(batch.sinr, g, True),
+                "outage_compact": proportion(batch.sinr, g, True),
+                "cdf_alpha": proportion(batch.alpha, g, False),
+                "cdf_y": proportion(batch.ys[:, 0], g, False),
+                "mean_sinr": mean_rule(batch.sinr),
+                "mean_snr": mean_rule(snr),
+                "mean_snr_compact": mean_rule(snr),
+                "rate_exact": mean_rule(rate),
+                "rate_compact": mean_rule(rate),
+                "zf_mean_sinr": (mrc, mrc, mrc),
+            }.get(row["metric"], (None, None, None))
+            assert (row["mc_value"], row["mc_ci_low"], row["mc_ci_high"]) == expected, row
+        # each proportion is interior at the threshold chosen for it
+        interior = {(r["metric"], r["value"]) for r in rows
+                    if r["mc_value"] is not None and 0.0 < r["mc_value"] < 1.0}
+        assert {("cdf_alpha", g_power), ("cdf_y", g_power), ("outage_exact", 0.35),
+                ("outage_compact", 0.35)} <= interior
+
+    def test_odd_mu_flags_exactly_the_scenario_metrics(self):
+        spec = SweepSpec(param="psi_tilde", grid=(1.0,), base={"K": 11, "W": 2, "U": 3},
+                         metrics=tuple(sorted(self.NAMES)), mrc_M=3)
+        rows = run_sweep([spec])
+        assert not any(r["warnings"].startswith("metric-failure") for r in rows)
+        flagged = {r["metric"] for r in rows if "odd-mu" in r["warnings"].split(";")}
+        assert flagged == self.SCENARIO_METRICS
+
+    def test_monte_carlo_only_metric_leaves_analytic_empty(self, tmp_path):
+        spec = SweepSpec(param="mu", grid=(10,), base={"K": 21, "W": 2, "U": 3},
+                         metrics=("zf_mean_sinr",), mrc_M=3)
+        (row,) = run_sweep([spec])
+        assert (row["analytic"], row["est_error"], row["warnings"]) == (None, 0.0, "")
+        out = tmp_path / "zf.csv"
+        write_csv([row], out)
+        assert out.read_text().splitlines()[1].split(",")[4] == ""
 
 
 class TestCliExitCodes:

@@ -10,7 +10,8 @@ from satcuma.core import (PortSetKind, activated_set,
 from satcuma import montecarlo
 from satcuma.montecarlo import (empirical_cdf, empirical_outage, ks_distance,
                                 negative_set_trials, oracle_pass, run_trials,
-                                _block_plan, _chunk_rows, _draw_block)
+                                wilson_interval, _block_plan, _chunk_rows,
+                                _draw_block)
 
 from conftest import naive_block, naive_negative_set, reference_scenario
 
@@ -350,6 +351,18 @@ class TestEmpiricalTools:
         assert 0.0 <= lo <= p <= hi <= 1.0
         assert hi - lo < 0.01
         assert p == pytest.approx(float((batch.sinr < 0.35).mean()), abs=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 7, 2000])
+    def test_wilson_interval_ends_at_an_extreme_proportion(self, n):
+        # roundoff in centre - half left 1.08e-19 above p = 0 at n = 2000
+        assert wilson_interval(0.0, n)[:2] == (0.0, 0.0)
+        assert wilson_interval(1.0, n)[0::2] == (1.0, 1.0)
+
+    def test_wilson_interval_contains_every_proportion(self):
+        for n in range(1, 201):
+            for k in range(n + 1):
+                p, lo, hi = wilson_interval(k / n, n)
+                assert 0.0 <= lo <= p <= hi <= 1.0, (k, n)
 
     def test_outage_below_min_sample(self, table_scenario):
         batch = run_trials(table_scenario, 1000, 53)
