@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import ceil_t_mu
+from .core import cuma_signal_gain, window_phase
 from .metrics import MetricResult, ergodic_rate
 from .scenario import Scenario, UserField
 
@@ -40,28 +40,21 @@ def mrc_mean_snr(M: int, zeta_u: float, Gamma: float) -> float:
     return M * zeta_u * Gamma
 
 
-def cuma_signal_gain(K: int) -> float:
-    """Compact-regime beamforming gain 4(K-1)/pi^2 on the desired signal."""
-    return 4.0 * (K - 1) / math.pi ** 2
-
-
 def cuma_beamforming_gains(K: int, psi_tilde_list, t: float, mu: float):
     """Signal and per-interferer power gains in the compact regime.
 
     The interferer gain is the signal gain scaled by the phase-dependent
-    suppression sin^2(psi_tilde - pi/mu + (2*pi/mu)*ceil(t*mu)); it equals
-    the signal gain when the interferer phase aligns with the signal's.
+    suppression sin^2(window_phase(psi_tilde, t, mu)); it equals the signal
+    gain when the interferer phase aligns with the signal's.
     """
     g = cuma_signal_gain(K)
-    shift = -math.pi / mu + (2.0 * math.pi / mu) * ceil_t_mu(t, mu)
-    gains = tuple(g * math.sin(p + shift) ** 2 for p in psi_tilde_list)
+    gains = tuple(g * math.sin(window_phase(p, t, mu)) ** 2 for p in psi_tilde_list)
     return g, gains
 
 
 def interferer_suppression(psi_tilde: float, t: float, mu: float) -> float:
-    """Suppression factor delta = 1 - sin^2(psi_tilde - pi/mu + (2*pi/mu)*ceil(t*mu))."""
-    shift = -math.pi / mu + (2.0 * math.pi / mu) * ceil_t_mu(t, mu)
-    return 1.0 - math.sin(psi_tilde + shift) ** 2
+    """Suppression factor delta = 1 - sin^2(window_phase(psi_tilde, t, mu))."""
+    return 1.0 - math.sin(window_phase(psi_tilde, t, mu)) ** 2
 
 
 def min_ports_vs_mrc(M: int, Gamma: float, zeta_list, delta_list,
@@ -91,9 +84,9 @@ def min_ports_vs_mrc(M: int, Gamma: float, zeta_list, delta_list,
 
 
 def min_ports_noise_limited(M: int, epsilon: float, W: int) -> int:
-    """Worst case for the aggregator (interference phase-aligned with the
-    signal, delta = 1 with Gamma -> 0): K > max(ceil(pi^2 M/4), ceil(eps W)) + 1."""
-    return max(math.ceil(math.pi ** 2 * M / 4.0), math.ceil(epsilon * W)) + 2
+    """Worst case for the aggregator, min_ports_vs_mrc with Gamma -> 0:
+    K > max(ceil(pi^2 M/4), ceil(eps W)) + 1."""
+    return min_ports_vs_mrc(M, 0.0, [], [], epsilon, W)
 
 
 def min_ports_interference_limited(epsilon: float, W: int) -> int:

@@ -17,7 +17,7 @@ import argparse
 import json
 import sys
 
-from . import metrics, montecarlo as mc, validate as val
+from . import distributions as dist, metrics, montecarlo as mc, validate as val
 from .benchmarks import (cuma_signal_gain, min_ports_interference_limited,
                          min_ports_noise_limited)
 from .scenario import SEED_BOUND, Scenario, ScenarioError, build_scenario, load_config
@@ -135,7 +135,7 @@ def _cmd_report(args) -> int:
         f"nominal SNR Gamma        {sc.Gamma:.6g}",
         f"signal scaling V^2       {sc.V ** 2:.6g}",
         f"activated ports Kbar     {sc.Kbar:g}",
-        f"SINR supremum            {metrics.sinr_supremum(sc):.6g}",
+        f"SINR supremum            {dist.sinr_supremum(sc):.6g}",
     ]
     gammas = (0.05, 0.1, 0.2, 0.35, 0.5, 1.0)
     lines.append("-" * 60)

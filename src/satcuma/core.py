@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .scenario import AntennaConfig
+from .scenario import AntennaConfig, phase_offset
 
 
 class PortSetKind(enum.Enum):
@@ -67,11 +67,6 @@ def activated_set(psi_u: float, cfg: AntennaConfig, kind: PortSetKind) -> PortSe
     return PortSet(indices=tuple(int(k) for k in ks[mask]), kind=kind)
 
 
-def ceil_t_mu(t: float, mu: float) -> int:
-    """ceil(t*mu) for scalar t, the port-window index of the compact forms."""
-    return int(math.ceil(t * mu))
-
-
 def window_bounds(psi_u: float, mu) -> WindowBounds:
     """Single-wavelength window of positive-cosine ports.
 
@@ -84,8 +79,7 @@ def window_bounds(psi_u: float, mu) -> WindowBounds:
     mu = float(mu)
     if mu <= 0:
         raise ValueError(f"mu must be positive, got {mu}")
-    t = 0.75 - psi_u / (2.0 * math.pi)
-    a = t * mu
+    a = phase_offset(psi_u) * mu
     b = (1.25 - psi_u / (2.0 * math.pi)) * mu
     degenerate = (a == math.floor(a)) or (b == math.floor(b))
     k_low = int(math.ceil(a)) + 1
@@ -102,28 +96,35 @@ def signal_amplitude_bruteforce(psi_u: float, zeta_u: float, port_set: PortSet,
     return math.sqrt(zeta_u) * float(np.cos(port_phase(psi_u, ks, cfg.mu_float)).sum())
 
 
+def window_phase(psi_tilde, t, mu: float):
+    """Phase psi_tilde - pi/mu + (2*pi/mu)*ceil(t*mu) of the compact forms,
+    t the desired user's phase offset; scalars or arrays, which broadcast."""
+    return psi_tilde - math.pi / mu + (2.0 * math.pi / mu) * np.ceil(t * mu)
+
+
+def cuma_signal_gain(K: int) -> float:
+    """Compact-regime beamforming gain 4(K-1)/pi^2 on the desired signal."""
+    return 4.0 * (K - 1) / math.pi ** 2
+
+
 def signal_power_compact(psi_u, zeta_u, cfg: AntennaConfig):
     """Closed-form in-phase signal power of the positive-cosine port set.
 
-    zeta_u * cos^2(-2*pi*t - pi/mu + (2*pi/mu)*ceil(t*mu)) / V^2 with
-    t = 3/4 - psi_u/(2*pi) and V = sin(pi/mu)/W.  Exact for even integer mu.
+    zeta_u * cos^2(window_phase(-2*pi*t, t, mu)) / V^2 with t the phase
+    offset of psi_u and V = sin(pi/mu)/W.  Exact for even integer mu.
     Accepts scalars or NumPy arrays, which broadcast.
     """
-    mu = cfg.mu_float
-    t = 0.75 - np.asarray(psi_u) / (2.0 * math.pi)
-    x = -2.0 * math.pi * t - math.pi / mu + (2.0 * math.pi / mu) * np.ceil(t * mu)
-    return zeta_u * np.cos(x) ** 2 / cfg.V ** 2
+    t = phase_offset(np.asarray(psi_u))
+    return zeta_u * np.cos(window_phase(-2.0 * math.pi * t, t, cfg.mu_float)) ** 2 / cfg.V ** 2
 
 
 def interference_power_compact(psi_tilde, zeta_tilde, t, cfg: AntennaConfig):
-    """Closed-form per-interferer power collected on the desired user's set.
-
-    zeta * sin^2(psi_tilde - pi/mu + (2*pi/mu)*ceil(t*mu)) / V^2, where t is
-    the desired user's mapped phase.  Accepts scalars or NumPy arrays, which
+    """Closed-form per-interferer power collected on the desired user's set,
+    zeta * sin^2(window_phase(psi_tilde, t, mu)) / V^2, where t is the
+    desired user's phase offset.  Accepts scalars or NumPy arrays, which
     broadcast.
     """
-    mu = cfg.mu_float
-    x = np.asarray(psi_tilde) - math.pi / mu + (2.0 * math.pi / mu) * np.ceil(np.asarray(t) * mu)
+    x = window_phase(np.asarray(psi_tilde), np.asarray(t), cfg.mu_float)
     return zeta_tilde * np.sin(x) ** 2 / cfg.V ** 2
 
 

@@ -1,10 +1,12 @@
 """Analytic distributions of signal power, interference power and SINR.
 
-Closed-form densities and CDFs for the aggregated in-phase signal power,
-the per-interferer power, the truncated-Gaussian aggregate interference,
-and the resulting SINR (an integral form valid for any density, plus a
-closed form for the compact high-density regime).  Also the
-stochastic-dominance diagnostics comparing signal and interference.
+Closed-form densities and CDFs for the aggregated in-phase signal power
+and the per-interferer power (one arc law, _arc_pdf and _arc_cdf), the
+truncated-Gaussian aggregate interference, and the resulting SINR (an
+integral form valid for any density, plus a closed form for the compact
+high-density regime).  sinr_law holds the SINR law's constants, one record
+per scenario, which metrics reads too.  Also the stochastic-dominance
+diagnostics comparing signal and interference.
 
 Density conventions: evaluating outside the support returns 0 so plotting
 and quadrature can probe freely; the singular support endpoints return inf.
@@ -184,55 +186,48 @@ def interference_support(zeta: float, V: float) -> SupportInterval:
     return SupportInterval(lo=0.0, hi=zeta / V ** 2)
 
 
-def signal_pdf(alpha, zeta: float, mu: float, V: float):
-    """Density of the aggregated in-phase signal power.
-
-    (mu/2pi) * sqrt(V^2 / (zeta*alpha - V^2*alpha^2)) strictly inside the
-    support; 0 outside; inf at the endpoints.
-    """
-    alpha = np.asarray(alpha, dtype=float)
-    sup = signal_support(zeta, mu, V)
+def _arc_pdf(x, zeta: float, V: float, sup: SupportInterval, rate: float):
+    """Density rate * sqrt(V^2 / (zeta*x - V^2*x^2)) of (zeta/V^2) cos^2(theta),
+    theta of density rate, inside sup; 0 outside, inf at its endpoints."""
+    x = np.asarray(x, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        radicand = zeta * alpha - V ** 2 * alpha ** 2
-        dens = (mu / (2.0 * math.pi)) * np.sqrt(V ** 2 / radicand)
-    out = np.where((alpha > sup.lo) & (alpha < sup.hi), dens, 0.0)
-    out = np.where((alpha == sup.lo) | (alpha == sup.hi), np.inf, out)
+        dens = rate * np.sqrt(V ** 2 / (zeta * x - V ** 2 * x ** 2))
+    out = np.where((x > sup.lo) & (x < sup.hi), dens, 0.0)
+    out = np.where((x == sup.lo) | (x == sup.hi), np.inf, out)
     return out if out.ndim else float(out)
+
+
+def _arc_cdf(x, zeta: float, V: float, sup: SupportInterval, rate: float):
+    """CDF 1 - rate * arccos(2*V^2*x/zeta - 1) of the arc law of _arc_pdf;
+    clamps to {0, 1} outside sup."""
+    x = np.asarray(x, dtype=float)
+    arg = np.clip(2.0 * V ** 2 * x / zeta - 1.0, -1.0, 1.0)
+    cdf = 1.0 - rate * np.arccos(arg)
+    out = np.clip(np.where(x < sup.lo, 0.0, np.where(x > sup.hi, 1.0, cdf)), 0.0, 1.0)
+    return out if out.ndim else float(out)
+
+
+def signal_pdf(alpha, zeta: float, mu: float, V: float):
+    """Density (mu/2pi) * sqrt(V^2 / (zeta*alpha - V^2*alpha^2)) of the aggregated
+    in-phase signal power inside its support; 0 outside, inf at the endpoints."""
+    return _arc_pdf(alpha, zeta, V, signal_support(zeta, mu, V), mu / (2.0 * math.pi))
 
 
 def signal_cdf(alpha, zeta: float, mu: float, V: float):
     """CDF of the signal power; clamps to {0, 1} outside the support."""
-    alpha = np.asarray(alpha, dtype=float)
-    arg = np.clip(2.0 * V ** 2 * alpha / zeta - 1.0, -1.0, 1.0)
-    cdf = 1.0 - (mu / (2.0 * math.pi)) * np.arccos(arg)
-    sup = signal_support(zeta, mu, V)
-    out = np.clip(np.where(alpha < sup.lo, 0.0, np.where(alpha > sup.hi, 1.0, cdf)), 0.0, 1.0)
-    return out if out.ndim else float(out)
+    return _arc_cdf(alpha, zeta, V, signal_support(zeta, mu, V), mu / (2.0 * math.pi))
 
 
 def interference_cdf_per_user(Y, zeta: float, V: float):
-    """Per-interferer power CDF 1 - arccos(2*V^2*Y/zeta - 1)/pi.
-
-    Independent of the desired user's phase, which is what makes the signal
-    and interference powers independent.  Clamps to {0, 1} outside the
-    support.
-    """
-    Y = np.asarray(Y, dtype=float)
-    arg = np.clip(2.0 * V ** 2 * Y / zeta - 1.0, -1.0, 1.0)
-    out = np.where(Y < 0.0, 0.0, np.where(Y > zeta / V ** 2, 1.0,
-                                          1.0 - np.arccos(arg) / math.pi))
-    return out if out.ndim else float(out)
+    """Per-interferer power CDF 1 - arccos(2*V^2*Y/zeta - 1)/pi, clamped to
+    {0, 1} outside the support.  Independent of the desired user's phase,
+    which is what makes the signal and interference powers independent."""
+    return _arc_cdf(Y, zeta, V, interference_support(zeta, V), 1.0 / math.pi)
 
 
 def interference_pdf_per_user(y, zeta: float, V: float):
     """Per-interferer power density (1/pi) * sqrt(V^2/(zeta*y - V^2*y^2))."""
-    y = np.asarray(y, dtype=float)
-    sup = interference_support(zeta, V)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        dens = (1.0 / math.pi) * np.sqrt(V ** 2 / (zeta * y - V ** 2 * y ** 2))
-    out = np.where((y > sup.lo) & (y < sup.hi), dens, 0.0)
-    out = np.where((y == sup.lo) | (y == sup.hi), np.inf, out)
-    return out if out.ndim else float(out)
+    return _arc_pdf(y, zeta, V, interference_support(zeta, V), 1.0 / math.pi)
 
 
 def trunc_gauss_params(zeta_list, V: float) -> TruncGaussParams:
@@ -247,13 +242,34 @@ def trunc_gauss_params(zeta_list, V: float) -> TruncGaussParams:
     return TruncGaussParams(omega=omega, kappa=kappa)
 
 
+@dataclass(frozen=True)
+class SinrLaw:
+    """A scenario's SINR law: the desired user's zeta, V and mu, the mean
+    m = omega + n of interference plus noise, and the spread kappa,
+    truncation mass tm and parameters params of the aggregate interference."""
+
+    zeta: float
+    V: float
+    mu: float
+    m: float
+    kappa: float
+    tm: float
+    params: TruncGaussParams
+
+    def alpha(self, theta):
+        """Signal power (zeta/V^2) cos^2(theta) at the substitution angle theta."""
+        zeta, V = self.zeta, self.V
+        return zeta * np.cos(theta) ** 2 / V ** 2
+
+
 @functools.lru_cache(maxsize=64)
-def scenario_trunc_gauss(sc: Scenario) -> TruncGaussParams:
-    """The scenario's aggregate-interference parameters, built once per
-    scenario, so the truncation mass is evaluated once, not per call.
+def sinr_law(sc: Scenario) -> SinrLaw:
+    """The SINR law of a scenario with interferers, built once per scenario.
     Callers finish one scenario before they start the next, so a few
     entries catch every repeat; the bound keeps long runs from growing it."""
-    return trunc_gauss_params(sc.zeta_interferers, sc.V)
+    params = trunc_gauss_params(sc.zeta_interferers, sc.V)
+    return SinrLaw(zeta=sc.zeta_u, V=sc.V, mu=sc.mu, m=params.omega + sc.noise_term,
+                   kappa=params.kappa, tm=params.truncation_mass, params=params)
 
 
 def total_interference_pdf(beta, params: TruncGaussParams):
@@ -291,11 +307,9 @@ def sinr_pdf_exact(z, sc: Scenario, spec: QuadratureSpec = DEFAULT_SPEC):
         # degenerate interference: SINR is the rescaled signal power
         return signal_pdf(z * sc.noise_term, sc.zeta_u, sc.mu, sc.V) * sc.noise_term
 
-    params = scenario_trunc_gauss(sc)
-    zeta, V, mu = sc.zeta_u, sc.V, sc.mu
-    m = params.omega + sc.noise_term
-    kappa = params.kappa
-    scale = (mu / (2.0 * math.pi)) / (params.truncation_mass * math.sqrt(2.0 * math.pi) * kappa)
+    law = sinr_law(sc)
+    zeta, V, mu, m, kappa = law.zeta, law.V, law.mu, law.m, law.kappa
+    scale = (mu / (2.0 * math.pi)) / (law.tm * math.sqrt(2.0 * math.pi) * kappa)
     q = z * sc.noise_term * V ** 2 / zeta  # cos^2 threshold of the noise floor
     live = np.flatnonzero((z > 0) & (q < 1.0))
     out = np.zeros(z.size)
@@ -319,13 +333,11 @@ def sinr_pdf_compact(z, sc: Scenario):
     if sc.users.U == 1:
         raise ValueError("compact SINR density requires at least one interferer")
     z = np.asarray(z, dtype=float)
-    params = scenario_trunc_gauss(sc)
-    zeta, V = sc.zeta_u, sc.V
-    m = params.omega + sc.noise_term
-    kappa = params.kappa
+    law = sinr_law(sc)
+    zeta, V, m, kappa = law.zeta, law.V, law.m, law.kappa
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         expo = -((zeta / (z * V ** 2) - m) ** 2) / (2.0 * kappa ** 2)
-        scale = zeta / (params.truncation_mass * V ** 2) \
+        scale = zeta / (law.tm * V ** 2) \
             / (z ** 2 * math.sqrt(2.0 * math.pi) * kappa)
         # the exponential underflows long before 1/z^2 overflows; decide on
         # the exponent so the product can never become inf * 0
@@ -348,7 +360,7 @@ def sinr_cdf_compact_raw(z, sc: Scenario):
     z = np.asarray(z, dtype=float)
     if sc.users.U == 1:
         return np.where(z > sinr_supremum(sc), 1.0, 0.0)
-    params = scenario_trunc_gauss(sc)
+    params = sinr_law(sc).params
     with np.errstate(divide="ignore", invalid="ignore"):
         arg = (sc.zeta_u / (z * params.kappa * sc.V ** 2)
                - sc.noise_term / params.kappa - params.omega / params.kappa)

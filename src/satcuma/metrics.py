@@ -1,6 +1,6 @@
 """System-level performance metrics: outage probability, ergodic rate and
 mean SINR/SNR, built on the adaptive quadrature engine (the mean SNR is a
-closed form).
+closed form) and on the SINR law of distributions.sinr_law.
 
 Outage comes in two flavours.  The exact form integrates the signal-power
 density against the Gaussian interference CDF (a single smooth integral
@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import distributions as dist
+from .core import cuma_signal_gain
 from .distributions import sinr_supremum
 from .quadrature import QuadratureSpec, integrate
 from .scenario import Scenario
@@ -68,6 +69,11 @@ def mean_signal_power_closed(sc: Scenario) -> float:
     return (sc.zeta_u / (2.0 * sc.V ** 2)) * (1.0 + mu * math.sin(2.0 * math.pi / mu) / (2.0 * math.pi))
 
 
+def _flag_quad(warnings: tuple, converged: bool) -> tuple:
+    """warnings, plus the quadrature-limit flag when an integral did not converge."""
+    return warnings if converged else warnings + (WARN_QUAD_LIMIT,)
+
+
 def _clamp01(value: float, warnings: tuple) -> tuple:
     if value < 0.0 or value > 1.0:
         return min(max(value, 0.0), 1.0), warnings + (WARN_CLAMPED,)
@@ -86,10 +92,9 @@ def _z_breakpoints(sc: Scenario) -> tuple:
     zeta, V = sc.zeta_u, sc.V
     pts = [z_sup * math.cos(math.pi / sc.mu) ** 2]
     if sc.users.U > 1:
-        params = dist.scenario_trunc_gauss(sc)
-        m = params.omega + sc.noise_term
+        law = dist.sinr_law(sc)
         for j in (-8.0, -4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0, 8.0, 16.0):
-            bt = m + j * params.kappa
+            bt = law.m + j * law.kappa
             if bt > sc.noise_term:
                 pts.append(zeta / (V ** 2 * bt))
     return tuple(p for p in pts if 0.0 < p < z_sup)
@@ -133,19 +138,14 @@ def _outage(gammas, sc: Scenario, spec: QuadratureSpec = METRIC_SPEC):
         vals = np.asarray(dist.signal_cdf(gammas * sc.noise_term, sc.zeta_u, sc.mu, sc.V))
         return vals, np.zeros_like(vals), True
 
-    params = dist.scenario_trunc_gauss(sc)
-    zeta, V, mu = sc.zeta_u, sc.V, sc.mu
-    m = params.omega + sc.noise_term
-    kappa = params.kappa
-    tmass = params.truncation_mass
+    law = dist.sinr_law(sc)
 
     def integrand(theta):
-        alpha = zeta * np.cos(theta) ** 2 / V ** 2
-        return dist.std_normal_cdf((alpha / gammas[:, None] - m) / kappa)
+        return dist.std_normal_cdf((law.alpha(theta) / gammas[:, None] - law.m) / law.kappa)
 
-    res = integrate(integrand, 0.0, math.pi / mu, spec)
-    scale = mu / (math.pi * tmass)
-    return 1.0 / tmass - scale * res.value, scale * res.est_error, res.converged
+    res = integrate(integrand, 0.0, math.pi / law.mu, spec)
+    scale = law.mu / (math.pi * law.tm)
+    return 1.0 / law.tm - scale * res.value, scale * res.est_error, res.converged
 
 
 def outage_exact(gamma: float, sc: Scenario,
@@ -154,8 +154,7 @@ def outage_exact(gamma: float, sc: Scenario,
     if gamma <= 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
     vals, errs, converged = _outage([gamma], sc, spec)
-    warnings = sc.warnings if converged else sc.warnings + (WARN_QUAD_LIMIT,)
-    val, warnings = _clamp01(float(vals[0]), warnings)
+    val, warnings = _clamp01(float(vals[0]), _flag_quad(sc.warnings, converged))
     return MetricResult(value=val, est_error=float(errs[0]), warnings=warnings)
 
 
@@ -186,8 +185,7 @@ def outage_exact_double_integral(gamma: float, sc: Scenario,
     if gamma <= 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
     res = _sinr_density_integral(np.ones_like, sc, min(gamma, sinr_supremum(sc)), spec)
-    warnings = sc.warnings if res.converged else sc.warnings + (WARN_QUAD_LIMIT,)
-    val, warnings = _clamp01(res.value, warnings)
+    val, warnings = _clamp01(res.value, _flag_quad(sc.warnings, res.converged))
     return MetricResult(value=val, est_error=res.est_error, warnings=warnings)
 
 
@@ -211,9 +209,8 @@ def ergodic_rate(sc: Scenario, outage: str = "exact",
     """
     if outage not in ("exact", "compact"):
         raise ValueError(f"outage must be 'exact' or 'compact', got {outage!r}")
-    warnings = sc.warnings
     U, B = sc.users.U, sc.budget.B
-
+    scale = U * B / math.log(2.0)
     if U == 1:
         dist.require_analytic_density(sc.mu)
         snr_peak = sinr_supremum(sc)
@@ -223,13 +220,9 @@ def ergodic_rate(sc: Scenario, outage: str = "exact",
             return np.log1p(snr_peak * np.cos(theta) ** 2)
 
         res = integrate(integrand, 0.0, math.pi / mu, spec)
-        if not res.converged:
-            warnings = warnings + (WARN_QUAD_LIMIT,)
+        value, est_error, converged = res.value, res.est_error, res.converged
         scale = B * mu / (math.pi * math.log(2.0))
-        return MetricResult(value=scale * res.value, est_error=scale * res.est_error,
-                            warnings=warnings)
-
-    if outage == "exact":
+    elif outage == "exact":
         value, est_error, converged = _rate_exact_nats(sc, spec)
     else:
         def integrand(y):
@@ -238,11 +231,8 @@ def ergodic_rate(sc: Scenario, outage: str = "exact",
         res = integrate(integrand, 0.0, sinr_supremum(sc), spec,
                         breakpoints=_z_breakpoints(sc))
         value, est_error, converged = res.value, res.est_error, res.converged
-    if not converged:
-        warnings = warnings + (WARN_QUAD_LIMIT,)
-    scale = U * B / math.log(2.0)
     return MetricResult(value=scale * value, est_error=scale * est_error,
-                        warnings=warnings)
+                        warnings=_flag_quad(sc.warnings, converged))
 
 
 def _theta_breakpoints(y: float, sc: Scenario) -> list:
@@ -250,11 +240,10 @@ def _theta_breakpoints(y: float, sc: Scenario) -> list:
     at one threshold y: the theta where x = -8 and x = 8.  Where the noise
     term dwarfs kappa, the Gaussian window of x is a sliver of [0, pi/mu]
     that panels seeded without them may never sample."""
-    params = dist.scenario_trunc_gauss(sc)
-    m = params.omega + sc.noise_term
+    law = dist.sinr_law(sc)
     pts = []
     for j in (-8.0, 8.0):
-        c2 = y * (m + j * params.kappa) * sc.V ** 2 / sc.zeta_u  # cos^2(theta) at x = j
+        c2 = y * (law.m + j * law.kappa) * law.V ** 2 / law.zeta  # cos^2(theta) at x = j
         if 0.0 < c2 < 1.0:
             pts.append(math.acos(math.sqrt(c2)))
     return pts
@@ -265,22 +254,18 @@ def _outage_slope(y: float, sc: Scenario, spec: QuadratureSpec):
     threshold, from one integral.  With x = (alpha(theta)/y - m)/kappa,
     F' = (mu/(pi*tm)) * integral of phi(x) * alpha/(kappa*y^2) over theta.
     Returns (F, F', est_error of F, converged)."""
-    params = dist.scenario_trunc_gauss(sc)
-    zeta, V, mu = sc.zeta_u, sc.V, sc.mu
-    m = params.omega + sc.noise_term
-    kappa = params.kappa
-    tmass = params.truncation_mass
+    law = dist.sinr_law(sc)
 
     def integrand(theta):
-        alpha = zeta * np.cos(theta) ** 2 / V ** 2
-        x = (alpha / y - m) / kappa
+        alpha = law.alpha(theta)
+        x = (alpha / y - law.m) / law.kappa
         return np.array((dist.std_normal_cdf(x), np.exp(-0.5 * x * x) * alpha))
 
-    res = integrate(integrand, 0.0, math.pi / mu, spec,
+    res = integrate(integrand, 0.0, math.pi / law.mu, spec,
                     breakpoints=_theta_breakpoints(y, sc))
-    scale = mu / (math.pi * tmass)
-    f, slope = 1.0 / tmass - scale * res.value[0], scale * res.value[1]
-    return (float(f), float(slope) / (math.sqrt(2.0 * math.pi) * kappa * y * y),
+    scale = law.mu / (math.pi * law.tm)
+    f, slope = 1.0 / law.tm - scale * res.value[0], scale * res.value[1]
+    return (float(f), float(slope) / (math.sqrt(2.0 * math.pi) * law.kappa * y * y),
             float(scale * res.est_error[0]), res.converged)
 
 
@@ -357,16 +342,14 @@ def _rate_exact_nats(sc: Scenario, spec: QuadratureSpec):
     errors weighted by the outer rule) and the root term of _outage_root.
     """
     dist.require_analytic_density(sc.mu)
-    params = dist.scenario_trunc_gauss(sc)
-    zeta, V, mu = sc.zeta_u, sc.V, sc.mu
-    m = params.omega + sc.noise_term
-    kappa = params.kappa
+    law = dist.sinr_law(sc)
+    mu, m, kappa = law.mu, law.m, law.kappa
     y_c, f_c, root_err, converged = _outage_root(sc, spec)
     inner_err, inner_converged = 0.0, True
 
     def outer(theta):
         nonlocal inner_err, inner_converged
-        alpha = zeta * np.cos(theta) ** 2 / V ** 2
+        alpha = law.alpha(theta)
         x_c = np.maximum((alpha / y_c - m) / kappa, -_S_MAX)
         width = np.maximum(_S_MAX - x_c, 0.0)
         out = np.empty(theta.size)
@@ -388,7 +371,7 @@ def _rate_exact_nats(sc: Scenario, spec: QuadratureSpec):
 
     res = integrate(outer, 0.0, math.pi / mu, spec,
                     breakpoints=_theta_breakpoints(y_c, sc))
-    scale = mu / (math.pi * params.truncation_mass * math.sqrt(2.0 * math.pi))
+    scale = mu / (math.pi * law.tm * math.sqrt(2.0 * math.pi))
     value = scale * res.value + math.log1p(y_c) * (1.0 - f_c)
     est_error = scale * (res.est_error + inner_err * math.pi / mu) + root_err
     return value, est_error, converged and res.converged and inner_converged
@@ -409,6 +392,6 @@ def mean_snr(sc: Scenario) -> float:
 
 
 def mean_snr_compact(sc: Scenario) -> float:
-    """Compact-regime mean SNR 4*Gamma*zeta_u*(K-1)/pi^2: the linear
-    beamforming-gain law in the port count."""
-    return 4.0 * sc.Gamma * sc.zeta_u * (sc.antenna.K - 1) / math.pi ** 2
+    """Compact-regime mean SNR Gamma*zeta_u times the beamforming gain
+    4(K-1)/pi^2 (core.cuma_signal_gain): linear in the port count."""
+    return sc.Gamma * sc.zeta_u * cuma_signal_gain(sc.antenna.K)

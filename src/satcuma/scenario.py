@@ -103,6 +103,11 @@ def path_loss_coeff(f_c: float, r: float) -> float:
     return (lam / (4.0 * math.pi * r)) ** 2
 
 
+def phase_offset(psi):
+    """Phase offset t = 3/4 - psi/(2*pi), in (-1/4, 3/4), of phases psi in (0, 2*pi)."""
+    return 0.75 - psi / (2.0 * math.pi)
+
+
 @dataclass(frozen=True)
 class AntennaConfig:
     """Fluid-antenna geometry: K ports spread over W wavelengths.
@@ -247,8 +252,8 @@ class Scenario:
 
     @property
     def t(self) -> float:
-        """Phase offset 3/4 - psi_u/(2*pi) of the desired user, in (-1/4, 3/4)."""
-        return 0.75 - self.users.psi[0] / (2.0 * math.pi)
+        """Phase offset of the desired user (phase_offset)."""
+        return phase_offset(self.users.psi[0])
 
     @property
     def Kbar(self) -> float:

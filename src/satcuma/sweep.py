@@ -29,7 +29,7 @@ import numpy as np
 
 from . import benchmarks, distributions as dist, metrics, montecarlo as mc
 from .scenario import (SEED_BOUND, Scenario, ScenarioError, build_scenario,
-                       is_integral, is_number, table_default_config)
+                       is_integral, is_number, phase_offset, table_default_config)
 
 SWEEP_PARAMS = ("mu", "K", "U", "B", "gamma", "W", "psi_tilde")
 
@@ -90,6 +90,14 @@ class SweepSpec:
                 k = v * w + 1
                 if not (math.isfinite(k) and abs(k - round(k)) <= 1e-9):
                     raise SweepSpecError(f"mu={v} with W={w:g} gives non-integer port count")
+        # thresholds: the outage metrics need them positive, the CDFs do not
+        outage = [m for m in self.metrics if m in ("outage_exact", "outage_compact")]
+        for name, values in (("grid", g), ("gamma", [self.gamma])):
+            if not all(math.isfinite(v) for v in values):
+                raise SweepSpecError(f"sweep field {name!r} must be finite, got {values!r}")
+            if outage and "gamma" in (name, self.param) and not min(values) > 0.0:
+                raise SweepSpecError(f"metric {outage[0]!r} needs sweep field {name!r} "
+                                     f"> 0, got {values!r}")
         mrc = [m for m in self.metrics if m in _MRC_METRICS]
         if mrc and self.mrc_M < 1:
             raise SweepSpecError(f"metric {mrc[0]!r} needs sweep field 'mrc_M' >= 1, "
@@ -118,12 +126,6 @@ def _scenario_at(spec: SweepSpec, value) -> Scenario:
 
 def _gamma_at(spec: SweepSpec, value) -> float:
     return float(value) if spec.param == "gamma" else spec.gamma
-
-
-def _t_of(spec: SweepSpec, sc: Scenario) -> float:
-    if spec.psi_u > 0.0:
-        return 0.75 - spec.psi_u / (2.0 * math.pi)
-    return sc.t
 
 
 # --- the metric table -------------------------------------------------------
@@ -200,17 +202,20 @@ METRIC_REGISTRY = {
         lambda sc, spec, x: _closed(
             float(dist.signal_cdf(_gamma_at(spec, x), sc.zeta_u, sc.mu, sc.V)), sc.warnings),
         lambda sc, spec, x, batch: _mc_cdf(batch.alpha, spec, x)),
-    # the first interferer's power, or the desired user's in a one-user scenario
+    # the first interferer's power, or the desired user's in a one-user
+    # scenario, whose batch has no interferer column: no Monte-Carlo there
     "cdf_y": (
         lambda sc, spec, x: _closed(float(dist.interference_cdf_per_user(
             _gamma_at(spec, x), sc.users.zeta[1] if sc.users.U > 1 else sc.zeta_u,
             sc.V)), sc.warnings),
-        lambda sc, spec, x, batch: _mc_cdf(batch.ys[:, 0], spec, x)),
+        lambda sc, spec, x, batch: _mc_cdf(batch.ys[:, 0], spec, x)
+        if sc.users.U > 1 else (None, None, None)),
     "signal_gain": (
         lambda sc, spec, x: _closed(benchmarks.cuma_signal_gain(sc.antenna.K)), None),
     "interferer_gain": (
         lambda sc, spec, x: _closed(benchmarks.cuma_beamforming_gains(
-            sc.antenna.K, [float(x)], _t_of(spec, sc), sc.mu)[1][0], sc.warnings),
+            sc.antenna.K, [float(x)], phase_offset(spec.psi_u) if spec.psi_u > 0.0 else sc.t,
+            sc.mu)[1][0], sc.warnings),
         None),
 }
 

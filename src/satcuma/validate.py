@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import core, distributions as dist, metrics, montecarlo as mc
-from .scenario import Scenario
+from .scenario import Scenario, phase_offset
 
 # fit tolerances as stated for n = 1e6 trials; below that, each check's
 # effective threshold is floored at its own sampling-noise level so that a
@@ -104,7 +104,7 @@ def _compact_equivalence(sc: Scenario, psi: np.ndarray, alpha: np.ndarray,
     zeta = np.asarray(sc.users.zeta)
     scale = zeta.max() / cfg.V ** 2
     a_comp = core.signal_power_compact(psi[:, 0], zeta[0], cfg)
-    t = 0.75 - psi[:, :1] / (2.0 * math.pi)
+    t = phase_offset(psi[:, :1])
     y_comp = core.interference_power_compact(psi[:, 1:], zeta[1:], t, cfg)
     dev = np.concatenate([
         (np.abs(a_comp - alpha) / np.maximum(alpha, scale)).ravel(),
@@ -138,7 +138,7 @@ def run_validation(sc: Scenario, n_trials: int, master_seed: int,
           "" if even else "odd density: compact forms only empirically valid")
 
     # 2. activated-port count
-    expect = (sc.antenna.K - 1) / 2.0
+    expect = sc.Kbar
     frac = float((batch.kbar == expect).mean()) if even else float(np.mean(batch.kbar) / expect)
     report.checks.append(CheckResult(
         name="activated-port-count", passed=(frac == 1.0) if even else True,
@@ -157,7 +157,7 @@ def run_validation(sc: Scenario, n_trials: int, master_seed: int,
               even)
 
         # 5. aggregate interference CLT fit
-        params = dist.scenario_trunc_gauss(sc)
+        params = dist.sinr_law(sc).params
         d_b = mc.ks_distance(batch.beta, lambda b: dist.total_interference_cdf(b, params))
         clt_regime = sc.users.U >= 20
         check("aggregate-interference-fit", d_b, _ks_floor(KS_AGGREGATE, n_trials),

@@ -31,7 +31,7 @@ from satcuma.benchmarks import (min_ports_interference_limited,
 from satcuma.core import interference_power_compact, signal_power_compact
 from satcuma.distributions import (interference_cdf_per_user,
                                    interference_pdf_per_user,
-                                   scenario_trunc_gauss, signal_cdf,
+                                   sinr_law, signal_cdf,
                                    signal_pdf, signal_support,
                                    sinr_cdf_compact, sinr_pdf_compact,
                                    sinr_pdf_exact, total_interference_cdf,
@@ -140,7 +140,7 @@ class TestCriterion3:
                               y, sc10.users.zeta[1], sc10.V))
         sc20u = reference_scenario(K=21, W=2, U=20)
         batch_u20 = run_trials(sc20u, 10 ** 6, 1003)
-        params = scenario_trunc_gauss(sc20u)
+        params = sinr_law(sc20u).params
         d_beta = ks_distance(batch_u20.beta,
                              lambda b: total_interference_cdf(b, params))
         sc4 = reference_scenario(K=9, W=2, U=5)
@@ -167,7 +167,7 @@ class TestCriterion3:
         sc10 = reference_scenario(K=21, W=2, U=5)
         d = ks_distance(batch_mu10_u5.sinr,
                         _sinr_cdf_callable(sc10, batch_mu10_u5.sinr))
-        params = scenario_trunc_gauss(sc10)
+        params = sinr_law(sc10).params
         d_beta = ks_distance(batch_mu10_u5.beta,
                              lambda b: total_interference_cdf(b, params))
         bound = d_beta + _KS_NOISE_MULT / math.sqrt(batch_mu10_u5.n_trials)
@@ -274,7 +274,7 @@ class TestCriterion5:
                       0.0, hi_y, limit=200)
         check("criterion-5 interference density normalizes", abs(n_y - 1) <= 1e-8,
               f"integral = {n_y:.10f} (tol 1e-8)")
-        params = scenario_trunc_gauss(sc)
+        params = sinr_law(sc).params
         n_b = integrate(lambda b: total_interference_pdf(b, params), 0.0,
                         params.omega + 14 * params.kappa,
                         breakpoints=(params.omega - 2 * params.kappa,

@@ -13,7 +13,7 @@ from satcuma.benchmarks import (cuma_beamforming_gains, cuma_signal_gain,
 from satcuma import benchmarks, sweep
 from satcuma.sweep import preset_sweeps, run_sweep
 from satcuma.metrics import ergodic_rate, mean_snr
-from satcuma.core import (PortSetKind, activated_set, ceil_t_mu, instant_sinr,
+from satcuma.core import (PortSetKind, activated_set, instant_sinr, window_phase,
                           signal_amplitude_bruteforce)
 
 from conftest import reference_scenario
@@ -57,7 +57,7 @@ class TestBeamformingGains:
     def test_nulling_phase(self):
         mu = 10.0
         t = 0.3
-        shift = -math.pi / mu + (2.0 * math.pi / mu) * ceil_t_mu(t, mu)
+        shift = window_phase(0.0, t, mu)
         psi_null = math.pi - shift
         _, gains = cuma_beamforming_gains(21, [psi_null], t, mu)
         assert gains[0] == pytest.approx(0.0, abs=1e-20)

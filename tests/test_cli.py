@@ -599,6 +599,82 @@ class TestReportCommand:
         assert "nominal SNR Gamma" in out.read_text()
 
 
+def _sweep_rows(tmp_path, doc, *args):
+    """Exit code and CSV rows of a sweep of the spec document doc."""
+    import csv
+    spec, out = tmp_path / "spec.json", tmp_path / "rows.csv"
+    spec.write_text(json.dumps(doc))
+    code = run_cli(["sweep", "--spec", str(spec), *args, "--out", str(out)])
+    if not out.exists():
+        return code, None
+    with open(out) as fh:
+        rows = list(csv.DictReader(fh))
+    out.unlink()
+    return code, rows
+
+
+class TestSweepThresholds:
+    GAMMA_SWEEP = {"param": "gamma", "scenario": {"K": 21, "W": 2, "U": 5}}
+    U_SWEEP = {"param": "U", "grid": [2], "scenario": {"K": 9, "W": 2, "U": 2},
+               "metrics": ["outage_exact"]}
+
+    @pytest.mark.parametrize("doc,args,field", [
+        ({**GAMMA_SWEEP, "grid": [0.1, math.nan], "metrics": ["outage_exact"]}, [], "grid"),
+        ({**GAMMA_SWEEP, "grid": [0.1, math.nan], "metrics": ["cdf_alpha"]}, [], "grid"),
+        ({**U_SWEEP, "gamma": math.inf}, [], "gamma"),
+        ({**U_SWEEP, "gamma": math.nan}, [], "gamma"),
+        ({**U_SWEEP, "metrics": ["cdf_y"], "gamma": -math.inf}, [], "gamma"),
+        ({**U_SWEEP, "metrics": ["outage_compact"]}, ["--set", "gamma=0"], "gamma"),
+        ({**GAMMA_SWEEP, "grid": [-0.1, 0.2], "metrics": ["outage_exact"]},
+         ["--trials", "100"], "grid"),
+        ({**GAMMA_SWEEP, "grid": [0.0, 0.2], "metrics": ["cdf_y", "outage_compact"]},
+         [], "grid"),
+    ], ids=["grid-nan-outage", "grid-nan-cdf", "gamma-inf", "gamma-nan", "gamma-minus-inf",
+            "gamma-zero-set", "grid-negative-trials", "grid-zero"])
+    def test_bad_threshold_is_usage_error_naming_it(self, tmp_path, capsys, doc, args,
+                                                    field):
+        assert _sweep_rows(tmp_path, doc, *args) == (2, None)
+        assert f"sweep field {field!r}" in capsys.readouterr().err
+
+    def test_preset_with_zero_gamma_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "fig3.csv"
+        assert run_cli(["sweep", "--preset", "fig3", "--set", "gamma=0",
+                        "--out", str(out)]) == 2
+        assert "sweep field 'gamma'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_power_cdfs_accept_thresholds_at_or_below_zero(self, tmp_path):
+        doc = {**self.GAMMA_SWEEP, "grid": [-0.1, 0.0, 0.2], "gamma": -1.0,
+               "metrics": ["cdf_alpha", "cdf_y"]}
+        code, rows = _sweep_rows(tmp_path, doc, "--trials", "100")
+        assert code == 0
+        low = [r for r in rows if float(r["value"]) <= 0.0]
+        assert len(low) == 4
+        assert all((r["analytic"], r["mc_value"], r["warnings"]) == ("0", "0", "")
+                   for r in low)
+
+
+class TestCdfYOneUser:
+    @pytest.mark.parametrize("doc", [
+        {"param": "mu", "grid": [10], "scenario": {"K": 21, "W": 2, "U": 1},
+         "metrics": ["cdf_y"]},
+        {"param": "U", "grid": [1, 2], "scenario": {"K": 21, "W": 2, "U": 5},
+         "metrics": ["cdf_y"]},
+    ], ids=["mu-sweep-U1", "U-sweep-1-2"])
+    def test_one_user_row_keeps_analytic_value_only(self, tmp_path, doc):
+        code, rows = _sweep_rows(tmp_path, doc, "--trials", "100")
+        assert code == 0 and len(rows) == len(doc["grid"])
+        _, analytic_rows = _sweep_rows(tmp_path, doc)
+        one, *more = rows
+        assert one["analytic"] == analytic_rows[0]["analytic"] != ""
+        assert (one["mc_value"], one["mc_ci_low"], one["mc_ci_high"]) == ("", "", "")
+        for row in more:
+            # the rows with interferers are those of a sweep over them alone
+            _, alone = _sweep_rows(tmp_path, {**doc, "grid": [int(row["value"])]},
+                                   "--trials", "100")
+            assert [row] == alone and row["mc_value"] != ""
+
+
 class TestWarningPropagation:
     def test_odd_density_rows_flagged(self, tmp_path):
         import csv

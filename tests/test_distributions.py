@@ -4,7 +4,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.special import erfc as scipy_erfc
 
@@ -17,7 +17,7 @@ from satcuma.distributions import (_MAXLOG, _Z_CHUNK, SupportInterval,
                                    signal_cdf,
                                    signal_pdf, signal_support, sinr_cdf_compact,
                                    sinr_pdf_compact, sinr_pdf_exact,
-                                   scenario_trunc_gauss, std_normal_cdf,
+                                   sinr_law, std_normal_cdf,
                                    total_interference_cdf,
                                    total_interference_pdf, trunc_gauss_params)
 from satcuma.metrics import _z_breakpoints, sinr_supremum
@@ -211,6 +211,31 @@ class TestInterferenceDistribution:
         for y in (4.5, 5.0, 6.0, 7.5):
             assert signal_pdf(y, 1.0, 4.0, V_MU4) == pytest.approx(
                 2.0 * interference_pdf_per_user(y, 1.0, V_MU4), rel=1e-12)
+
+    def test_density_singular_at_both_ends_and_zero_outside(self):
+        hi = 1.0 / V_MU4 ** 2
+        assert interference_support(1.0, V_MU4).hi == hi
+        assert interference_pdf_per_user(0.0, 1.0, V_MU4) == math.inf
+        assert interference_pdf_per_user(hi, 1.0, V_MU4) == math.inf
+        outside = np.array([-1.0, -1e-300, math.nextafter(hi, math.inf), 2.0 * hi, math.inf])
+        assert np.all(interference_pdf_per_user(outside, 1.0, V_MU4) == 0.0)
+        inside = np.array([1e-300, 0.5 * hi, math.nextafter(hi, 0.0)])
+        dens = interference_pdf_per_user(inside, 1.0, V_MU4)
+        assert np.all(np.isfinite(dens) & (dens > 0.0))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(frac=st.floats(1e-12, 1.0 - 1e-12), zeta=st.floats(1e-20, 1e3),
+           W=st.integers(1, 8))
+    def test_mu2_interferer_law_is_the_signal_law(self, frac, zeta, W):
+        # at mu = 2 the signal angle is uniform on [0, pi/2], as an
+        # interferer's is: strictly inside the support the two laws agree
+        V = math.sin(math.pi / 2.0) / W
+        sup = signal_support(zeta, 2.0, V)
+        y = sup.lo + frac * (sup.hi - sup.lo)
+        assume(sup.lo < y < sup.hi)
+        assert interference_pdf_per_user(y, zeta, V) == signal_pdf(y, zeta, 2.0, V)
+        f_sig = signal_cdf(y, zeta, 2.0, V)
+        assert abs(interference_cdf_per_user(y, zeta, V) - f_sig) <= 2.0 * math.ulp(f_sig)
 
 
 class TestTruncGauss:
@@ -437,7 +462,7 @@ class TestCdfProperties:
                   interference_cdf_per_user(xs * zeta / V ** 2, zeta, V),
                   sinr_cdf_compact(xs * sinr_supremum(sc), sc)]
         if U > 1:
-            p = scenario_trunc_gauss(sc)
+            p = sinr_law(sc).params
             curves.append(total_interference_cdf(xs * (p.omega + 8 * p.kappa), p))
         for cdf in curves:
             assert np.all((cdf >= 0.0) & (cdf <= 1.0))

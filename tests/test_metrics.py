@@ -9,7 +9,7 @@ from scipy.optimize import brentq
 from scipy.special import ndtr
 
 from satcuma import distributions as dist, metrics, run_trials
-from satcuma.distributions import scenario_trunc_gauss, signal_cdf, sinr_pdf_exact
+from satcuma.distributions import sinr_law, signal_cdf, sinr_pdf_exact
 from satcuma.metrics import (METRIC_SPEC, MetricResult, WARN_CLAMPED,
                              WARN_QUAD_LIMIT, _z_breakpoints,
                              ergodic_rate, mean_signal_power_closed, mean_sinr,
@@ -70,12 +70,12 @@ class TestOutageExact:
         build = dist.trunc_gauss_params
         monkeypatch.setattr(dist, "trunc_gauss_params",
                             lambda *args: calls.append(args) or build(*args))
-        dist.scenario_trunc_gauss.cache_clear()
+        dist.sinr_law.cache_clear()
         sc = reference_scenario(K=21, W=2, U=5)
         outage_exact(0.35, sc)
         outage_exact(0.8, sc)
         assert len(calls) == 1
-        assert scenario_trunc_gauss(sc) is scenario_trunc_gauss(sc)
+        assert sinr_law(sc) is sinr_law(sc)
 
     def test_vectorized_curve_matches_scalar(self, table_scenario):
         gammas = np.geomspace(0.05, 2.0, 40)
@@ -330,7 +330,7 @@ class TestHighPrecisionReference:
         # E_alpha[(1 - Phi((alpha/gamma - n - omega)/kappa))] / Phi(omega/kappa)
         sc = table_scenario
         lo, hi, mu = _mp_signal_support(sc)
-        p = scenario_trunc_gauss(sc)
+        p = sinr_law(sc).params
         m = mp.mpf(p.omega) + mp.mpf(sc.noise_term)
         kappa, g = mp.mpf(p.kappa), mp.mpf(gamma)
         tail = mp.quad(lambda a: _mp_signal_pdf(a, hi, mu)
@@ -345,7 +345,7 @@ def _scipy_exact_rate(sc):
     """The U > 1 exact rate evaluated independently: the unclamped outage F
     over theta by quad, its root y_c by brentq, then the paper's integral of
     (1 - F)/(1 + y) over [0, y_c], beyond which the clamped survival is 0."""
-    p = scenario_trunc_gauss(sc)
+    p = sinr_law(sc).params
     m, kappa, tm = p.omega + sc.noise_term, p.kappa, p.truncation_mass
     peak, mu = sc.zeta_u / sc.V ** 2, sc.mu
 
