@@ -80,7 +80,13 @@ def _load_scenario(args, overrides) -> Scenario:
     cfg = load_config(args.spec) if args.spec else dict(DEFAULT_SCENARIO)
     cfg.update(overrides)
     cfg.setdefault("seed", args.seed)
-    return build_scenario(cfg)
+    sc = build_scenario(cfg)
+    if sc.mu < 2.0:
+        # report and validate print closed forms, which need mu >= 2, on every line
+        raise ScenarioError(f"K and W: port density must be >= 2 for the closed forms, "
+                            f"got mu = (K-1)/W = {sc.antenna.mu} at K={sc.antenna.K}, "
+                            f"W={sc.antenna.W}")
+    return sc
 
 
 def _cmd_sweep(args) -> int:

@@ -187,11 +187,12 @@ def interference_support(zeta: float, V: float) -> SupportInterval:
 
 
 def _arc_pdf(x, zeta: float, V: float, sup: SupportInterval, rate: float):
-    """Density rate * sqrt(V^2 / (zeta*x - V^2*x^2)) of (zeta/V^2) cos^2(theta),
+    """Density rate * V / sqrt(zeta*x - V^2*x^2) of (zeta/V^2) cos^2(theta),
     theta of density rate, inside sup; 0 outside, inf at its endpoints."""
     x = np.asarray(x, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        dens = rate * np.sqrt(V ** 2 / (zeta * x - V ** 2 * x ** 2))
+        # the root taken as two factors: x*(zeta - V^2*x) underflows at subnormal x
+        dens = rate * V / (np.sqrt(x) * np.sqrt(zeta - V ** 2 * x))
     out = np.where((x > sup.lo) & (x < sup.hi), dens, 0.0)
     out = np.where((x == sup.lo) | (x == sup.hi), np.inf, out)
     return out if out.ndim else float(out)

@@ -353,6 +353,13 @@ def build_scenario(source) -> Scenario:
                 pass
         raise ScenarioError(f"{key} must be a number, got {v!r}")
 
+    def _positive(key, v):
+        """_as_float(key, v), which must not be <= 0."""
+        x = _as_float(key, v)
+        if x <= 0.0:
+            raise ScenarioError(f"{key} must be positive, got {v!r}")
+        return x
+
     K, W, U, seed = _as_int("K"), _as_int("W"), _as_int("U"), _as_int("seed")
     if not 0 <= seed < SEED_BOUND:
         raise ScenarioError(f"seed must be in [0, 2**128), got {seed}")
@@ -369,13 +376,16 @@ def build_scenario(source) -> Scenario:
         raise ScenarioError(f"{what} is {value} for {given}; it must be finite and positive")
 
     antenna = AntennaConfig(K=K, W=W)
+    if not antenna.V > 0.0:
+        raise ScenarioError(f"K and W: V must be positive, got {antenna.V:g} from "
+                            f"sin(pi/mu)/W at K={K}, W={W} (mu = {antenna.mu})")
     budget = LinkBudget(
-        P=_as_float("P_watts", merged["P_watts"]),
+        P=_positive("P_watts", merged["P_watts"]),
         G=_link("linear gain", ("G_dBi",),
                 lambda: db_to_linear(_as_float("G_dBi", merged["G_dBi"]))),
-        B=_as_float("B_hz", merged["B_hz"]),
-        T=_as_float("T_kelvin", merged["T_kelvin"]),
-        f_c=_as_float("f_c_hz", merged["f_c_hz"]),
+        B=_positive("B_hz", merged["B_hz"]),
+        T=_positive("T_kelvin", merged["T_kelvin"]),
+        f_c=_positive("f_c_hz", merged["f_c_hz"]),
     )
     _link("noise power", ("T_kelvin", "B_hz"), lambda: budget.noise_power)
 
@@ -383,9 +393,9 @@ def build_scenario(source) -> Scenario:
     if isinstance(dist, (list, tuple)):
         if len(dist) != U:
             raise ScenarioError(f"distance_m list must have U={U} entries, got {len(dist)}")
-        distances = [_as_float("distance_m", d) for d in dist]
+        distances = [_positive("distance_m", d) for d in dist]
     else:
-        distances = [_as_float("distance_m", dist)] * U
+        distances = [_positive("distance_m", dist)] * U
     zeta = tuple(_link("path-loss coefficient", ("f_c_hz", "distance_m"),
                        lambda: path_loss_coeff(budget.f_c, d)) for d in distances)
 

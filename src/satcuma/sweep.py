@@ -3,8 +3,8 @@
 A sweep evaluates a set of metrics over a grid of one swept parameter
 (mu, K, U, B, gamma, W, or an interferer phase) against a fixed base
 scenario, optionally adding Monte-Carlo counterparts with confidence
-intervals.  Presets encode the reference experiment configurations so each
-study is one command; every preset parameter can be overridden.
+intervals.  Presets are the reference experiment configurations, written as
+spec-file sweep documents, so each study is one command.
 
 METRIC_REGISTRY maps each metric to its (analytic, oracle) pair: analytic
 returns a metrics.MetricResult, oracle the Monte-Carlo (value, ci_low,
@@ -23,7 +23,7 @@ import dataclasses
 import json
 import math
 import typing
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,6 +79,9 @@ class SweepSpec:
         if not 0 <= self.seed < SEED_BOUND:
             raise SweepSpecError(f"sweep field 'seed' must be in [0, 2**128), "
                                  f"got {self.seed}")
+        if not (self.psi_u == 0.0 or 0.0 < self.psi_u < 2.0 * math.pi):
+            raise SweepSpecError(f"sweep field 'psi_u' must be 0 (the drawn phase) or in "
+                                 f"(0, 2*pi), got {self.psi_u}")
         if self.param == "mu":
             if "W" not in self.base:
                 raise SweepSpecError("a 'mu' sweep needs the scenario key 'W' (K = mu*W + 1)")
@@ -257,21 +260,20 @@ def _eval_point(spec, x):
 
 def run_sweep(specs, workers: int = 1) -> list:
     """Evaluate sweeps; rows come back in (spec, grid, metric) order, as map
-    and the pool's map both yield results in grid order."""
+    and the pool's map both yield results in input order.  Every grid point
+    of every sweep goes through one map, so a call starts at most one pool."""
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    all_rows = []
-    for spec in specs:
-        n = len(spec.grid)
-        if workers == 1 or n == 1:
-            points = list(map(_eval_point, [spec] * n, spec.grid))
-        else:
-            # a forked pool starts all max_workers processes at once
-            with concurrent.futures.ProcessPoolExecutor(max_workers=min(workers, n)) as pool:
-                points = list(pool.map(_eval_point, [spec] * n, spec.grid))
-        for rows in points:
-            all_rows.extend(rows)
-    return all_rows
+    spec_of = [spec for spec in specs for _ in spec.grid]
+    points = [x for spec in specs for x in spec.grid]
+    if workers == 1 or len(points) <= 1:
+        results = list(map(_eval_point, spec_of, points))
+    else:
+        # a forked pool starts all max_workers processes at once
+        with concurrent.futures.ProcessPoolExecutor(
+                max_workers=min(workers, len(points))) as pool:
+            results = list(pool.map(_eval_point, spec_of, points))
+    return [row for rows in results for row in rows]
 
 
 def _fmt(v) -> str:
@@ -302,91 +304,79 @@ def write_json(rows, path) -> None:
 
 
 # --- presets ----------------------------------------------------------------
+# A preset returns sweep documents in the spec-file schema (load_sweep_file),
+# so {"sweeps": PRESETS[name]()} run with --spec reproduces it.
 
-def _preset_fig3(seed, trials):
-    grid = tuple(range(2, 21))
-    return [SweepSpec(param="mu", grid=grid, base=table_default_config(21, 2, 5),
-                      metrics=("outage_exact", "outage_compact", "mean_sinr",
-                               "mrc_mean_sinr", "zf_mean_sinr"),
-                      series="W=2,U=5,gamma=0.35", gamma=0.35, mrc_M=15,
-                      trials=trials, seed=seed)]
-
-
-def _preset_fig4(seed, trials):
-    grid = tuple(range(9, 82, 8))
-    combos = [(2, 5), (4, 5), (2, 8)]
-    return [SweepSpec(param="K", grid=grid, base=table_default_config(9, w, u),
-                      metrics=("outage_exact", "mean_sinr"),
-                      series=f"W={w},U={u}", gamma=0.35, trials=trials, seed=seed)
-            for w, u in combos]
+def _preset_fig3():
+    return [{"param": "mu", "grid": list(range(2, 21)),
+             "scenario": table_default_config(21, 2, 5),
+             "metrics": ["outage_exact", "outage_compact", "mean_sinr", "mrc_mean_sinr",
+                         "zf_mean_sinr"],
+             "series": "W=2,U=5,gamma=0.35", "gamma": 0.35, "mrc_M": 15}]
 
 
-def _preset_fig5(seed, trials):
-    grid = tuple(range(2, 21, 2))
-    return [SweepSpec(param="U", grid=grid, base=table_default_config(m * 2 + 1, 2, 2),
-                      metrics=("outage_exact", "mean_sinr"),
-                      series=f"mu={m}", gamma=0.35, trials=trials, seed=seed)
+def _preset_fig4():
+    return [{"param": "K", "grid": list(range(9, 82, 8)),
+             "scenario": table_default_config(9, w, u),
+             "metrics": ["outage_exact", "mean_sinr"], "series": f"W={w},U={u}", "gamma": 0.35}
+            for w, u in [(2, 5), (4, 5), (2, 8)]]
+
+
+def _preset_fig5():
+    return [{"param": "U", "grid": list(range(2, 21, 2)),
+             "scenario": table_default_config(m * 2 + 1, 2, 2),
+             "metrics": ["outage_exact", "mean_sinr"], "series": f"mu={m}", "gamma": 0.35}
             for m in (5, 10)]
 
 
-def _preset_fig6(seed, trials):
-    specs = []
+def _preset_fig6():
+    docs = []
     for m in (4, 6):
         cfg = table_default_config(m * 2 + 1, 2, 2)
         sc = build_scenario(cfg)
         hi = sc.zeta_u / sc.V ** 2
-        grid = tuple(np.linspace(hi * 0.01, hi * 0.99, 50))
-        specs.append(SweepSpec(param="gamma", grid=grid, base=cfg,
-                               metrics=("cdf_alpha", "cdf_y"), series=f"mu={m}",
-                               trials=trials, seed=seed))
-    return specs
+        docs.append({"param": "gamma", "grid": np.linspace(hi * 0.01, hi * 0.99, 50).tolist(),
+                     "scenario": cfg, "metrics": ["cdf_alpha", "cdf_y"], "series": f"mu={m}"})
+    return docs
 
 
-def _preset_fig7(seed, trials):
-    grid = tuple(float(b) for b in np.geomspace(1e6, 1e8, 13))
-    return [SweepSpec(param="B", grid=grid, base=table_default_config(61, 3, u),
-                      metrics=("rate_exact", "mean_snr"),
-                      series=("O-CUMA" if u == 1 else f"N-CUMA,U={u}"),
-                      trials=trials, seed=seed)
+def _preset_fig7():
+    return [{"param": "B", "grid": np.geomspace(1e6, 1e8, 13).tolist(),
+             "scenario": table_default_config(61, 3, u), "metrics": ["rate_exact", "mean_snr"],
+             "series": "O-CUMA" if u == 1 else f"N-CUMA,U={u}"}
             for u in (1, 5, 20)]
 
 
-def _preset_fig8(seed, trials):
-    grid = tuple(range(4, 61, 6))
-    specs = []
-    for b in (1e7, 2e7):
-        for u in (1, 5, 20):
-            specs.append(SweepSpec(
-                param="mu", grid=grid, base=table_default_config(61, 3, u, B_hz=b),
-                metrics=("rate_exact", "mean_snr_compact"),
-                series=(("O-CUMA" if u == 1 else f"N-CUMA,U={u}") + f",B={b:g}"),
-                trials=trials, seed=seed))
-    return specs
+def _preset_fig8():
+    return [{"param": "mu", "grid": list(range(4, 61, 6)),
+             "scenario": table_default_config(61, 3, u, B_hz=b),
+             "metrics": ["rate_exact", "mean_snr_compact"],
+             "series": ("O-CUMA" if u == 1 else f"N-CUMA,U={u}") + f",B={b:g}"}
+            for b in (1e7, 2e7) for u in (1, 5, 20)]
 
 
-def _preset_fig9(seed, trials):
-    grid = tuple(range(1, 31, 3))
-    return [SweepSpec(param="U", grid=grid, base=table_default_config(m * 3 + 1, 3, 1),
-                      metrics=("rate_exact",), series=f"mu={m}",
-                      trials=trials, seed=seed)
+def _preset_fig9():
+    return [{"param": "U", "grid": list(range(1, 31, 3)),
+             "scenario": table_default_config(m * 3 + 1, 3, 1), "metrics": ["rate_exact"],
+             "series": f"mu={m}"}
             for m in (10, 50)]
 
 
-def _preset_fig10(seed, trials):
-    grid = (11, 16, 21, 26, 31, 36, 41, 43, 45, 46, 47, 49, 51, 56, 61,
-            81, 101, 121, 141, 161, 181, 201)
-    return [SweepSpec(param="K", grid=grid, base=table_default_config(11, 3, 1),
-                      metrics=("mean_snr", "mean_snr_compact", "mrc_mean_snr"),
-                      series=f"M={m}", mrc_M=m, trials=trials, seed=seed)
+def _preset_fig10():
+    grid = [11, 16, 21, 26, 31, 36, 41, 43, 45, 46, 47, 49, 51, 56, 61,
+            81, 101, 121, 141, 161, 181, 201]
+    return [{"param": "K", "grid": grid, "scenario": table_default_config(11, 3, 1),
+             "metrics": ["mean_snr", "mean_snr_compact", "mrc_mean_snr"],
+             "series": f"M={m}", "mrc_M": m}
             for m in (18, 3, 1)]
 
 
-def _preset_fig11(seed, trials):
-    grid = tuple(np.linspace(0.02, 2.0 * math.pi - 0.02, 64))
-    return [SweepSpec(param="psi_tilde", grid=grid, base=table_default_config(51, 5, 2),
-                      metrics=("interferer_gain", "signal_gain"),
-                      series="psi_u=pi,K=51,W=5", psi_u=math.pi,
-                      trials=trials, seed=seed)]
+def _preset_fig11():
+    return [{"param": "psi_tilde",
+             "grid": np.linspace(0.02, 2.0 * math.pi - 0.02, 64).tolist(),
+             "scenario": table_default_config(51, 5, 2),
+             "metrics": ["interferer_gain", "signal_gain"],
+             "series": "psi_u=pi,K=51,W=5", "psi_u": math.pi}]
 
 
 PRESETS = {
@@ -400,17 +390,6 @@ PRESETS = {
     "fig10": _preset_fig10,
     "fig11": _preset_fig11,
 }
-
-
-def preset_sweeps(name: str, seed: int = 0, trials: int = 0,
-                  overrides: dict | None = None) -> list:
-    """Instantiate a preset, applying config overrides to every sweep."""
-    if name not in PRESETS:
-        raise SweepSpecError(f"unknown preset {name!r}; available: {sorted(PRESETS)}")
-    specs = PRESETS[name](seed, trials)
-    if overrides:
-        specs = [_apply_overrides(s, overrides) for s in specs]
-    return specs
 
 
 # the optional SweepSpec fields (those with a default) and their types
@@ -443,38 +422,17 @@ def _list_field(item: dict, name: str, accept, what: str) -> tuple:
     return tuple(value)
 
 
-def _apply_overrides(spec: SweepSpec, overrides: dict) -> SweepSpec:
-    base = dict(spec.base)
-    kwargs = {}
-    for key, val in overrides.items():
-        if key in _SPEC_FIELDS:
-            kwargs[key] = _spec_field(key, val)
-        else:
-            base[key] = val  # scenario config key; validated at build time
-    return replace(spec, base=base, **kwargs)
-
-
-def load_sweep_file(path, seed: int = 0, trials: int = 0,
-                    overrides: dict | None = None) -> list:
-    """Load sweeps from a JSON spec document, applying config overrides to
-    every sweep as preset_sweeps does.
-
-    Either a single object or {"sweeps": [...]} with fields param, grid,
-    scenario, metrics and the optional SweepSpec fields.
-    """
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise SweepSpecError(f"cannot read sweep spec: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise SweepSpecError(f"sweep spec parse failure: {exc}") from exc
-    items = doc["sweeps"] if isinstance(doc, dict) and "sweeps" in doc else [doc]
+def _sweeps(items, seed: int, trials: int, overrides: dict | None) -> list:
+    """The SweepSpecs of sweep documents.  A sweep's seed and trials are the
+    command's, unless its document sets them; an override, a sweep field or
+    else a scenario key, wins over both."""
+    fields = {k: v for k, v in (overrides or {}).items() if k in _SPEC_FIELDS}
+    scenario = {k: v for k, v in (overrides or {}).items() if k not in fields}
+    required = ("param", "grid", "scenario", "metrics")
     specs = []
     for item in items:
         if not isinstance(item, dict):
             raise SweepSpecError("each sweep must be a JSON object")
-        required = ("param", "grid", "scenario", "metrics")
         unknown = set(item) - set(required) - set(_SPEC_FIELDS)
         if unknown:
             raise SweepSpecError(f"unknown sweep fields: {sorted(unknown)}")
@@ -486,13 +444,38 @@ def load_sweep_file(path, seed: int = 0, trials: int = 0,
                                  f"got {item['scenario']!r}")
         optional = {"trials": trials, "seed": seed}
         optional.update((k, v) for k, v in item.items() if k in _SPEC_FIELDS)
+        optional.update(fields)
         specs.append(SweepSpec(
             param=item["param"], grid=_list_field(item, "grid", is_number,
                                                   "numbers in the float range"),
-            base=dict(item["scenario"]),
+            base={**item["scenario"], **scenario},  # scenario keys are checked at build time
             metrics=_list_field(item, "metrics", lambda v: isinstance(v, str),
                                 "metric names"),
             **{k: _spec_field(k, v) for k, v in optional.items()}))
-    if overrides:
-        specs = [_apply_overrides(s, overrides) for s in specs]
     return specs
+
+
+def preset_sweeps(name: str, seed: int = 0, trials: int = 0,
+                  overrides: dict | None = None) -> list:
+    """A preset's sweeps, built as load_sweep_file builds a file's."""
+    if name not in PRESETS:
+        raise SweepSpecError(f"unknown preset {name!r}; available: {sorted(PRESETS)}")
+    return _sweeps(PRESETS[name](), seed, trials, overrides)
+
+
+def load_sweep_file(path, seed: int = 0, trials: int = 0,
+                    overrides: dict | None = None) -> list:
+    """Load sweeps from a JSON spec document: either a single sweep object or
+    {"sweeps": [...]}, each with fields param, grid, scenario, metrics and
+    any of the optional SweepSpec fields.  seed and trials fill in where a
+    sweep leaves them out, and config overrides apply to every sweep.
+    """
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        raise SweepSpecError(f"cannot read sweep spec: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise SweepSpecError(f"sweep spec parse failure: {exc}") from exc
+    items = doc["sweeps"] if isinstance(doc, dict) and "sweeps" in doc else [doc]
+    return _sweeps(items, seed, trials, overrides)

@@ -12,8 +12,8 @@ from satcuma import benchmarks, metrics
 from satcuma.cli import _build_parser, _load_scenario, main
 from satcuma.montecarlo import run_trials, wilson_interval
 from satcuma.scenario import build_scenario
-from satcuma.sweep import (METRIC_REGISTRY, SweepSpec, SweepSpecError, load_sweep_file,
-                           preset_sweeps, run_sweep, write_csv)
+from satcuma.sweep import (METRIC_REGISTRY, PRESETS, SweepSpec, SweepSpecError,
+                           load_sweep_file, preset_sweeps, run_sweep, write_csv)
 from satcuma.validate import run_validation
 
 from conftest import reference_scenario
@@ -24,6 +24,29 @@ HUGE = 10 ** 400  # an integer too large for a float
 
 def run_cli(args):
     return main(list(args))
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The max_workers of every process pool run_sweep starts; the pools run
+    their map in process."""
+    import satcuma.sweep as sweep_mod
+    started = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(sweep_mod.concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    return started
 
 
 class TestSweepSpec:
@@ -60,29 +83,20 @@ class TestSweepSpec:
         rows = run_sweep([spec])
         assert len(rows) == 3 * 2
 
-    def test_pool_bounded_by_grid_size(self, monkeypatch):
+    def test_pool_bounded_by_grid_size(self, pool_sizes):
         # a forked pool starts every process up front; a huge --workers must
         # not start more than there are grid points (recorded, run in process)
-        import satcuma.sweep as sweep_mod
-        started = []
-
-        class InlinePool:
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            map = staticmethod(map)
-
-        monkeypatch.setattr(sweep_mod.concurrent.futures, "ProcessPoolExecutor", InlinePool)
         spec = SweepSpec(param="mu", grid=(4, 6, 8), base={"K": 9, "W": 2, "U": 2},
                          metrics=("mean_snr",))
         assert run_sweep([spec], workers=10 ** 6) == run_sweep([spec])
-        assert started == [3]
+        assert pool_sizes == [3]
+
+    def test_one_pool_for_all_sweeps_of_a_call(self, pool_sizes):
+        # fig8's six sweeps share one pool, and rows keep (spec, grid, metric) order
+        specs = preset_sweeps("fig8")
+        rows = run_sweep(specs, workers=4)
+        assert pool_sizes == [4]
+        assert rows == run_sweep(specs)
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_worker_count_below_one_raises_naming_it(self, workers):
@@ -128,6 +142,16 @@ class TestSweepSpec:
     def test_unknown_preset(self):
         with pytest.raises(SweepSpecError, match="preset"):
             preset_sweeps("fig99")
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_preset_is_a_spec_file(self, tmp_path, name):
+        # a preset's sweep documents, written as a spec file, give its CSV byte for byte
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"sweeps": PRESETS[name]()}))
+        a, b = tmp_path / "preset.csv", tmp_path / "spec.csv"
+        assert run_cli(["sweep", "--preset", name, "--out", str(a)]) == 0
+        assert run_cli(["sweep", "--spec", str(path), "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
 
     def test_spec_file_round_trip(self, tmp_path):
         doc = {"param": "U", "grid": [2, 4], "scenario": {"K": 9, "W": 2, "U": 2},
@@ -359,8 +383,19 @@ class TestCliExitCodes:
         (["report", "--set", f"K={HUGE}"], "K"),
         (["report", "--set", f"W={HUGE}"], "W"),
         (["report", "--set", f"U={HUGE}"], "U"),
+        (["report", "--set", "P_watts=-1"], "P_watts"),
+        (["report", "--set", "B_hz=-1"], "B_hz"),
+        (["report", "--set", "T_kelvin=0"], "T_kelvin"),
+        (["report", "--set", "f_c_hz=-1"], "f_c_hz"),
+        (["report", "--set", "distance_m=-5"], "distance_m"),
+        (["report", "--set", "U=2", "--set", "distance_m=[1e6, -5]"], "distance_m"),
+        (["report", "--set", "K=2"], "K and W: V"),
+        (["report", "--set", "W=100"], "K and W: port density"),
+        (["validate", "--set", "K=3", "--trials", "100"], "K and W: port density"),
     ], ids=["P-string", "B-null", "G-list", "distance-entry", "K-inf", "seed-key",
-            "sweep-seed-field", "K-huge", "W-huge", "U-huge"])
+            "sweep-seed-field", "K-huge", "W-huge", "U-huge", "P-negative", "B-negative",
+            "T-zero", "f_c-negative", "distance-negative", "distance-entry-negative",
+            "V-negative", "report-mu-below-2", "validate-mu-below-2"])
     def test_bad_scenario_value_is_usage_error_naming_it(self, capsys, monkeypatch,
                                                          tmp_path, argv, field):
         monkeypatch.chdir(tmp_path)
@@ -385,9 +420,14 @@ class TestCliExitCodes:
         ({"metrics": ["interferer_gain"]}, "'psi_tilde' sweep"),
         ({"seed": -1}, "sweep field 'seed'"),
         ({"seed": 2 ** 128}, "sweep field 'seed'"),
+        ({"psi_u": -1}, "sweep field 'psi_u' must be 0"),
+        ({"psi_u": math.nan}, "sweep field 'psi_u' must be 0"),
+        ({"psi_u": 2.0 * math.pi}, "sweep field 'psi_u' must be 0"),
+        ({"psi_u": 7}, "sweep field 'psi_u' must be 0"),
     ], ids=["W-string", "W-numeric-string", "W-fraction", "W-bool", "mu-grid", "mu-inf",
             "zf-mrc_M", "mrc-sinr-mrc_M", "mrc-snr-mrc_M", "interferer-gain",
-            "seed-negative", "seed-2**128"])
+            "seed-negative", "seed-2**128", "psi_u-negative", "psi_u-nan", "psi_u-2pi",
+            "psi_u-7"])
     def test_bad_sweep_spec_is_usage_error_before_any_row(self, tmp_path, capsys,
                                                           monkeypatch, doc, message):
         import satcuma.sweep as sweep_mod
@@ -403,6 +443,16 @@ class TestCliExitCodes:
         assert run_cli(["sweep", "--spec", str(spec), "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert built == [] and not out.exists()
+
+    def test_psi_u_zero_draws_the_phase(self, tmp_path):
+        # psi_u = 0 and pi both run: 0 uses the scenario's drawn phase (about
+        # 1.91 at seed 1), pi is the preset's own
+        drawn, pi = tmp_path / "drawn.csv", tmp_path / "pi.csv"
+        assert run_cli(["sweep", "--preset", "fig11", "--seed", "1", "--set", "psi_u=0",
+                        "--out", str(drawn)]) == 0
+        assert run_cli(["sweep", "--preset", "fig11", "--seed", "1",
+                        "--set", f"psi_u={math.pi!r}", "--out", str(pi)]) == 0
+        assert drawn.read_bytes() != pi.read_bytes()
 
     def test_validate_single_trial_is_usage_error(self, capsys):
         # one sample has no spread: the independence check would read nan

@@ -223,6 +223,16 @@ class TestInterferenceDistribution:
         dens = interference_pdf_per_user(inside, 1.0, V_MU4)
         assert np.all(np.isfinite(dens) & (dens > 0.0))
 
+    @pytest.mark.parametrize("y", [5e-324, 1e-300])
+    def test_density_at_tiny_arguments_is_finite_without_warning(self, y):
+        # y*(zeta - V^2*y) underflows to 0 at a subnormal y, so the root is
+        # taken as sqrt(y)*sqrt(zeta - V^2*y); there zeta - V^2*y rounds to zeta
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dens = interference_pdf_per_user(y, 1.0, 0.5)
+            assert interference_pdf_per_user(-y, 1.0, 0.5) == 0.0
+        assert dens == pytest.approx(0.5 / (math.pi * math.sqrt(y)), rel=1e-15)
+
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(frac=st.floats(1e-12, 1.0 - 1e-12), zeta=st.floats(1e-20, 1e3),
            W=st.integers(1, 8))
