@@ -144,20 +144,40 @@ _K1_COLUMNS = ("alpha", "ys", "beta", "sinr", "kbar")
 _K2_COLUMNS = ("amp_pos", "amp_neg")
 
 
-def _columns(n: int, u: int, n_k2: int) -> dict:
-    """Empty columns for n trials, the first n_k2 of them with amplitudes."""
-    cols = {"alpha": np.empty(n), "ys": np.empty((n, u - 1)), "beta": np.empty(n),
-            "sinr": np.empty(n), "kbar": np.empty(n, dtype=np.int64)}
-    cols.update((name, np.empty(n_k2)) for name in _K2_COLUMNS)
+def _column_layout(n: int, u: int, n_k2: int):
+    """(name, shape, dtype) of each output column for n trials, the first
+    n_k2 of them with amplitudes."""
+    return (("alpha", (n,), np.float64), ("ys", (n, u - 1), np.float64),
+            ("beta", (n,), np.float64), ("sinr", (n,), np.float64),
+            ("kbar", (n,), np.int64), ("amp_pos", (n_k2,), np.float64),
+            ("amp_neg", (n_k2,), np.float64))
+
+
+def _shared_columns(layout) -> dict:
+    """The columns of layout as views of one anonymous shared mapping, so
+    that a forked worker's writes into them are the parent's columns."""
+    import mmap
+    nbytes = [math.prod(shape) * np.dtype(dtype).itemsize for _, shape, dtype in layout]
+    buf = mmap.mmap(-1, sum(nbytes))
+    cols, offset = {}, 0
+    for (name, shape, dtype), size in zip(layout, nbytes):
+        cols[name] = np.frombuffer(buf, dtype, math.prod(shape), offset).reshape(shape)
+        offset += size
     return cols
 
 
-def _block_columns(block):
-    """One block's columns, allocated and filled (picklable pool worker)."""
-    _, lo, hi, u, *_, amps = block
-    cols = _columns(hi - lo, u, hi - lo if amps else 0)
-    _block_sums(cols, *block)
-    return lo, cols
+_pool_columns = {}  # a pool worker's views of its pass's shared columns
+
+
+def _fill(cols: dict, block) -> None:
+    """Write one block's trials into its rows of a pass's columns."""
+    lo, hi = block[1], block[2]
+    _block_sums({name: col[lo:hi] for name, col in cols.items()}, *block)
+
+
+def _fill_shared(block) -> None:
+    """Pool worker: _fill on the columns its initializer put in _pool_columns."""
+    _fill(_pool_columns, block)
 
 
 def _block_plan(n: int, block_size: int, workers: int, n_k2: int):
@@ -166,8 +186,8 @@ def _block_plan(n: int, block_size: int, workers: int, n_k2: int):
     With w = min(workers, ceil(n / block_size)) processes, w > 1 gets 2w
     blocks whose sizes differ by at most one trial (or the least multiple
     of 2w that keeps every block within block_size), so no worker idles
-    while another finishes a short tail block, and each worker's results
-    reach the parent in two halves rather than all at once.  Otherwise
+    while another finishes a short tail block; the workers write the blocks
+    in place, so the split is for load balance only.  Otherwise
     (w = 1, run in process) the blocks hold block_size trials from trial 0.
     n_k2 is an edge of either plan.
     """
@@ -195,9 +215,11 @@ def oracle_pass(sc: Scenario, n: int, master_seed: int, block_size: int = DEFAUL
     workers share the trials out by _block_plan: min(workers,
     ceil(n / block_size)) processes get two blocks each of equal size (to
     within one trial, and at most block_size), with one more cut at trial
-    n_k2; each worker fills and returns one block's columns at a time.
-    Every column is independent of block_size and workers; blocks are
-    seeded by absolute trial index and gathered in index order.
+    n_k2, for load balance.  The columns then live in one anonymous shared
+    mapping that the workers inherit by fork (Linux, macOS), and each
+    worker writes its blocks in place there as the in-process path does:
+    no column passes through a pipe.  Every column is independent of
+    block_size and workers; blocks are seeded by absolute trial index.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -211,17 +233,18 @@ def oracle_pass(sc: Scenario, n: int, master_seed: int, block_size: int = DEFAUL
     blocks = [(master_seed, lo, hi, u, k, sc.mu, tuple(sc.users.zeta), sc.Gamma, hi <= n_k2)
               for lo, hi in zip(edges, edges[1:])]
 
-    cols = _columns(n, u, n_k2)
+    layout = _column_layout(n, u, n_k2)
     if procs == 1:
+        cols = {name: np.empty(shape, dtype) for name, shape, dtype in layout}
         for blk in blocks:
-            lo, hi = blk[1], blk[2]
-            _block_sums({name: col[lo:hi] for name, col in cols.items()}, *blk)
+            _fill(cols, blk)
     else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=procs) as pool:
-            for lo, out in pool.map(_block_columns, blocks):
-                hi = lo + out["alpha"].shape[0]
-                for name, col in out.items():
-                    cols[name][lo:hi] = col
+        import multiprocessing
+        cols = _shared_columns(layout)
+        with concurrent.futures.ProcessPoolExecutor(
+                max_workers=procs, mp_context=multiprocessing.get_context("fork"),
+                initializer=_pool_columns.update, initargs=(cols,)) as pool:
+            list(pool.map(_fill_shared, blocks))  # re-raises a worker's error
 
     batch = TrialBatch(n_trials=n, **{name: cols[name] for name in _K1_COLUMNS})
     neg = (NegativeSetBatch(n_trials=n_k2, **{name: cols[name] for name in _K2_COLUMNS})
@@ -234,7 +257,7 @@ def run_trials(sc: Scenario, n: int, master_seed: int,
     """Run n brute-force trials.
 
     The result is independent of block_size and workers; blocks are seeded
-    by absolute trial index and gathered in index order.
+    by absolute trial index and written at their own rows.
     """
     return oracle_pass(sc, n, master_seed, block_size, workers)[0]
 

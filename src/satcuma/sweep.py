@@ -478,4 +478,7 @@ def load_sweep_file(path, seed: int = 0, trials: int = 0,
     except json.JSONDecodeError as exc:
         raise SweepSpecError(f"sweep spec parse failure: {exc}") from exc
     items = doc["sweeps"] if isinstance(doc, dict) and "sweeps" in doc else [doc]
+    if not isinstance(items, list) or not items:
+        raise SweepSpecError(f"sweep spec field 'sweeps' must be a non-empty list "
+                             f"of sweep objects, got {items!r}")
     return _sweeps(items, seed, trials, overrides)

@@ -444,6 +444,19 @@ class TestCliExitCodes:
         assert message in capsys.readouterr().err
         assert built == [] and not out.exists()
 
+    @pytest.mark.parametrize("sweeps", [
+        5, None, [],
+        {"param": "U", "grid": [2], "scenario": {"K": 9, "W": 2, "U": 2},
+         "metrics": ["outage_exact"]},
+    ], ids=["int", "null", "empty-list", "object"])
+    def test_sweeps_must_be_a_non_empty_list(self, tmp_path, capsys, sweeps):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"sweeps": sweeps}))
+        out = tmp_path / "x.csv"
+        assert run_cli(["sweep", "--spec", str(spec), "--out", str(out)]) == 2
+        assert "error: sweep spec field 'sweeps' must be a non-empty list" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_psi_u_zero_draws_the_phase(self, tmp_path):
         # psi_u = 0 and pi both run: 0 uses the scenario's drawn phase (about
         # 1.91 at seed 1), pi is the preset's own

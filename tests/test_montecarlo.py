@@ -115,8 +115,9 @@ class TestBlockPlan:
         started = []
 
         class InlinePool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, mp_context, initializer, initargs):
                 started.append(max_workers)
+                initializer(*initargs)
 
             def __enter__(self):
                 return self
@@ -221,6 +222,19 @@ class TestKernelMemory:
         columns = sum(getattr(batch, name).nbytes
                       for name in ("alpha", "ys", "beta", "sinr", "kbar"))
         assert peak - columns <= 4 * 2 ** 20
+
+    def test_pooled_pass_sends_no_columns_to_the_parent(self):
+        # pool workers write the columns in place in shared memory, so the
+        # parent allocates none of the pass's 20 MB of columns itself
+        sc = reference_scenario(K=61, W=3, U=20)
+        tracemalloc.start()
+        try:
+            batch, neg = oracle_pass(sc, 100000, 3, workers=2, k2_trials=100000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert neg.n_trials == 100000
+        assert peak <= 4 * 2 ** 20
 
 
 class TestTrialPhysics:
