@@ -17,12 +17,12 @@ import argparse
 import json
 import sys
 
-from . import distributions as dist, metrics, montecarlo as mc, validate as val
+from . import distributions as dist, montecarlo as mc, validate as val
 from .benchmarks import (cuma_signal_gain, min_ports_interference_limited,
                          min_ports_noise_limited)
 from .scenario import SEED_BOUND, Scenario, ScenarioError, build_scenario, load_config
-from .sweep import (SweepSpecError, load_sweep_file, preset_sweeps, run_sweep,
-                    write_csv, write_json)
+from .sweep import (METRIC_REGISTRY, SweepSpec, SweepSpecError, load_sweep_file,
+                    preset_sweeps, run_sweep, write_csv, write_json)
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -101,10 +101,7 @@ def _cmd_sweep(args) -> int:
                                 overrides=overrides)
     rows = run_sweep(specs, workers=args.workers)
     out = args.out or f"{args.preset or 'sweep'}.{args.format}"
-    if args.format == "csv":
-        write_csv(rows, out)
-    else:
-        write_json(rows, out)
+    (write_csv if args.format == "csv" else write_json)(rows, out)
     failures = sum(1 for r in rows if str(r["warnings"]).startswith("metric-failure"))
     print(f"wrote {len(rows)} rows to {out}" +
           (f" ({failures} metric failures)" if failures else ""))
@@ -126,8 +123,16 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    overrides = _parse_set(args.set)
-    sc = _load_scenario(args, overrides)
+    sc = _load_scenario(args, _parse_set(args.set))
+    # metric lines are metric-table rows of sc, each followed by its flags
+    spec = SweepSpec(param="gamma", grid=(0.05, 0.1, 0.2, 0.35, 0.5, 1.0), base={},
+                     metrics=("outage_exact", "outage_compact"))
+
+    def row(text, *names, x=None):
+        results = [METRIC_REGISTRY[name][0](sc, spec, x) for name in names]
+        flags = ";".join(dict.fromkeys(w for r in results for w in r.warnings))
+        return text.format(*(r.value for r in results)) + (f"  {flags}" if flags else "")
+
     lines = [
         "scenario summary",
         "-" * 60,
@@ -142,32 +147,26 @@ def _cmd_report(args) -> int:
         f"signal scaling V^2       {sc.V ** 2:.6g}",
         f"activated ports Kbar     {sc.Kbar:g}",
         f"SINR supremum            {dist.sinr_supremum(sc):.6g}",
+        "-" * 60,
+        f"{'gamma':>8s} {'outage_exact':>14s} {'outage_compact':>15s}",
+        *(row(f"{g:8.3f} {{:14.6f}} {{:15.6f}}", *spec.metrics, x=g) for g in spec.grid),
+        "-" * 60,
+        row("mean SINR                {:.6g}", "mean_sinr"),
+        row("mean SNR                 {:.6g}", "mean_snr"),
+        row("ergodic rate (bits/s)    {:.6g}", "rate_exact"),
+        "-" * 60,
+        f"beamforming gain         {cuma_signal_gain(sc.antenna.K):.4g} "
+        f"(MRC needs that many antennas)",
+        f"ports to beat MRC(M=18)  {min_ports_noise_limited(18, 7.0, sc.antenna.W)}"
+        f" (noise-limited), "
+        f"{min_ports_interference_limited(7.0, sc.antenna.W)} (interference-limited)",
     ]
-    gammas = (0.05, 0.1, 0.2, 0.35, 0.5, 1.0)
-    lines.append("-" * 60)
-    lines.append(f"{'gamma':>8s} {'outage_exact':>14s} {'outage_compact':>15s}")
-    for g in gammas:
-        oe = metrics.outage_exact(g, sc).value
-        oc = metrics.outage_compact(g, sc).value
-        lines.append(f"{g:8.3f} {oe:14.6f} {oc:15.6f}")
-    lines.append("-" * 60)
-    lines.append(f"mean SINR                {metrics.mean_sinr(sc):.6g}")
-    lines.append(f"mean SNR                 {metrics.mean_snr(sc):.6g}")
-    rate = metrics.ergodic_rate(sc, outage="exact")
-    lines.append(f"ergodic rate (bits/s)    {rate.value:.6g}")
-    lines.append("-" * 60)
-    lines.append(f"beamforming gain         {cuma_signal_gain(sc.antenna.K):.4g} "
-                 f"(MRC needs that many antennas)")
-    lines.append(f"ports to beat MRC(M=18)  {min_ports_noise_limited(18, 7.0, sc.antenna.W)}"
-                 f" (noise-limited), "
-                 f"{min_ports_interference_limited(7.0, sc.antenna.W)} (interference-limited)")
     if args.trials:
         batch = mc.run_trials(sc, args.trials, args.seed, workers=args.workers)
-        p, lo, hi = mc.empirical_outage(batch, 0.35)
-        lines.append("-" * 60)
-        lines.append(f"MC outage(0.35)          {p:.6f}  CI [{lo:.6f}, {hi:.6f}]"
-                     f"  ({args.trials} trials)")
-        lines.append(f"MC mean SINR             {batch.sinr.mean():.6g}")
+        p, lo, hi = METRIC_REGISTRY["outage_exact"][1](sc, spec, 0.35, batch)
+        mean = METRIC_REGISTRY["mean_sinr"][1](sc, spec, None, batch)[0]
+        lines += ["-" * 60, f"MC outage(0.35)          {p:.6f}  CI [{lo:.6f}, {hi:.6f}]"
+                  f"  ({args.trials} trials)", f"MC mean SINR             {mean:.6g}"]
     text = "\n".join(lines)
     if args.out:
         with open(args.out, "w") as fh:
@@ -188,8 +187,8 @@ def _bad_option(args):
         # one sample has no spread: its signal-interference correlation is nan
         return ("--trials must be >= 2 for validate, which needs at least 2 trials "
                 "(0 runs the default 200000), got 1")
-    if args.command == "validate" and not args.gamma > 0.0:
-        return f"--gamma must be positive, got {args.gamma}"
+    if args.command == "validate" and not 0.0 < args.gamma < float("inf"):
+        return f"--gamma must be finite and positive, got {args.gamma}"
     return None
 
 

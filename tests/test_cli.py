@@ -10,8 +10,9 @@ import pytest
 import satcuma.core
 from satcuma import benchmarks, metrics
 from satcuma.cli import _build_parser, _load_scenario, main
+from satcuma.metrics import WARN_CLAMPED, WARN_QUAD_LIMIT
 from satcuma.montecarlo import run_trials, wilson_interval
-from satcuma.scenario import build_scenario
+from satcuma.scenario import WARN_ODD_MU, build_scenario
 from satcuma.sweep import (METRIC_REGISTRY, PRESETS, SweepSpec, SweepSpecError,
                            load_sweep_file, preset_sweeps, run_sweep, write_csv)
 from satcuma.validate import run_validation
@@ -336,6 +337,7 @@ class TestCliExitCodes:
         (["report", "--trials", "-3"], "--trials"),
         (["validate", "--trials", "10", "--gamma", "-1"], "--gamma"),
         (["validate", "--trials", "10", "--gamma", "nan"], "--gamma"),
+        (["validate", "--trials", "10", "--gamma", "inf"], "--gamma"),
         (["report", "--seed", "-1"], "--seed"),
         (["validate", "--seed", "-1"], "--seed"),
         (["sweep", "--preset", "fig6", "--seed", "-1"], "--seed"),
@@ -344,7 +346,7 @@ class TestCliExitCodes:
         (["sweep", "--preset", "fig3", "--trials", "100", "--workers", "-2"], "--workers"),
         (["validate", "--trials", "1000", "--workers", "0"], "--workers"),
         (["report", "--trials", "100", "--workers", "-1"], "--workers"),
-    ], ids=["validate-trials", "report-trials", "gamma-negative", "gamma-nan",
+    ], ids=["validate-trials", "report-trials", "gamma-negative", "gamma-nan", "gamma-inf",
             "report-seed", "validate-seed", "sweep-seed", "seed-2**128",
             "sweep-workers-0", "sweep-workers-negative", "validate-workers-0",
             "report-workers-negative"])
@@ -661,6 +663,30 @@ class TestReportCommand:
         assert run_cli(["report", "--out", str(out)]) == 0
         assert "nominal SNR Gamma" in out.read_text()
 
+    def test_report_lines_show_their_flags(self, capsys):
+        # mu = 5 is odd: every outage, mean and rate line carries odd-mu, and
+        # the gamma = 1.0 outages, clamped to 1, carry clamped after it
+        assert run_cli(["report", "--set", "K=11"]) == 0
+        lines = _report_metric_lines(capsys.readouterr().out)
+        assert [line.rsplit("  ", 1)[1] for line in lines] == \
+            [WARN_ODD_MU] * 5 + [f"{WARN_ODD_MU};{WARN_CLAMPED}"] + [WARN_ODD_MU] * 3
+
+    def test_default_report_has_no_flags(self, capsys):
+        assert run_cli(["report"]) == 0
+        out = capsys.readouterr().out
+        lines = _report_metric_lines(out)
+        assert len(lines) == 9
+        assert all(math.isfinite(float(line.split()[-1])) for line in lines)
+        assert not any(w in out for w in (WARN_ODD_MU, WARN_CLAMPED, WARN_QUAD_LIMIT))
+
+
+def _report_metric_lines(text):
+    """A report's six outage rows, then its mean SINR, mean SNR and rate lines."""
+    lines = text.splitlines()
+    start = lines.index(f"{'gamma':>8s} {'outage_exact':>14s} {'outage_compact':>15s}") + 1
+    return lines[start:start + 6] + [line for line in lines
+                                     if line.startswith(("mean S", "ergodic rate"))]
+
 
 def _sweep_rows(tmp_path, doc, *args):
     """Exit code and CSV rows of a sweep of the spec document doc."""
@@ -788,14 +814,18 @@ class TestModuleEntryPoint:
     def test_report_out_of_float_range_finishes(self):
         # B = 1e300 Hz puts the SINR supremum near 1e-293, where the SINR
         # integrands leave the float range: report shows NaN for the mean
-        # SINR and the rate, and finishes at once
+        # SINR and the rate, flags the rate quadrature-limit, and finishes
+        # at once
         proc = subprocess.run(
             [sys.executable, "-m", "satcuma", "report", "--set", "B_hz=1e300"],
             capture_output=True, text=True, env=_env_with_src(), timeout=30)
         assert proc.returncode == 0, proc.stderr
-        rows = {line.rsplit(None, 1)[0]: line.split()[-1]
+        # a line is its 25-column label, its value, then any flags
+        rows = {line[:25].rstrip(): line[25:].split()
                 for line in proc.stdout.splitlines() if line.startswith(("mean SINR", "ergodic"))}
-        assert rows == {"mean SINR": "nan", "ergodic rate (bits/s)": "nan"}
+        assert {label: cells[0] for label, cells in rows.items()} == \
+            {"mean SINR": "nan", "ergodic rate (bits/s)": "nan"}
+        assert rows["ergodic rate (bits/s)"][1:] == [WARN_QUAD_LIMIT]
 
     def test_runs_without_scipy(self, tmp_path):
         # SciPy is a test-only dependency; this process has imported it, so

@@ -9,6 +9,7 @@ from scipy.optimize import brentq
 from scipy.special import ndtr
 
 from satcuma import distributions as dist, metrics, run_trials
+from satcuma.benchmarks import single_user_scenario
 from satcuma.distributions import sinr_law, signal_cdf, sinr_pdf_exact
 from satcuma.metrics import (METRIC_SPEC, MetricResult, WARN_CLAMPED,
                              WARN_QUAD_LIMIT, _z_breakpoints,
@@ -406,6 +407,39 @@ class TestOutageProperties:
         assert np.all(np.diff(curve) >= -1e-15)
         for g, v in zip(gammas, curve):
             assert abs(outage_exact(float(g), sc).value - v) <= 1e-15
+
+
+class TestRandomScenarioBounds:
+    """Bounds that hold for any law with the signal independent of the
+    interference, drawn over the whole link budget: from noise-limited
+    (large B_hz) to interference-limited (small B_hz) scenarios."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(mu=st.sampled_from((2, 4, 6, 10, 20, 40)), W=st.integers(2, 4),
+           U=st.integers(2, 11), log_b=st.floats(5.0, 17.0))
+    def test_per_user_rate_at_most_single_user_rate(self, mu, W, U, log_b):
+        # interference only lowers the desired user's SINR, so its rate is at
+        # most the rate it has alone, within both quadrature error estimates
+        sc = reference_scenario(K=mu * W + 1, W=W, U=U, B_hz=10.0 ** log_b)
+        multi = ergodic_rate(sc, outage="exact")
+        single = ergodic_rate(single_user_scenario(sc), outage="exact")
+        assert multi.value / U <= single.value + multi.est_error / U + single.est_error \
+            + 1e-12 * single.value
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP item 1: the outage integral is not seeded at "
+                              "its Gaussian window")
+    def test_outage_at_least_snr_outage_when_noise_dwarfs_interference(self):
+        # n/kappa is about 8.6e8, so the Gaussian window is a sliver of the
+        # angle range that every panel node misses: outage_exact returns
+        # 0.590334317 with est_error 4.5e-15 and no flag, below the SNR
+        # outage 0.590334471; a SciPy quad of the same integral seeded at the
+        # window gives 0.590336766
+        sc = reference_scenario(K=9, W=2, U=11, B_hz=5.917405040255188e15)
+        gamma = 0.9 * sinr_supremum(sc)
+        r = outage_exact(gamma, sc)
+        snr_outage = float(signal_cdf(gamma * sc.noise_term, sc.zeta_u, sc.mu, sc.V))
+        assert r.value + r.est_error >= snr_outage
 
 
 class TestTrendSuite:
