@@ -319,10 +319,13 @@ def sinr_pdf_exact(z, sc: Scenario, spec: QuadratureSpec = DEFAULT_SPEC):
         th = np.minimum(math.pi / mu, np.arccos(np.sqrt(q.flat[i])))[:, None]
 
         def integrand(t):
-            c2 = np.cos(th * t) ** 2
-            bt = zeta * c2 / (zc * V ** 2)
-            return th * (2.0 * zeta * c2 / (zc ** 2 * V ** 2)) \
-                * np.exp(-((bt - m) ** 2) / (2.0 * kappa ** 2))
+            # z past the float range (a tiny supremum) gives inf and NaN
+            # values, which the quadrature reports; they need no warning
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                c2 = np.cos(th * t) ** 2
+                bt = zeta * c2 / (zc * V ** 2)
+                return th * (2.0 * zeta * c2 / (zc ** 2 * V ** 2)) \
+                    * np.exp(-((bt - m) ** 2) / (2.0 * kappa ** 2))
 
         out[i] = scale * integrate(integrand, 0.0, 1.0, spec).value
     return out.reshape(z.shape) if z.ndim else float(out[0])

@@ -256,17 +256,21 @@ def _outage_slope(y: float, sc: Scenario, spec: QuadratureSpec):
     Returns (F, F', est_error of F, converged)."""
     law = dist.sinr_law(sc)
 
+    # a threshold y past the float range gives inf and NaN values, which
+    # _outage_root reports as a NaN root; they need no warning
     def integrand(theta):
         alpha = law.alpha(theta)
-        x = (alpha / y - law.m) / law.kappa
-        return np.array((dist.std_normal_cdf(x), np.exp(-0.5 * x * x) * alpha))
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = (alpha / y - law.m) / law.kappa
+            return np.array((dist.std_normal_cdf(x), np.exp(-0.5 * x * x) * alpha))
 
     res = integrate(integrand, 0.0, math.pi / law.mu, spec,
                     breakpoints=_theta_breakpoints(y, sc))
     scale = law.mu / (math.pi * law.tm)
     f, slope = 1.0 / law.tm - scale * res.value[0], scale * res.value[1]
-    return (float(f), float(slope) / (math.sqrt(2.0 * math.pi) * law.kappa * y * y),
-            float(scale * res.est_error[0]), res.converged)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slope = float(slope) / (math.sqrt(2.0 * math.pi) * law.kappa * y * y)
+    return float(f), slope, float(scale * res.est_error[0]), res.converged
 
 
 def _outage_root(sc: Scenario, spec: QuadratureSpec):

@@ -121,7 +121,12 @@ def _block_sums(cols, master_seed, lo, hi, u, k, mu, zeta, gamma, amps):
 
 @dataclass(frozen=True)
 class TrialBatch:
-    """Columnar record of one Monte-Carlo run; immutable once built."""
+    """Columnar record of one Monte-Carlo run; immutable once built.
+
+    The float columns are float64.  kbar, the activated-port count, takes
+    the narrowest signed integer dtype that holds -K
+    (np.min_scalar_type(-K)): int8 for K <= 128, int16 up to K = 32768.
+    """
 
     n_trials: int
     alpha: np.ndarray
@@ -144,13 +149,16 @@ _K1_COLUMNS = ("alpha", "ys", "beta", "sinr", "kbar")
 _K2_COLUMNS = ("amp_pos", "amp_neg")
 
 
-def _column_layout(n: int, u: int, n_k2: int):
-    """(name, shape, dtype) of each output column for n trials, the first
-    n_k2 of them with amplitudes."""
+def _column_layout(n: int, u: int, k: int, n_k2: int):
+    """(name, shape, dtype) of each output column for n trials with k ports,
+    the first n_k2 of them with amplitudes.  kbar counts at most k - 1
+    ports, so it takes the narrowest signed integer dtype that holds -k; it
+    comes last, so that the float64 columns packed before it in
+    _shared_columns stay 8-byte aligned whatever n."""
     return (("alpha", (n,), np.float64), ("ys", (n, u - 1), np.float64),
             ("beta", (n,), np.float64), ("sinr", (n,), np.float64),
-            ("kbar", (n,), np.int64), ("amp_pos", (n_k2,), np.float64),
-            ("amp_neg", (n_k2,), np.float64))
+            ("amp_pos", (n_k2,), np.float64), ("amp_neg", (n_k2,), np.float64),
+            ("kbar", (n,), np.min_scalar_type(-k)))
 
 
 def _shared_columns(layout) -> dict:
@@ -233,7 +241,7 @@ def oracle_pass(sc: Scenario, n: int, master_seed: int, block_size: int = DEFAUL
     blocks = [(master_seed, lo, hi, u, k, sc.mu, tuple(sc.users.zeta), sc.Gamma, hi <= n_k2)
               for lo, hi in zip(edges, edges[1:])]
 
-    layout = _column_layout(n, u, n_k2)
+    layout = _column_layout(n, u, k, n_k2)
     if procs == 1:
         cols = {name: np.empty(shape, dtype) for name, shape, dtype in layout}
         for blk in blocks:

@@ -827,6 +827,18 @@ class TestModuleEntryPoint:
             {"mean SINR": "nan", "ergodic rate (bits/s)": "nan"}
         assert rows["ergodic rate (bits/s)"][1:] == [WARN_QUAD_LIMIT]
 
+    def test_report_out_of_float_range_warns_nothing(self):
+        # the integrands that leave the float range at B = 1e300 Hz give
+        # their NaN values without a NumPy RuntimeWarning
+        argv = ["-m", "satcuma", "report", "--set", "B_hz=1e300"]
+        runs = [subprocess.run([sys.executable, *flags, *argv], capture_output=True,
+                               text=True, env=_env_with_src(), timeout=30)
+                for flags in (["-W", "error::RuntimeWarning"], [])]
+        for proc in runs:
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stderr == ""
+        assert runs[0].stdout == runs[1].stdout
+
     def test_runs_without_scipy(self, tmp_path):
         # SciPy is a test-only dependency; this process has imported it, so
         # the check runs in a fresh interpreter
@@ -839,3 +851,52 @@ class TestModuleEntryPoint:
                               text=True, env=_env_with_src())
         assert proc.returncode == 0, proc.stderr
         assert out.exists()
+
+
+# every public name of the package before its names resolved on first use
+PUBLIC_NAMES = (
+    "AntennaConfig", "LinkBudget", "MetricResult", "PortSet", "PortSetKind", "QuadratureSpec",
+    "Scenario", "ScenarioError", "SupportInterval", "TrialBatch", "TruncGaussParams",
+    "UserField", "activated_set", "benchmarks", "build_scenario", "cdf_difference", "core",
+    "cuma_beamforming_gains", "distributions", "empirical_cdf", "empirical_outage",
+    "ergodic_rate", "instant_sinr", "interference_cdf_per_user", "interference_pdf_per_user",
+    "interference_power_compact", "k2_residual_bound", "ks_distance", "mean_sinr", "mean_snr",
+    "metrics", "min_ports_vs_mrc", "montecarlo", "mrc_sinr", "nominal_snr", "ocuma_rate",
+    "outage_compact", "outage_exact", "path_loss_coeff", "pdf_ratio", "quadrature",
+    "run_trials", "scenario", "signal_amplitude_bruteforce", "signal_cdf", "signal_pdf",
+    "signal_power_compact", "sinr_pdf_compact", "sinr_pdf_exact", "table_default_config",
+    "total_interference_pdf", "trunc_gauss_params", "window_bounds", "zf_sinr_mc",
+)
+
+
+class TestImportFootprint:
+    def test_monte_carlo_caller_loads_only_the_oracle(self):
+        # a fresh interpreter: this one has loaded every submodule
+        code = ("import json, sys\n"
+                "from satcuma import montecarlo, build_scenario, table_default_config\n"
+                "print(json.dumps(['numpy' in sys.modules,\n"
+                "                  sorted(m for m in sys.modules if m.startswith('satcuma'))]))\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=_env_with_src())
+        assert proc.returncode == 0, proc.stderr
+        numpy_loaded, loaded = json.loads(proc.stdout)
+        assert numpy_loaded
+        assert loaded == ["satcuma", "satcuma.montecarlo", "satcuma.scenario"]
+
+    def test_public_names_resolve(self):
+        assert set(PUBLIC_NAMES) <= set(satcuma.__all__)
+        for name in satcuma.__all__:
+            assert name in dir(satcuma)
+            value = getattr(satcuma, name)
+            if not isinstance(value, type(satcuma)):
+                assert value is getattr(sys.modules[value.__module__], name)
+        with pytest.raises(AttributeError, match="no_such_name"):
+            satcuma.no_such_name
+
+    def test_names_follow_their_submodule(self, monkeypatch):
+        # nothing is cached in the package: a wrapper on a submodule
+        # attribute sees every call made through the package name
+        sentinel = object()
+        monkeypatch.setattr(satcuma.montecarlo, "run_trials", sentinel)
+        assert satcuma.run_trials is sentinel
+        assert "run_trials" not in vars(satcuma)

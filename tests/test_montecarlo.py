@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -135,14 +136,19 @@ class TestBlockPlan:
             assert np.array_equal(getattr(got, col), getattr(ref, col))
 
     def test_validate_pass_bit_identical_across_workers(self):
+        # n = 20001 leaves the int8 kbar column an odd number of bytes long:
+        # float64 columns after it in the shared mapping would be misaligned
         sc = reference_scenario(K=61, W=3, U=20)
-        args = (sc, 100000, 4)
-        ref_batch, ref_neg = oracle_pass(*args, workers=1, k2_trials=100000)
-        got_batch, got_neg = oracle_pass(*args, workers=2, k2_trials=100000)
-        for col in ("alpha", "ys", "beta", "sinr", "kbar"):
-            assert np.array_equal(getattr(got_batch, col), getattr(ref_batch, col))
-        for col in ("amp_pos", "amp_neg"):
-            assert np.array_equal(getattr(got_neg, col), getattr(ref_neg, col))
+        for n, block_size in ((100000, 65536), (20001, 4096)):
+            assert _block_plan(n, block_size, 2, n)[1] == 2
+            ref_batch, ref_neg = oracle_pass(sc, n, 4, workers=1, k2_trials=n)
+            got_batch, got_neg = oracle_pass(sc, n, 4, block_size, workers=2, k2_trials=n)
+            for obj, ref, cols in ((got_batch, ref_batch, ("alpha", "ys", "beta", "sinr", "kbar")),
+                                   (got_neg, ref_neg, ("amp_pos", "amp_neg"))):
+                for col in cols:
+                    got = getattr(obj, col)
+                    assert got.flags.aligned or got.dtype != np.float64, (n, col)
+                    assert np.array_equal(got, getattr(ref, col)), (n, col)
 
 
 _AMP_COLUMNS = ("amp_pos", "amp_neg")
@@ -235,6 +241,48 @@ class TestKernelMemory:
             tracemalloc.stop()
         assert neg.n_trials == 100000
         assert peak <= 4 * 2 ** 20
+
+
+class TestKbarWidth:
+    # mu = 128 at K=257 W=2 activates 128 ports, one more than int8 holds;
+    # mu = 5 (K=11) and mu = 1 (K=3) vary the count, down to empty sets
+    @pytest.mark.parametrize("K,W,dtype", [(257, 2, np.int16), (21, 2, np.int8),
+                                           (11, 2, np.int8), (3, 2, np.int8)])
+    def test_narrow_kbar_equals_int64_reference(self, K, W, dtype):
+        from satcuma.sweep import _mc_snr
+        sc = reference_scenario(K=K, W=W, U=2)
+        n = 2 * _chunk_rows(K) + 37
+        batch = run_trials(sc, n, 89)
+        ref = naive_block(sc, _draw_block(89, 0, n, 2))["kbar"]
+        assert batch.kbar.dtype == dtype
+        assert ref.dtype == np.int64
+        assert np.array_equal(batch.kbar, ref)
+        if K == 257:
+            assert np.all(batch.kbar == 128)
+        assert batch.kbar.sum() == ref.sum()
+        wide = dataclasses.replace(batch, kbar=batch.kbar.astype(np.int64))
+        assert _mc_snr(sc, None, None, batch) == _mc_snr(sc, None, None, wide)
+
+    @pytest.mark.parametrize("K", [21, 11])
+    def test_port_count_check_equals_int64_result(self, K, monkeypatch):
+        # validate's activated-port-count statistic: a fraction at even
+        # density (K=21), a mean count at odd density (K=11)
+        from satcuma.validate import run_validation
+        sc = reference_scenario(K=K, W=2, U=5)
+        narrow = run_validation(sc, 3000, 97)
+        orig = montecarlo.oracle_pass
+
+        def wide_pass(*args, **kwargs):
+            batch, neg = orig(*args, **kwargs)
+            assert batch.kbar.dtype == np.int8
+            return dataclasses.replace(batch, kbar=batch.kbar.astype(np.int64)), neg
+
+        monkeypatch.setattr(montecarlo, "oracle_pass", wide_pass)
+        wide = run_validation(sc, 3000, 97)
+        narrow_stat, wide_stat = ({c.name: c.statistic for c in rep.checks}["activated-port-count"]
+                                  for rep in (narrow, wide))
+        assert narrow_stat == wide_stat
+        assert narrow.render() == wide.render()
 
 
 class TestTrialPhysics:
