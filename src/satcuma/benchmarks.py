@@ -2,12 +2,9 @@
 
 MRC and ZF baselines for the identical-angle LoS uplink, the closed-form
 beamforming gains of the aggregated-port receiver, and the port-count
-thresholds at which it overtakes MRC.
-
-Under identical angles of arrival the multi-antenna channel matrix is
-rank one; the ZF pseudo-inverse is computed with a relative singular-value
-cutoff, and every trial whose numerical rank falls below the user count is
-recorded as a combiner failure (the expected outcome in this geometry).
+thresholds at which it overtakes MRC.  The ZF Monte-Carlo, zf_sinr_mc, is
+a test oracle: the identical-angle channel is rank one, so every trial is a
+combiner failure whose SINR is mrc_sinr, which fig3 states in closed form.
 """
 
 from __future__ import annotations
@@ -96,9 +93,6 @@ def min_ports_interference_limited(epsilon: float, W: int) -> int:
 
 
 _SV_CUTOFF = 1e-8  # relative singular-value cutoff of the ZF pseudo-inverse
-# channel entries per stacked SVD: bounds memory at any trial count while
-# one stack still holds a sweep's 2000 trials at M*U <= 131
-_ZF_STACK_ENTRIES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -111,28 +105,6 @@ class ZfMonteCarlo:
     combiner_failures: int
 
 
-def _los_channel(M: int, zeta, psi) -> np.ndarray:
-    """Identical-angle LoS channels, shape (trials, M, U), from phases (trials, U):
-    a common steering vector times each user's phase."""
-    steering = np.exp(1j * math.pi * np.arange(M))  # half-wavelength, in-line
-    coeff = np.sqrt(np.asarray(zeta)) * np.exp(1j * psi)
-    return steering[None, :, None] * coeff[:, None, :]
-
-
-def _zf_sinr(H: np.ndarray, gamma: float):
-    """Desired-user ZF SINR of each stacked M x U channel, and whether its
-    numerical rank falls below U (a combiner failure)."""
-    u_, s_, vh = np.linalg.svd(H, full_matrices=False)
-    keep = s_ >= _SV_CUTOFF * s_[:, :1]
-    # row 0 of the truncated pseudo-inverse: w = sum over kept k of
-    # conj(vh[k, 0]) / s[k] * conj(u[:, k])
-    coef = np.divide(vh[:, :, 0].conj(), s_, out=np.zeros(s_.shape, complex), where=keep)
-    w = np.matmul(u_.conj(), coef[:, :, None])[:, :, 0]
-    gains = np.abs(np.matmul(w[:, None, :], H)[:, 0, :]) ** 2
-    noise = np.einsum("tm,tm->t", w.conj(), w).real / gamma
-    return gains[:, 0] / (gains[:, 1:].sum(axis=1) + noise), keep.sum(axis=1) < H.shape[2]
-
-
 def zf_sinr_mc(M: int, sc: Scenario, trials: int, seed: int,
                channel_fn=None) -> ZfMonteCarlo:
     """Monte-Carlo zero-forcing SINR for the desired user.
@@ -141,33 +113,30 @@ def zf_sinr_mc(M: int, sc: Scenario, trials: int, seed: int,
     of the M x U channel matrix, with singular values below
     1e-8 * sigma_max (_SV_CUTOFF) discarded.  Trials whose numerical rank is
     below U are counted as combiner failures; their (least-squares) SINR
-    still enters the statistics.
-
-    Trials are evaluated together: their channels are stacked and go
-    through one batched SVD per stack of at most _ZF_STACK_ENTRIES channel
-    entries.  The LoS phases are drawn as rng.random((trials, U)), the same
-    Philox draws in the same order as one rng.random(U) per trial.
-    channel_fn(rng, M, U) may supply a synthetic M x U channel matrix for
-    testing; it is called once per trial, in trial order, with the one
-    generator, so whatever it draws from rng is drawn in trial order too.
+    still enters the statistics.  The LoS phases are drawn as rng.random(U)
+    per trial; channel_fn(rng, M, U) may supply a synthetic M x U channel
+    instead, for testing, called once per trial with the one generator.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     U = sc.users.U
-    zeta = np.asarray(sc.users.zeta)
+    amplitude = np.sqrt(np.asarray(sc.users.zeta))
+    steering = np.exp(1j * math.pi * np.arange(M))  # half-wavelength, in-line
     rng = np.random.Generator(np.random.Philox(key=seed))
-    rows = max(1, _ZF_STACK_ENTRIES // (M * U))
     sinrs = np.empty(trials)
     failures = 0
-    for lo in range(0, trials, rows):
-        n = min(rows, trials - lo)
+    for i in range(trials):
         if channel_fn is not None:
-            H = np.stack([np.asarray(channel_fn(rng, M, U), dtype=complex)
-                          for _ in range(n)])
+            H = np.asarray(channel_fn(rng, M, U), dtype=complex)
         else:
-            H = _los_channel(M, zeta, rng.random((n, U)) * 2.0 * math.pi)
-        sinrs[lo:lo + n], failed = _zf_sinr(H, sc.Gamma)
-        failures += int(failed.sum())
+            psi = rng.random(U) * 2.0 * math.pi
+            H = steering[:, None] * (amplitude * np.exp(1j * psi))[None, :]
+        u_, s_, vh = np.linalg.svd(H, full_matrices=False)
+        keep = s_ >= _SV_CUTOFF * s_[0]
+        failures += int(keep.sum() < U)
+        w = (vh[keep, 0].conj() / s_[keep]) @ u_[:, keep].conj().T  # pinv row 0
+        gains = np.abs(w @ H) ** 2
+        sinrs[i] = gains[0] / (gains[1:].sum() + np.vdot(w, w).real / sc.Gamma)
     return ZfMonteCarlo(mean=float(sinrs.mean()), variance=float(sinrs.var()),
                         n_trials=trials, combiner_failures=failures)
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import distributions as dist, montecarlo as mc, validate as val
@@ -183,6 +184,9 @@ def _bad_option(args):
         return f"--seed must be in [0, 2**128), got {args.seed}"
     if args.workers < 1:
         return f"--workers must be >= 1, got {args.workers}"
+    if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
+        # found before the run, which would otherwise end in a failed write
+        return f"--out directory does not exist: {os.path.dirname(args.out)!r}"
     if args.command == "validate" and args.trials == 1:
         # one sample has no spread: its signal-interference correlation is nan
         return ("--trials must be >= 2 for validate, which needs at least 2 trials "

@@ -466,9 +466,10 @@ def preset_sweeps(name: str, seed: int = 0, trials: int = 0,
 def load_sweep_file(path, seed: int = 0, trials: int = 0,
                     overrides: dict | None = None) -> list:
     """Load sweeps from a JSON spec document: either a single sweep object or
-    {"sweeps": [...]}, each with fields param, grid, scenario, metrics and
-    any of the optional SweepSpec fields.  seed and trials fill in where a
-    sweep leaves them out, and config overrides apply to every sweep.
+    {"sweeps": [...]} with no other key, each sweep with fields param, grid,
+    scenario, metrics and any of the optional SweepSpec fields.  seed and
+    trials fill in where a sweep leaves them out, and config overrides apply
+    to every sweep.
     """
     try:
         with open(path) as fh:
@@ -477,7 +478,14 @@ def load_sweep_file(path, seed: int = 0, trials: int = 0,
         raise SweepSpecError(f"cannot read sweep spec: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SweepSpecError(f"sweep spec parse failure: {exc}") from exc
-    items = doc["sweeps"] if isinstance(doc, dict) and "sweeps" in doc else [doc]
+    if isinstance(doc, dict) and "sweeps" in doc:
+        extra = sorted(set(doc) - {"sweeps"})
+        if extra:
+            raise SweepSpecError(f"unknown sweeps document fields: {extra} "
+                                 f"(sweep fields go inside each sweep)")
+        items = doc["sweeps"]
+    else:
+        items = [doc]
     if not isinstance(items, list) or not items:
         raise SweepSpecError(f"sweep spec field 'sweeps' must be a non-empty list "
                              f"of sweep objects, got {items!r}")

@@ -10,7 +10,7 @@ from satcuma.benchmarks import (cuma_beamforming_gains, cuma_signal_gain,
                                 min_ports_noise_limited, min_ports_vs_mrc,
                                 mrc_mean_snr, mrc_sinr, ocuma_rate,
                                 single_user_scenario, zf_sinr_mc)
-from satcuma import benchmarks, sweep
+from satcuma import sweep
 from satcuma.sweep import preset_sweeps, run_sweep
 from satcuma.metrics import ergodic_rate, mean_snr
 from satcuma.core import (PortSetKind, activated_set, instant_sinr, window_phase,
@@ -149,37 +149,6 @@ class TestMinPorts:
         assert all(first <= b <= first + 1 for b in bounds), (first, set(bounds))
 
 
-def _trial_channel(rng, M, sc, channel_fn):
-    """One trial's M x U channel, drawn as the per-trial loop drew it."""
-    U = sc.users.U
-    if channel_fn is not None:
-        return np.asarray(channel_fn(rng, M, U), dtype=complex)
-    psi = rng.random(U) * 2.0 * math.pi
-    steering = np.exp(1j * math.pi * np.arange(M))
-    return steering[:, None] * (np.sqrt(np.asarray(sc.users.zeta)) * np.exp(1j * psi))[None, :]
-
-
-def _zf_loop_reference(M, sc, trials, seed, channel_fn=None):
-    """The per-trial loop that the batched zf_sinr_mc replaced, kept as its
-    reference: (mean, variance, combiner failures)."""
-    U = sc.users.U
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    sinrs = np.empty(trials)
-    failures = 0
-    for i in range(trials):
-        H = _trial_channel(rng, M, sc, channel_fn)
-        u_, s_, vh = np.linalg.svd(H, full_matrices=False)
-        keep = s_ >= 1e-8 * s_[0]
-        if keep.sum() < U:
-            failures += 1
-        pinv = (vh[keep].conj().T / s_[keep]) @ u_[:, keep].conj().T
-        w = pinv[0]
-        gains = np.abs(w @ H) ** 2
-        noise = float(np.vdot(w, w).real) / sc.Gamma
-        sinrs[i] = gains[0] / (gains[1:].sum() + noise)
-    return float(sinrs.mean()), float(sinrs.var()), failures
-
-
 def _gaussian(rng, m, u, scale):
     return (rng.standard_normal((m, u)) + 1j * rng.standard_normal((m, u))) * scale
 
@@ -189,63 +158,16 @@ def _full_rank_channel(zeta):
     return lambda rng, m, u: _gaussian(rng, m, u, math.sqrt(zeta / 2.0))
 
 
-def _varying_rank_channel(zeta):
-    """Channel of rank r, drawn per trial from 1..U, scaled per trial by up to
-    1e5 either way around the scenario's path loss: each trial's singular
-    values must be cut against its own largest one."""
+def _varying_rank_channel(zeta, ranks):
+    """Channel of rank r, drawn per trial from 1..U and appended to ranks,
+    scaled per trial by up to 1e5 either way around the scenario's path loss:
+    each trial's singular values must be cut against its own largest one."""
     def channel(rng, m, u):
         r = int(rng.integers(1, u + 1))
+        ranks.append(r)
         scale = 10.0 ** rng.uniform(-5.0, 5.0) * math.sqrt(zeta / (4.0 * r))
         return _gaussian(rng, m, r, 1.0) @ _gaussian(rng, r, u, scale)
     return channel
-
-
-class TestZeroForcingBatch:
-    # (channel, M): the LoS default is rank one, so every trial fails and
-    # the SINR spread is rounding noise; M=3 < U=5 leaves no full-rank trial
-    CASES = [("los", 15), ("full-rank", 8), ("varying-rank", 8), ("full-rank", 3)]
-
-    @pytest.mark.parametrize("channel,M", CASES)
-    @pytest.mark.parametrize("stack_trials", [None, 7])
-    def test_matches_per_trial_loop(self, table_scenario, monkeypatch, channel, M,
-                                    stack_trials):
-        sc = table_scenario
-        zeta = sc.users.zeta[0]
-        channel_fn = {"los": None, "full-rank": _full_rank_channel(zeta),
-                      "varying-rank": _varying_rank_channel(zeta)}[channel]
-        if stack_trials:  # trials then span many stacks, the last one partial
-            monkeypatch.setattr(benchmarks, "_ZF_STACK_ENTRIES", stack_trials * M * sc.users.U)
-        trials = 303
-        mean, var, failures = _zf_loop_reference(M, sc, trials, 17, channel_fn)
-        r = zf_sinr_mc(M, sc, trials, 17, channel_fn)
-        assert r.n_trials == trials
-        assert r.combiner_failures == failures
-        assert r.mean == pytest.approx(mean, rel=1e-12)
-        assert r.variance == pytest.approx(var, rel=1e-12, abs=1e-12 * mean ** 2)
-        if channel == "varying-rank":
-            assert 0 < failures < trials
-        elif channel == "full-rank" and M >= sc.users.U:
-            assert failures == 0
-        else:
-            assert failures == trials
-
-    @pytest.mark.parametrize("channel", ["los", "full-rank"])
-    def test_stacks_channels_in_trial_draw_order(self, table_scenario, monkeypatch,
-                                                 channel):
-        # mean and variance cannot tell the trial order apart, so pin the
-        # stacked channels themselves against the per-trial draws
-        sc, M, trials = table_scenario, 6, 11
-        channel_fn = None if channel == "los" else _full_rank_channel(sc.users.zeta[0])
-        stacks = []
-        zf_sinr = benchmarks._zf_sinr
-        monkeypatch.setattr(benchmarks, "_zf_sinr",
-                            lambda H, gamma: stacks.append(H) or zf_sinr(H, gamma))
-        monkeypatch.setattr(benchmarks, "_ZF_STACK_ENTRIES", 4 * M * sc.users.U)
-        zf_sinr_mc(M, sc, trials, 5, channel_fn)
-        rng = np.random.Generator(np.random.Philox(key=5))
-        want = np.stack([_trial_channel(rng, M, sc, channel_fn) for _ in range(trials)])
-        assert [len(h) for h in stacks] == [4, 4, 3]
-        assert np.array_equal(np.concatenate(stacks), want)
 
 
 class TestZeroForcing:
@@ -284,6 +206,40 @@ class TestZeroForcing:
     def test_trial_validation(self, table_scenario):
         with pytest.raises(ValueError):
             zf_sinr_mc(3, table_scenario, trials=0, seed=1)
+
+    # (channel, M): the LoS default is rank one, so every trial fails; M=3 < U=5
+    # leaves no full-rank trial
+    @pytest.mark.parametrize("channel,M", [
+        ("los", 15), ("full-rank", 8), ("varying-rank", 8), ("full-rank", 3)])
+    def test_combiner_failures(self, table_scenario, channel, M):
+        sc, ranks = table_scenario, []
+        zeta = sc.users.zeta[0]
+        channel_fn = {"los": None, "full-rank": _full_rank_channel(zeta),
+                      "varying-rank": _varying_rank_channel(zeta, ranks)}[channel]
+        trials = 303
+        r = zf_sinr_mc(M, sc, trials, 17, channel_fn)
+        assert r.n_trials == trials
+        if channel == "varying-rank":
+            # a trial fails exactly when its drawn rank is below U
+            assert r.combiner_failures == sum(k < sc.users.U for k in ranks)
+            assert 0 < r.combiner_failures < trials
+        elif channel == "full-rank" and M >= sc.users.U:
+            assert r.combiner_failures == 0
+        else:
+            assert r.combiner_failures == trials
+
+    def test_default_channel_draws_in_trial_order(self, table_scenario):
+        # a channel_fn that draws and builds the LoS channel as the default
+        # does gives the same statistics bit for bit
+        sc = table_scenario
+        amplitude = np.sqrt(np.asarray(sc.users.zeta))
+
+        def los(rng, m, u):
+            psi = rng.random(u) * 2.0 * math.pi
+            steering = np.exp(1j * math.pi * np.arange(m))
+            return steering[:, None] * (amplitude * np.exp(1j * psi))[None, :]
+
+        assert zf_sinr_mc(6, sc, 11, 5, los) == zf_sinr_mc(6, sc, 11, 5)
 
 
 class TestZeroForcingClosedForm:

@@ -11,11 +11,11 @@ import satcuma.core
 from satcuma import benchmarks, metrics
 from satcuma.cli import _build_parser, _load_scenario, main
 from satcuma.metrics import WARN_CLAMPED, WARN_QUAD_LIMIT
-from satcuma.montecarlo import run_trials, wilson_interval
+from satcuma.montecarlo import DEFAULT_BLOCK, _block_plan, run_trials, wilson_interval
 from satcuma.scenario import WARN_ODD_MU, build_scenario
 from satcuma.sweep import (METRIC_REGISTRY, PRESETS, SweepSpec, SweepSpecError,
                            load_sweep_file, preset_sweeps, run_sweep, write_csv)
-from satcuma.validate import run_validation
+from satcuma.validate import NEGATIVE_SET_TRIALS, run_validation
 
 from conftest import reference_scenario
 
@@ -459,6 +459,38 @@ class TestCliExitCodes:
         assert "error: sweep spec field 'sweeps' must be a non-empty list" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_sweeps_document_other_keys_are_usage_error_naming_them(self, tmp_path,
+                                                                     capsys):
+        # seed and trials beside "sweeps" were dropped: the sweep ran
+        # analytic-only at seed 0
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"sweeps": PRESETS["fig11"](), "seed": 3,
+                                    "trials": 100}))
+        out = tmp_path / "x.csv"
+        assert run_cli(["sweep", "--spec", str(spec), "--out", str(out)]) == 2
+        assert "error: unknown sweeps document fields: ['seed', 'trials']" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--preset", "fig3", "--trials", "2000"],
+        ["validate", "--trials", "20000"],
+        ["report", "--trials", "20000"],
+    ], ids=["sweep", "validate", "report"])
+    def test_out_in_missing_directory_is_usage_error_before_the_run(
+            self, tmp_path, capsys, monkeypatch, argv):
+        import satcuma.cli as cli
+
+        def run(*args, **kwargs):
+            raise AssertionError("ran before --out was checked")
+
+        monkeypatch.setattr(cli, "run_sweep", run)
+        monkeypatch.setattr(cli.val, "run_validation", run)
+        monkeypatch.setattr(cli.mc, "run_trials", run)
+        out = tmp_path / "missing" / "out.txt"
+        assert run_cli(argv + ["--out", str(out)]) == 2
+        assert "error: --out directory does not exist" in capsys.readouterr().err
+
     def test_psi_u_zero_draws_the_phase(self, tmp_path):
         # psi_u = 0 and pi both run: 0 uses the scenario's drawn phase (about
         # 1.91 at seed 1), pi is the preset's own
@@ -574,14 +606,17 @@ class TestDeterministicOutputs:
         assert a.read_bytes() == b.read_bytes()
 
     def test_validate_report_deterministic(self, tmp_path):
-        scen = tmp_path / "scen.json"
-        scen.write_text(json.dumps({"K": 41, "W": 2, "U": 20}))
-        a, b = tmp_path / "r1.txt", tmp_path / "r2.txt"
-        args = ["validate", "--spec", str(scen), "--trials", "20000", "--seed", "3"]
-        rc_a = run_cli(args + ["--workers", "1", "--out", str(a)])
-        rc_b = run_cli(args + ["--workers", "4", "--out", str(b)])
-        assert rc_a == rc_b == 0
-        assert a.read_bytes() == b.read_bytes()
+        # two default blocks: --workers 4 forks two processes, --workers 1 runs
+        # in process
+        n = 2 * DEFAULT_BLOCK
+        assert _block_plan(n, DEFAULT_BLOCK, 4, min(n, NEGATIVE_SET_TRIALS))[1] == 2
+        for verb in ("validate", "report"):
+            a, b = tmp_path / f"{verb}-w1.txt", tmp_path / f"{verb}-w4.txt"
+            args = [verb, "--trials", str(n), "--seed", "3"]
+            rc_a = run_cli(args + ["--workers", "1", "--out", str(a)])
+            rc_b = run_cli(args + ["--workers", "4", "--out", str(b)])
+            assert rc_a == rc_b == 0
+            assert a.read_bytes() == b.read_bytes()
 
 
 class TestValidateCommand:
