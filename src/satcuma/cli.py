@@ -109,17 +109,21 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+def _emit(text, out) -> None:
+    """Print text, after writing it to the file out when one is given."""
+    if out:
+        with open(out, "w") as fh:
+            fh.write(text + "\n")
+    print(text)
+
+
 def _cmd_validate(args) -> int:
     overrides = _parse_set(args.set)
     sc = _load_scenario(args, overrides)
     trials = args.trials or 200000
     report = val.run_validation(sc, trials, args.seed, workers=args.workers,
                                 gamma=args.gamma)
-    text = report.render()
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    print(text)
+    _emit(report.render(), args.out)
     return EXIT_OK if report.passed else EXIT_RUNTIME
 
 
@@ -168,11 +172,7 @@ def _cmd_report(args) -> int:
         mean = METRIC_REGISTRY["mean_sinr"][1](sc, spec, None, batch)[0]
         lines += ["-" * 60, f"MC outage(0.35)          {p:.6f}  CI [{lo:.6f}, {hi:.6f}]"
                   f"  ({args.trials} trials)", f"MC mean SINR             {mean:.6g}"]
-    text = "\n".join(lines)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    print(text)
+    _emit("\n".join(lines), args.out)
     return EXIT_OK
 
 
@@ -184,9 +184,12 @@ def _bad_option(args):
         return f"--seed must be in [0, 2**128), got {args.seed}"
     if args.workers < 1:
         return f"--workers must be >= 1, got {args.workers}"
+    # an unwritable --out is found before the run, which would otherwise end
+    # in a failed write
     if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
-        # found before the run, which would otherwise end in a failed write
         return f"--out directory does not exist: {os.path.dirname(args.out)!r}"
+    if args.out and os.path.isdir(args.out):
+        return f"--out names a directory, not a file: {args.out!r}"
     if args.command == "validate" and args.trials == 1:
         # one sample has no spread: its signal-interference correlation is nan
         return ("--trials must be >= 2 for validate, which needs at least 2 trials "

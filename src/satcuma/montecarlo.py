@@ -80,7 +80,6 @@ def _block_sums(cols, master_seed, lo, hi, u, k, mu, zeta, gamma, amps):
     sign of an all-zero sum, which squaring removes.
     """
     ports = 2.0 * math.pi * np.arange(1, k) / mu  # k-1 phase offsets, ports 2..K
-    col_alpha, col_ys, col_beta, col_sinr, col_kbar = (cols[name] for name in _K1_COLUMNS)
     m = hi - lo
     rows = min(m, _chunk_rows(k))
     phase = np.empty((rows, k - 1))
@@ -106,17 +105,17 @@ def _block_sums(cols, master_seed, lo, hi, u, k, mu, zeta, gamma, amps):
         if amps:
             cols["amp_pos"][r] = math.sqrt(zeta[0]) * amp
             cols["amp_neg"][r] = math.sqrt(zeta[0]) * np.abs(amp_n)
-        kbar = col_kbar[r] = mp.sum(axis=1)
-        ys = col_ys[r]
+        kbar = cols["kbar"][r] = mp.sum(axis=1)
+        ys = cols["ys"][r]
         for j in range(1, u):
             np.add(psi[:, j:j + 1], ports, out=ph)
             s = np.cos(ph, out=pt, where=mp).sum(axis=1)
             ys[:, j - 1] = zeta[j] * s ** 2
-        alpha = col_alpha[r] = zeta[0] * amp ** 2
-        beta = col_beta[r] = ys.sum(axis=1)
+        alpha = cols["alpha"][r] = zeta[0] * amp ** 2
+        beta = cols["beta"][r] = ys.sum(axis=1)
         denom = beta + kbar / (2.0 * gamma)
         # an empty activation set collects nothing: SINR is zero, not 0/0
-        col_sinr[r] = np.divide(alpha, denom, out=np.zeros_like(alpha), where=denom > 0.0)
+        cols["sinr"][r] = np.divide(alpha, denom, out=np.zeros_like(alpha), where=denom > 0.0)
 
 
 @dataclass(frozen=True)
@@ -126,6 +125,8 @@ class TrialBatch:
     The float columns are float64.  kbar, the activated-port count, takes
     the narrowest signed integer dtype that holds -K
     (np.min_scalar_type(-K)): int8 for K <= 128, int16 up to K = 32768.
+    amp_pos and amp_neg cover the first min(k2_trials, n_trials) trials
+    and are empty when no amplitudes were asked for.
     """
 
     n_trials: int
@@ -133,20 +134,9 @@ class TrialBatch:
     ys: np.ndarray      # shape (n_trials, U-1)
     beta: np.ndarray
     sinr: np.ndarray
+    amp_pos: np.ndarray   # sqrt(alpha) over the positive-cosine set
+    amp_neg: np.ndarray   # |sum| over the negative-cosine set
     kbar: np.ndarray
-
-
-@dataclass(frozen=True)
-class NegativeSetBatch:
-    """Per-trial signal amplitudes over the positive- and negative-cosine sets."""
-
-    n_trials: int
-    amp_pos: np.ndarray   # sqrt(alpha) over the positive set
-    amp_neg: np.ndarray   # |sum| over the negative set
-
-
-_K1_COLUMNS = ("alpha", "ys", "beta", "sinr", "kbar")
-_K2_COLUMNS = ("amp_pos", "amp_neg")
 
 
 def _column_layout(n: int, u: int, k: int, n_k2: int):
@@ -208,14 +198,13 @@ def _block_plan(n: int, block_size: int, workers: int, n_k2: int):
     return sorted(cuts | {n_k2, n}), w
 
 
-def oracle_pass(sc: Scenario, n: int, master_seed: int, block_size: int = DEFAULT_BLOCK,
-                workers: int = 1, k2_trials: int = 0):
-    """One brute-force pass over n trials: (TrialBatch, NegativeSetBatch).
+def run_trials(sc: Scenario, n: int, master_seed: int, block_size: int = DEFAULT_BLOCK,
+               workers: int = 1, k2_trials: int = 0) -> TrialBatch:
+    """Run n brute-force trials.
 
-    The negative-set batch covers the first min(k2_trials, n) trials of the
-    same draws (None when k2_trials is 0).  Its amp_pos and amp_neg come
-    from the desired user's cosines that the positive-set pass computes
-    anyway, at almost no extra cost.
+    The batch's amp_pos and amp_neg cover the first min(k2_trials, n)
+    trials of the same draws.  They come from the desired user's cosines
+    that the positive-set pass computes anyway, at almost no extra cost.
 
     One worker runs blocks of block_size trials in process and writes them
     in place into the output columns, so the pass holds those columns and
@@ -254,26 +243,13 @@ def oracle_pass(sc: Scenario, n: int, master_seed: int, block_size: int = DEFAUL
                 initializer=_pool_columns.update, initargs=(cols,)) as pool:
             list(pool.map(_fill_shared, blocks))  # re-raises a worker's error
 
-    batch = TrialBatch(n_trials=n, **{name: cols[name] for name in _K1_COLUMNS})
-    neg = (NegativeSetBatch(n_trials=n_k2, **{name: cols[name] for name in _K2_COLUMNS})
-           if n_k2 else None)
-    return batch, neg
-
-
-def run_trials(sc: Scenario, n: int, master_seed: int,
-               block_size: int = DEFAULT_BLOCK, workers: int = 1) -> TrialBatch:
-    """Run n brute-force trials.
-
-    The result is independent of block_size and workers; blocks are seeded
-    by absolute trial index and written at their own rows.
-    """
-    return oracle_pass(sc, n, master_seed, block_size, workers)[0]
+    return TrialBatch(n_trials=n, **cols)
 
 
 def negative_set_trials(sc: Scenario, n: int, master_seed: int,
-                        block_size: int = DEFAULT_BLOCK) -> NegativeSetBatch:
+                        block_size: int = DEFAULT_BLOCK) -> TrialBatch:
     """Brute-force signal amplitudes over both activation sets per trial."""
-    return oracle_pass(sc, n, master_seed, block_size, k2_trials=n)[1]
+    return run_trials(sc, n, master_seed, block_size, k2_trials=n)
 
 
 def empirical_cdf(samples, thresholds) -> np.ndarray:

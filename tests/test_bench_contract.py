@@ -48,6 +48,19 @@ def test_run_trials_binds_n_and_block_size():
     assert rec.counters["montecarlo.blocks"] == 1 + 3
 
 
+def test_validation_pass_counts_as_run_trials(monkeypatch):
+    # validate's one brute-force pass, negative-set amplitudes included, is
+    # a run_trials call, so a traced validate counts its trials
+    from satcuma import validate
+    spans = _spans()
+    rec = spans.SpanRecorder("contract")
+    monkeypatch.setattr(montecarlo, "run_trials",
+                        spans._run_trials_wrapper(rec, montecarlo.run_trials))
+    validate.run_validation(reference_scenario(K=9, W=2, U=2), 3000, 0)
+    assert rec.counters["montecarlo.trials"] == 3000
+    assert rec.summary().keys() == {"montecarlo.run_trials"}
+
+
 def test_ergodic_rate_binds_sc():
     spans = _spans()
     rec = spans.SpanRecorder("contract")

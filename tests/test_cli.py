@@ -264,6 +264,13 @@ class TestMetricTable:
         assert out.read_text().splitlines()[1].split(",")[4] == ""
 
 
+_EVERY_VERB_WITH_TRIALS = pytest.mark.parametrize("argv", [
+    ["sweep", "--preset", "fig3", "--trials", "2000"],
+    ["validate", "--trials", "20000"],
+    ["report", "--trials", "20000"],
+], ids=["sweep", "validate", "report"])
+
+
 class TestCliExitCodes:
     def test_sweep_requires_exactly_one_source(self, tmp_path):
         assert run_cli(["sweep", "--out", str(tmp_path / "x.csv")]) == 2
@@ -472,24 +479,34 @@ class TestCliExitCodes:
             capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("argv", [
-        ["sweep", "--preset", "fig3", "--trials", "2000"],
-        ["validate", "--trials", "20000"],
-        ["report", "--trials", "20000"],
-    ], ids=["sweep", "validate", "report"])
-    def test_out_in_missing_directory_is_usage_error_before_the_run(
-            self, tmp_path, capsys, monkeypatch, argv):
+    @staticmethod
+    def _forbid_runs(monkeypatch):
+        # every verb's work, analytic or Monte-Carlo, fails the test
         import satcuma.cli as cli
 
         def run(*args, **kwargs):
             raise AssertionError("ran before --out was checked")
 
-        monkeypatch.setattr(cli, "run_sweep", run)
-        monkeypatch.setattr(cli.val, "run_validation", run)
-        monkeypatch.setattr(cli.mc, "run_trials", run)
+        for owner, name in ((cli, "run_sweep"), (cli, "_load_scenario"),
+                            (cli.val, "run_validation"), (cli.mc, "run_trials")):
+            monkeypatch.setattr(owner, name, run)
+
+    @_EVERY_VERB_WITH_TRIALS
+    def test_out_in_missing_directory_is_usage_error_before_the_run(
+            self, tmp_path, capsys, monkeypatch, argv):
+        self._forbid_runs(monkeypatch)
         out = tmp_path / "missing" / "out.txt"
         assert run_cli(argv + ["--out", str(out)]) == 2
         assert "error: --out directory does not exist" in capsys.readouterr().err
+
+    @_EVERY_VERB_WITH_TRIALS
+    def test_out_naming_a_directory_is_usage_error_before_the_run(
+            self, tmp_path, capsys, monkeypatch, argv):
+        # a directory passed the existence check and failed on the write,
+        # after the whole run
+        self._forbid_runs(monkeypatch)
+        assert run_cli(argv + ["--out", str(tmp_path)]) == 2
+        assert "error: --out names a directory" in capsys.readouterr().err
 
     def test_psi_u_zero_draws_the_phase(self, tmp_path):
         # psi_u = 0 and pi both run: 0 uses the scenario's drawn phase (about

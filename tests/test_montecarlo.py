@@ -10,7 +10,7 @@ from satcuma.core import (PortSetKind, activated_set,
                           signal_amplitude_bruteforce)
 from satcuma import montecarlo
 from satcuma.montecarlo import (empirical_cdf, empirical_outage, ks_distance,
-                                negative_set_trials, oracle_pass, run_trials,
+                                negative_set_trials, run_trials,
                                 wilson_interval, _block_plan, _chunk_rows,
                                 _draw_block)
 
@@ -141,14 +141,12 @@ class TestBlockPlan:
         sc = reference_scenario(K=61, W=3, U=20)
         for n, block_size in ((100000, 65536), (20001, 4096)):
             assert _block_plan(n, block_size, 2, n)[1] == 2
-            ref_batch, ref_neg = oracle_pass(sc, n, 4, workers=1, k2_trials=n)
-            got_batch, got_neg = oracle_pass(sc, n, 4, block_size, workers=2, k2_trials=n)
-            for obj, ref, cols in ((got_batch, ref_batch, ("alpha", "ys", "beta", "sinr", "kbar")),
-                                   (got_neg, ref_neg, ("amp_pos", "amp_neg"))):
-                for col in cols:
-                    got = getattr(obj, col)
-                    assert got.flags.aligned or got.dtype != np.float64, (n, col)
-                    assert np.array_equal(got, getattr(ref, col)), (n, col)
+            ref = run_trials(sc, n, 4, workers=1, k2_trials=n)
+            batch = run_trials(sc, n, 4, block_size, workers=2, k2_trials=n)
+            for col in ("alpha", "ys", "beta", "sinr", "amp_pos", "amp_neg", "kbar"):
+                got = getattr(batch, col)
+                assert got.flags.aligned or got.dtype != np.float64, (n, col)
+                assert np.array_equal(got, getattr(ref, col)), (n, col)
 
 
 _AMP_COLUMNS = ("amp_pos", "amp_neg")
@@ -188,15 +186,15 @@ class TestKernelBitIdentity:
             _assert_columns_equal(negative_set_trials(sc, n, 73, block_size), ref, _AMP_COLUMNS)
 
     def test_one_pass_gives_both_batches(self):
-        # the negative-set columns of a pass are those of its first trials
+        # the amplitude columns of a pass are those of its first trials
         sc = reference_scenario(K=21, W=2, U=5)
         n, n_k2 = self.n_trials(21), _chunk_rows(21) + 5
         psi = _draw_block(79, 0, n, 5)
-        batch, neg = oracle_pass(sc, n, 79, block_size=977, workers=2, k2_trials=n_k2)
+        batch = run_trials(sc, n, 79, block_size=977, workers=2, k2_trials=n_k2)
         _assert_columns_equal(batch, naive_block(sc, psi))
-        assert neg.n_trials == n_k2
-        _assert_columns_equal(neg, naive_negative_set(sc, psi[:n_k2]), _AMP_COLUMNS)
-        assert oracle_pass(sc, n, 79)[1] is None
+        _assert_columns_equal(batch, naive_negative_set(sc, psi[:n_k2]), _AMP_COLUMNS)
+        plain = run_trials(sc, n, 79)
+        assert plain.amp_pos.shape == plain.amp_neg.shape == (0,)
 
     @pytest.mark.parametrize("K,W,U", CASES)
     def test_amplitude_only_pass_is_bit_identical(self, K, W, U):
@@ -207,9 +205,8 @@ class TestKernelBitIdentity:
         psi = _draw_block(83, 0, n, U)
         ref, ref_neg = naive_block(sc, psi), naive_negative_set(sc, psi[:n_k2])
         for kwargs in ({}, {"block_size": 977}, {"block_size": 977, "workers": 2}):
-            batch, neg = oracle_pass(sc, n, 83, k2_trials=n_k2, **kwargs)
-            assert neg.n_trials == n_k2
-            _assert_columns_equal(neg, ref_neg, _AMP_COLUMNS)
+            batch = run_trials(sc, n, 83, k2_trials=n_k2, **kwargs)
+            _assert_columns_equal(batch, ref_neg, _AMP_COLUMNS)
             _assert_columns_equal(batch, ref)
 
 
@@ -235,11 +232,11 @@ class TestKernelMemory:
         sc = reference_scenario(K=61, W=3, U=20)
         tracemalloc.start()
         try:
-            batch, neg = oracle_pass(sc, 100000, 3, workers=2, k2_trials=100000)
+            batch = run_trials(sc, 100000, 3, workers=2, k2_trials=100000)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert neg.n_trials == 100000
+        assert batch.amp_neg.shape == (100000,)
         assert peak <= 4 * 2 ** 20
 
 
@@ -270,14 +267,14 @@ class TestKbarWidth:
         from satcuma.validate import run_validation
         sc = reference_scenario(K=K, W=2, U=5)
         narrow = run_validation(sc, 3000, 97)
-        orig = montecarlo.oracle_pass
+        orig = montecarlo.run_trials
 
         def wide_pass(*args, **kwargs):
-            batch, neg = orig(*args, **kwargs)
+            batch = orig(*args, **kwargs)
             assert batch.kbar.dtype == np.int8
-            return dataclasses.replace(batch, kbar=batch.kbar.astype(np.int64)), neg
+            return dataclasses.replace(batch, kbar=batch.kbar.astype(np.int64))
 
-        monkeypatch.setattr(montecarlo, "oracle_pass", wide_pass)
+        monkeypatch.setattr(montecarlo, "run_trials", wide_pass)
         wide = run_validation(sc, 3000, 97)
         narrow_stat, wide_stat = ({c.name: c.statistic for c in rep.checks}["activated-port-count"]
                                   for rep in (narrow, wide))
@@ -352,12 +349,12 @@ class TestTrialPhysics:
     @pytest.mark.parametrize("block_size", [0, -5])
     def test_block_size_validation(self, table_scenario, block_size):
         with pytest.raises(ValueError, match="block_size"):
-            oracle_pass(table_scenario, 100, 1, block_size=block_size)
+            run_trials(table_scenario, 100, 1, block_size=block_size)
 
     @pytest.mark.parametrize("workers", [0, -2])
     def test_workers_validation(self, table_scenario, workers):
         with pytest.raises(ValueError, match="workers"):
-            oracle_pass(table_scenario, 100, 1, workers=workers)
+            run_trials(table_scenario, 100, 1, workers=workers)
 
 
 class TestNegativeSet:
