@@ -9,7 +9,8 @@ SNR, the odd-mu warning) are computed from them on access, so they cannot
 disagree with the inputs, and the bundle is immutable, so scenarios can be
 shared freely across threads and processes.
 
-Config files are flat JSON objects.  Recognised keys::
+Configs are flat JSON objects (a dict, a file path or JSON text); K, W and
+U are required, and the others default as shown (_CONFIG_DEFAULTS)::
 
     K            port count (integer >= 2)
     W            aperture scaling factor in wavelengths (integer >= 1)
@@ -35,7 +36,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -48,10 +48,7 @@ WARN_ODD_MU = "odd-mu"
 
 SEED_BOUND = 2 ** 128  # Philox keys, and so seeds, lie in [0, 2**128)
 
-_CONFIG_KEYS = {
-    "K", "W", "U", "P_watts", "G_dBi", "B_hz", "T_kelvin", "f_c_hz",
-    "distance_m", "seed",
-}
+_REQUIRED_KEYS = ("K", "W", "U")
 
 _CONFIG_DEFAULTS = {
     "P_watts": 1.0,
@@ -62,6 +59,8 @@ _CONFIG_DEFAULTS = {
     "distance_m": 1.2e6,
     "seed": 0,
 }
+
+_CONFIG_KEYS = {*_REQUIRED_KEYS, *_CONFIG_DEFAULTS}
 
 
 class ScenarioError(ValueError):
@@ -139,11 +138,6 @@ class AntennaConfig:
         return (self.K - 1) % (2 * self.W) == 0
 
     @property
-    def kbar(self) -> float:
-        """Analytic activated-port count (K-1)/2; exact for even mu."""
-        return (self.K - 1) / 2.0
-
-    @property
     def V(self) -> float:
         """Signal scaling constant sin(pi/mu)/W."""
         return math.sin(math.pi / self.mu_float) / self.W
@@ -151,13 +145,13 @@ class AntennaConfig:
 
 @dataclass(frozen=True)
 class LinkBudget:
-    """RF link budget; all fields linear-scale and strictly positive."""
+    """RF link budget, linear-scale and positive; no defaults (see _CONFIG_DEFAULTS)."""
 
-    P: float = 1.0            # transmit power, W
-    G: float = 1e4            # overall antenna gain, linear
-    B: float = 1e7            # bandwidth, Hz
-    T: float = 207.0          # receiver temperature, K
-    f_c: float = 30e9         # carrier frequency, Hz
+    P: float                  # transmit power, W
+    G: float                  # overall antenna gain, linear
+    B: float                  # bandwidth, Hz
+    T: float                  # receiver temperature, K
+    f_c: float                # carrier frequency, Hz
 
     def __post_init__(self):
         for name in ("P", "G", "B", "T", "f_c"):
@@ -202,15 +196,6 @@ class UserField:
             if not (0.0 < p < 2.0 * math.pi):
                 raise ScenarioError(f"psi entries must lie in (0, 2*pi), got {p}")
 
-    @property
-    def zeta_u(self) -> float:
-        """Path-loss coefficient of the desired user."""
-        return self.zeta[0]
-
-    @property
-    def zeta_interferers(self) -> tuple:
-        return self.zeta[1:]
-
 
 @dataclass(frozen=True)
 class Scenario:
@@ -235,11 +220,12 @@ class Scenario:
 
     @property
     def zeta_u(self) -> float:
-        return self.users.zeta_u
+        """Path-loss coefficient of the desired user, user 0."""
+        return self.users.zeta[0]
 
     @property
     def zeta_interferers(self) -> tuple:
-        return self.users.zeta_interferers
+        return self.users.zeta[1:]
 
     @property
     def mu(self) -> float:
@@ -257,8 +243,8 @@ class Scenario:
 
     @property
     def Kbar(self) -> float:
-        """Activated-port count (K-1)/2."""
-        return self.antenna.kbar
+        """Analytic activated-port count (K-1)/2; exact for even mu."""
+        return (self.antenna.K - 1) / 2.0
 
     @functools.cached_property
     def Gamma(self) -> float:
@@ -288,7 +274,7 @@ def _draw_phases(u: int, seed: int) -> tuple:
 
 
 def load_config(source) -> dict:
-    """Flat config mapping from a dict, a JSON file path or a JSON string.
+    """Flat config mapping from a dict or a str, a JSON file path or JSON text.
 
     A string that names no readable file is parsed as JSON only when it
     starts like JSON ('{' or '['); otherwise the unreadable file is reported.
@@ -296,18 +282,17 @@ def load_config(source) -> dict:
     """
     if isinstance(source, dict):
         return dict(source)
-    if not isinstance(source, (str, bytes)):
+    if not isinstance(source, str):
         raise ScenarioError(f"unsupported config source type {type(source).__name__}")
     try:
         with open(source) as fh:
             text = fh.read()
-        origin = f"config file {os.fsdecode(source)!r}"
+        origin = f"config file {source!r}"
     except OSError as exc:
-        text = source.decode() if isinstance(source, bytes) else source
-        if not text.lstrip().startswith(("{", "[")):
-            raise ScenarioError(f"cannot read config file {text!r}: "
+        if not source.lstrip().startswith(("{", "[")):
+            raise ScenarioError(f"cannot read config file {source!r}: "
                                 f"{exc.strerror or exc}") from exc
-        origin = "config string"
+        text, origin = source, "config string"
     try:
         cfg = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -331,7 +316,7 @@ def build_scenario(source) -> Scenario:
     unknown = set(cfg) - _CONFIG_KEYS
     if unknown:
         raise ScenarioError(f"unknown config keys: {sorted(unknown)}")
-    for required in ("K", "W", "U"):
+    for required in _REQUIRED_KEYS:
         if required not in cfg:
             raise ScenarioError(f"missing required config key: {required}")
 

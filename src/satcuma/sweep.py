@@ -31,7 +31,11 @@ from . import benchmarks, distributions as dist, metrics, montecarlo as mc
 from .scenario import (SEED_BOUND, Scenario, ScenarioError, build_scenario,
                        is_integral, is_number, phase_offset, table_default_config)
 
-SWEEP_PARAMS = ("mu", "K", "U", "B", "gamma", "W", "psi_tilde")
+# each sweep parameter and the scenario key its grid value sets (K = mu*W + 1
+# for mu); a gamma or psi_tilde sweep leaves the scenario as it is
+_GRID_KEYS = {"mu": "K", "K": "K", "U": "U", "B": "B_hz", "gamma": None, "W": "W",
+              "psi_tilde": None}
+SWEEP_PARAMS = tuple(_GRID_KEYS)
 
 CSV_COLUMNS = ("series", "param", "value", "metric", "analytic", "est_error",
                "warnings", "mc_value", "mc_ci_low", "mc_ci_high")
@@ -112,17 +116,9 @@ class SweepSpec:
 
 def _scenario_at(spec: SweepSpec, value) -> Scenario:
     cfg = dict(spec.base)
-    if spec.param == "mu":
-        cfg["K"] = int(round(value * cfg["W"] + 1))
-    elif spec.param == "K":
-        cfg["K"] = int(value)
-    elif spec.param == "U":
-        cfg["U"] = int(value)
-    elif spec.param == "B":
-        cfg["B_hz"] = float(value)
-    elif spec.param == "W":
-        cfg["W"] = int(value)
-    # gamma / psi_tilde sweeps leave the scenario untouched
+    key = _GRID_KEYS[spec.param]
+    if key is not None:
+        cfg[key] = round(value * cfg["W"] + 1) if spec.param == "mu" else value
     cfg.setdefault("seed", spec.seed)
     return build_scenario(cfg)
 
@@ -295,11 +291,12 @@ def write_csv(rows, path) -> None:
 
 
 def write_json(rows, path) -> None:
-    payload = [{c: (None if row[c] is None else
-                    (row[c] if isinstance(row[c], (str, int)) else float(_fmt(row[c]))))
-                for c in CSV_COLUMNS} for row in rows]
+    def cell(v):  # a number at the CSV's 12 digits; a non-finite one, not JSON, is null
+        x = v if v is None or isinstance(v, (str, int)) else float(_fmt(v))
+        return None if isinstance(x, float) and not math.isfinite(x) else x
+    payload = [{c: cell(row[c]) for c in CSV_COLUMNS} for row in rows]
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
+        json.dump(payload, fh, indent=1, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -425,7 +422,7 @@ def _list_field(item: dict, name: str, accept, what: str) -> tuple:
 def _sweeps(items, seed: int, trials: int, overrides: dict | None) -> list:
     """The SweepSpecs of sweep documents.  A sweep's seed and trials are the
     command's, unless its document sets them; an override, a sweep field or
-    else a scenario key, wins over both."""
+    else a scenario key, wins over both, and may not name a key the grid sets."""
     fields = {k: v for k, v in (overrides or {}).items() if k in _SPEC_FIELDS}
     scenario = {k: v for k, v in (overrides or {}).items() if k not in fields}
     required = ("param", "grid", "scenario", "metrics")
@@ -445,13 +442,18 @@ def _sweeps(items, seed: int, trials: int, overrides: dict | None) -> list:
         optional = {"trials": trials, "seed": seed}
         optional.update((k, v) for k, v in item.items() if k in _SPEC_FIELDS)
         optional.update(fields)
-        specs.append(SweepSpec(
+        spec = SweepSpec(
             param=item["param"], grid=_list_field(item, "grid", is_number,
                                                   "numbers in the float range"),
             base={**item["scenario"], **scenario},  # scenario keys are checked at build time
             metrics=_list_field(item, "metrics", lambda v: isinstance(v, str),
                                 "metric names"),
-            **{k: _spec_field(k, v) for k, v in optional.items()}))
+            **{k: _spec_field(k, v) for k, v in optional.items()})
+        swept = "gamma" if spec.param == "gamma" else _GRID_KEYS[spec.param]
+        if swept in (overrides or {}):  # the grid would overwrite it
+            raise SweepSpecError(f"--set {swept}: a {spec.param!r} sweep sets {swept!r} "
+                                 f"at each grid value")
+        specs.append(spec)
     return specs
 
 

@@ -21,7 +21,8 @@ def unit_scenario(K=9, W=2, U=5, gamma_snr=1e30, psi_u=math.pi / 3):
     """
     psi = (psi_u,) + tuple(0.4 + 0.9 * j for j in range(1, U))
     return Scenario(antenna=AntennaConfig(K=K, W=W),
-                    budget=LinkBudget(P=gamma_snr * BASE_NOISE, G=1.0, B=1e7, T=207.0),
+                    budget=LinkBudget(P=gamma_snr * BASE_NOISE, G=1.0, B=1e7, T=207.0,
+                                      f_c=30e9),
                     users=UserField(U=U, zeta=(1.0,) * U, psi=psi))
 
 

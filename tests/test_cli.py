@@ -13,8 +13,9 @@ from satcuma.cli import _build_parser, _load_scenario, main
 from satcuma.metrics import WARN_CLAMPED, WARN_QUAD_LIMIT
 from satcuma.montecarlo import DEFAULT_BLOCK, _block_plan, run_trials, wilson_interval
 from satcuma.scenario import WARN_ODD_MU, build_scenario
-from satcuma.sweep import (METRIC_REGISTRY, PRESETS, SweepSpec, SweepSpecError,
-                           load_sweep_file, preset_sweeps, run_sweep, write_csv)
+from satcuma.sweep import (_GRID_KEYS, METRIC_REGISTRY, PRESETS, SWEEP_PARAMS, SweepSpec,
+                           SweepSpecError, _scenario_at, load_sweep_file, preset_sweeps,
+                           run_sweep, write_csv)
 from satcuma.validate import NEGATIVE_SET_TRIALS, run_validation
 
 from conftest import reference_scenario
@@ -77,6 +78,24 @@ class TestSweepSpec:
             spec = SweepSpec(param="mu", grid=(2.5,), base={"K": 10, "W": 3, "U": 2},
                              metrics=("mean_snr",))
             run_sweep([spec])
+
+    @pytest.mark.parametrize("param", SWEEP_PARAMS)
+    def test_grid_value_sets_its_scenario_key(self, param):
+        # each sweep parameter sets the one scenario key that _GRID_KEYS names
+        x = {"mu": 4, "K": 13, "U": 3, "B": 2e7, "gamma": 0.2, "W": 4, "psi_tilde": 1.0}[param]
+        base = {"K": 21, "W": 2, "U": 5}
+        sc = _scenario_at(SweepSpec(param=param, grid=(x,), base=base,
+                                    metrics=("mean_snr",)), x)
+        key = _GRID_KEYS[param]
+        if key is None:
+            assert sc == build_scenario(base)
+        else:
+            # a mu sweep sets K = mu*W + 1
+            assert sc == build_scenario({**base, key: x * 2 + 1 if param == "mu" else x})
+            assert sc != build_scenario(base)
+        # and the scenario reads the grid value back as the swept input
+        assert {"mu": sc.mu, "K": sc.antenna.K, "U": sc.users.U, "B": sc.budget.B,
+                "W": sc.antenna.W}.get(param, x) == x
 
     def test_row_count_is_grid_times_metrics(self):
         spec = SweepSpec(param="mu", grid=(4, 6, 8), base={"K": 9, "W": 2, "U": 2},
@@ -338,6 +357,25 @@ class TestCliExitCodes:
         assert run_cli(["sweep", "--spec", str(spec),
                         "--out", str(tmp_path / "x.csv")]) == 2
         assert "scenario key 'W'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("preset,key,value", [
+        ("fig3", "K", "11"), ("fig5", "U", "3"), ("fig7", "B_hz", "1"), ("fig6", "gamma", "0.5"),
+    ], ids=["mu-sets-K", "U", "B-sets-B_hz", "gamma"])
+    def test_override_of_swept_key_is_usage_error_naming_it(self, tmp_path, capsys,
+                                                            preset, key, value):
+        # the grid sets this key at every point, so the override would be lost
+        out = tmp_path / "x.csv"
+        assert run_cli(["sweep", "--preset", preset, "--set", f"{key}={value}",
+                        "--out", str(out)]) == 2
+        assert f"error: --set {key}: a " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_override_of_a_key_the_grid_reads_is_kept(self, tmp_path):
+        # a mu sweep reads W (K = mu*W + 1) but does not set it
+        a, b = tmp_path / "w2.csv", tmp_path / "w3.csv"
+        assert run_cli(["sweep", "--preset", "fig3", "--out", str(a)]) == 0
+        assert run_cli(["sweep", "--preset", "fig3", "--set", "W=3", "--out", str(b)]) == 0
+        assert a.read_bytes() != b.read_bytes()
 
     @pytest.mark.parametrize("argv,option", [
         (["validate", "--trials", "-5"], "--trials"),
@@ -634,6 +672,24 @@ class TestDeterministicOutputs:
             rc_b = run_cli(args + ["--workers", "4", "--out", str(b)])
             assert rc_a == rc_b == 0
             assert a.read_bytes() == b.read_bytes()
+
+    def test_sweep_json_is_strict_json(self, tmp_path):
+        # a non-finite value (the rate at B = 1e300) is written as null, not NaN
+        spec, out = tmp_path / "spec.json", tmp_path / "out.json"
+        spec.write_text(json.dumps({"param": "B", "grid": [1e7, 1e300],
+                                    "scenario": {"K": 21, "W": 2, "U": 5},
+                                    "metrics": ["rate_exact", "mean_sinr", "outage_exact"]}))
+        assert run_cli(["sweep", "--spec", str(spec), "--format", "json",
+                        "--out", str(out)]) == 0
+
+        def reject(name):
+            raise ValueError(f"not JSON: {name}")
+
+        rows = json.loads(out.read_text(), parse_constant=reject)
+        rate = [r for r in rows if r["value"] == 1e300 and r["metric"] == "rate_exact"]
+        assert rate[0]["analytic"] is None and rate[0]["est_error"] is None
+        assert rate[0]["warnings"] == WARN_QUAD_LIMIT
+        assert all(isinstance(r["analytic"], float) for r in rows if r["value"] == 1e7)
 
 
 class TestValidateCommand:

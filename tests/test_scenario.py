@@ -4,7 +4,7 @@ import os
 import pickle
 import subprocess
 import sys
-from dataclasses import fields, replace
+from dataclasses import MISSING, fields, replace
 from fractions import Fraction
 
 import pytest
@@ -39,14 +39,26 @@ class TestPathLoss:
             path_loss_coeff(30e9, 0.0)
 
 
+def _budget(**over):
+    """An explicit link budget at the table values, with fields replaced by over."""
+    return LinkBudget(**{"P": 1.0, "G": 1e4, "B": 1e7, "T": 207.0, "f_c": 30e9, **over})
+
+
 class TestLinkBudget:
     def test_table_noise_and_snr(self):
-        b = LinkBudget()
+        b = build_scenario(table_default_config(K=21, W=2, U=5)).budget
+        assert b == _budget()
         assert b.noise_power == pytest.approx(2.85867e-14, rel=1e-9)
         assert nominal_snr(b) == pytest.approx(3.4981302493817055e17, rel=1e-12)
 
+    def test_fields_have_no_defaults(self):
+        # the default link budget lives only in the config defaults
+        assert all(f.default is MISSING for f in fields(LinkBudget))
+        with pytest.raises(TypeError):
+            LinkBudget(P=1.0, G=1e4, B=1e7, T=207.0)
+
     def test_doubling_bandwidth_halves_snr(self):
-        b1, b2 = LinkBudget(B=1e7), LinkBudget(B=2e7)
+        b1, b2 = _budget(B=1e7), _budget(B=2e7)
         assert nominal_snr(b2) == pytest.approx(nominal_snr(b1) / 2, rel=1e-14)
 
     def test_dbi_conversion(self):
@@ -55,13 +67,13 @@ class TestLinkBudget:
     def test_scaling_invariance(self):
         # P -> cP, G -> G/c leaves the nominal SNR unchanged
         c = 7.3
-        b1 = LinkBudget(P=1.0, G=1e4)
-        b2 = LinkBudget(P=c, G=1e4 / c)
+        b1 = _budget(P=1.0, G=1e4)
+        b2 = _budget(P=c, G=1e4 / c)
         assert nominal_snr(b1) == pytest.approx(nominal_snr(b2), rel=1e-14)
 
     def test_positive_field_validation(self):
         with pytest.raises(ScenarioError, match="T"):
-            LinkBudget(T=-1.0)
+            _budget(T=-1.0)
 
 
 class TestAntennaConfig:
@@ -69,7 +81,7 @@ class TestAntennaConfig:
         cfg = AntennaConfig(K=61, W=3)
         assert cfg.mu == Fraction(20)
         assert cfg.mu_is_even_integer
-        assert cfg.kbar == 30
+        assert build_scenario({"K": 61, "W": 3, "U": 1}).Kbar == 30
 
     def test_mu_times_w_plus_one_is_k(self):
         for k in range(2, 120):
@@ -166,6 +178,10 @@ class TestBuildScenario:
         assert (sc.antenna.K, sc.users.U, sc.seed) == (9, 3, 2)
         with pytest.raises(ScenarioError, match="JSON object"):
             build_scenario("[9, 2, 3]")
+
+    def test_bytes_source_is_rejected_naming_its_type(self):
+        with pytest.raises(ScenarioError, match="unsupported config source type bytes"):
+            build_scenario(b'{"K": 9, "W": 2, "U": 2}')
 
     def test_phase_draw_deterministic(self):
         a = build_scenario({"K": 9, "W": 2, "U": 4, "seed": 11})
