@@ -25,10 +25,10 @@ _EXPORTS = (
     ("core", ("PortSet", "PortSetKind", "activated_set", "instant_sinr",
               "interference_power_compact", "k2_residual_bound",
               "signal_amplitude_bruteforce", "signal_power_compact", "window_bounds")),
-    ("distributions", ("SupportInterval", "TruncGaussParams", "cdf_difference",
-                       "interference_cdf_per_user", "interference_pdf_per_user", "pdf_ratio",
-                       "signal_cdf", "signal_pdf", "sinr_pdf_compact", "sinr_pdf_exact",
-                       "total_interference_pdf", "trunc_gauss_params")),
+    ("distributions", ("SupportInterval", "cdf_difference", "interference_cdf_per_user",
+                       "interference_pdf_per_user", "pdf_ratio", "signal_cdf", "signal_pdf",
+                       "sinr_law", "sinr_pdf_compact", "sinr_pdf_exact",
+                       "total_interference_pdf")),
     ("metrics", ("MetricResult", "ergodic_rate", "mean_sinr", "mean_snr", "outage_compact",
                  "outage_exact")),
     ("quadrature", ("QuadratureSpec",)),

@@ -4,8 +4,11 @@ Closed-form densities and CDFs for the aggregated in-phase signal power
 and the per-interferer power (one arc law, _arc_pdf and _arc_cdf), the
 truncated-Gaussian aggregate interference, and the resulting SINR (an
 integral form valid for any density, plus a closed form for the compact
-high-density regime).  sinr_law holds the SINR law's constants, one record
-per scenario, which metrics reads too.  Also the stochastic-dominance
+high-density regime).  sinr_law builds a scenario's SINR law once, as one
+SinrLaw record: the aggregate interference's mean omega, spread kappa and
+truncation mass, the noise term and the desired user's constants.  The
+aggregate-interference density and CDF (total_interference_*) take that
+record, and metrics reads it too.  Also the stochastic-dominance
 diagnostics comparing signal and interference.
 
 Density conventions: evaluating outside the support returns 0 so plotting
@@ -138,25 +141,6 @@ def std_normal_cdf(x):
 
 
 @dataclass(frozen=True)
-class TruncGaussParams:
-    """Pre-truncation mean and standard deviation of the aggregate interference."""
-
-    omega: float
-    kappa: float
-
-    def __post_init__(self):
-        if self.omega <= 0:
-            raise ValueError(f"omega must be positive, got {self.omega}")
-        if self.kappa <= 0:
-            raise ValueError(f"kappa must be positive, got {self.kappa}")
-
-    @functools.cached_property
-    def truncation_mass(self) -> float:
-        """Probability mass the untruncated Gaussian puts on beta >= 0."""
-        return float(std_normal_cdf(self.omega / self.kappa))
-
-
-@dataclass(frozen=True)
 class SupportInterval:
     lo: float
     hi: float
@@ -231,31 +215,21 @@ def interference_pdf_per_user(y, zeta: float, V: float):
     return _arc_pdf(y, zeta, V, interference_support(zeta, V), 1.0 / math.pi)
 
 
-def trunc_gauss_params(zeta_list, V: float) -> TruncGaussParams:
-    """Aggregate-interference parameters: omega = sum(zeta)/(2 V^2) and
-    kappa = sqrt(sum(zeta^2)/(8 V^4))."""
-    zs = np.asarray(zeta_list, dtype=float)
-    if zs.size == 0:
-        raise ValueError("at least one interferer required (noise-only case is "
-                         "handled by the metrics layer)")
-    omega = float(zs.sum() / (2.0 * V ** 2))
-    kappa = float(math.sqrt((zs ** 2).sum() / (8.0 * V ** 4)))
-    return TruncGaussParams(omega=omega, kappa=kappa)
-
-
 @dataclass(frozen=True)
 class SinrLaw:
-    """A scenario's SINR law: the desired user's zeta, V and mu, the mean
-    m = omega + n of interference plus noise, and the spread kappa,
-    truncation mass tm and parameters params of the aggregate interference."""
+    """A scenario's SINR law: the desired user's zeta, V and mu, the noise
+    term n, the pre-truncation mean omega and spread kappa of the aggregate
+    interference, the mean m = omega + n of interference plus noise, and the
+    truncation mass tm = Phi(omega/kappa) the Gaussian puts on beta >= 0."""
 
     zeta: float
     V: float
     mu: float
-    m: float
+    n: float
+    omega: float
     kappa: float
+    m: float
     tm: float
-    params: TruncGaussParams
 
     def alpha(self, theta):
         """Signal power (zeta/V^2) cos^2(theta) at the substitution angle theta."""
@@ -265,27 +239,36 @@ class SinrLaw:
 
 @functools.lru_cache(maxsize=64)
 def sinr_law(sc: Scenario) -> SinrLaw:
-    """The SINR law of a scenario with interferers, built once per scenario.
-    Callers finish one scenario before they start the next, so a few
-    entries catch every repeat; the bound keeps long runs from growing it."""
-    params = trunc_gauss_params(sc.zeta_interferers, sc.V)
-    return SinrLaw(zeta=sc.zeta_u, V=sc.V, mu=sc.mu, m=params.omega + sc.noise_term,
-                   kappa=params.kappa, tm=params.truncation_mass, params=params)
+    """The SINR law of a scenario with interferers, built once per scenario:
+    omega = sum(zeta)/(2 V^2) and kappa = sqrt(sum(zeta^2)/(8 V^4)) over the
+    interferers.  Callers finish one scenario before they start the next, so
+    a few entries catch every repeat; the bound keeps long runs from growing it."""
+    zs = np.asarray(sc.zeta_interferers, dtype=float)
+    if zs.size == 0:
+        raise ValueError("at least one interferer required (noise-only case is "
+                         "handled by the metrics layer)")
+    V, n = sc.V, sc.noise_term
+    omega = float(zs.sum() / (2.0 * V ** 2))
+    kappa = float(math.sqrt((zs ** 2).sum() / (8.0 * V ** 4)))
+    if not kappa > 0.0:  # zeta^2 underflows for a subnormal zeta
+        raise ValueError(f"kappa must be positive, got {kappa}")
+    return SinrLaw(zeta=sc.zeta_u, V=V, mu=sc.mu, n=n, omega=omega, kappa=kappa,
+                   m=omega + n, tm=float(std_normal_cdf(omega / kappa)))
 
 
-def total_interference_pdf(beta, params: TruncGaussParams):
+def total_interference_pdf(beta, law: SinrLaw):
     """Truncated-Gaussian density of the total interference power (beta >= 0)."""
     beta = np.asarray(beta, dtype=float)
-    norm = params.truncation_mass * math.sqrt(2.0 * math.pi) * params.kappa
-    dens = np.exp(-((beta - params.omega) ** 2) / (2.0 * params.kappa ** 2)) / norm
+    norm = law.tm * math.sqrt(2.0 * math.pi) * law.kappa
+    dens = np.exp(-((beta - law.omega) ** 2) / (2.0 * law.kappa ** 2)) / norm
     out = np.where(beta >= 0.0, dens, 0.0)
     return out if out.ndim else float(out)
 
 
-def total_interference_cdf(beta, params: TruncGaussParams):
+def total_interference_cdf(beta, law: SinrLaw):
     beta = np.asarray(beta, dtype=float)
-    lo = std_normal_cdf(-params.omega / params.kappa)
-    cdf = (std_normal_cdf((beta - params.omega) / params.kappa) - lo) / params.truncation_mass
+    lo = std_normal_cdf(-law.omega / law.kappa)
+    cdf = (std_normal_cdf((beta - law.omega) / law.kappa) - lo) / law.tm
     out = np.clip(np.where(beta < 0.0, 0.0, cdf), 0.0, 1.0)
     return out if out.ndim else float(out)
 
@@ -364,11 +347,10 @@ def sinr_cdf_compact_raw(z, sc: Scenario):
     z = np.asarray(z, dtype=float)
     if sc.users.U == 1:
         return np.where(z > sinr_supremum(sc), 1.0, 0.0)
-    params = sinr_law(sc).params
+    law = sinr_law(sc)
     with np.errstate(divide="ignore", invalid="ignore"):
-        arg = (sc.zeta_u / (z * params.kappa * sc.V ** 2)
-               - sc.noise_term / params.kappa - params.omega / params.kappa)
-    return (1.0 - std_normal_cdf(arg)) / params.truncation_mass
+        arg = law.zeta / (z * law.kappa * law.V ** 2) - law.n / law.kappa - law.omega / law.kappa
+    return (1.0 - std_normal_cdf(arg)) / law.tm
 
 
 def sinr_cdf_compact(z, sc: Scenario):

@@ -422,7 +422,9 @@ def _list_field(item: dict, name: str, accept, what: str) -> tuple:
 def _sweeps(items, seed: int, trials: int, overrides: dict | None) -> list:
     """The SweepSpecs of sweep documents.  A sweep's seed and trials are the
     command's, unless its document sets them; an override, a sweep field or
-    else a scenario key, wins over both, and may not name a key the grid sets."""
+    else a scenario key, wins over both.  It may not name a key the grid
+    sets, nor one whose value differs between the sweeps, which it would
+    make equal."""
     fields = {k: v for k, v in (overrides or {}).items() if k in _SPEC_FIELDS}
     scenario = {k: v for k, v in (overrides or {}).items() if k not in fields}
     required = ("param", "grid", "scenario", "metrics")
@@ -454,6 +456,11 @@ def _sweeps(items, seed: int, trials: int, overrides: dict | None) -> list:
             raise SweepSpecError(f"--set {swept}: a {spec.param!r} sweep sets {swept!r} "
                                  f"at each grid value")
         specs.append(spec)
+    for key in overrides or {}:
+        values = [item.get(key) if key in fields else item["scenario"].get(key) for item in items]
+        if any(v != values[0] for v in values[1:]):
+            raise SweepSpecError(f"--set {key}: the sweeps of this run set {key!r} to "
+                                 f"different values, which one override would make equal")
     return specs
 
 

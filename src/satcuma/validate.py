@@ -156,8 +156,8 @@ def run_validation(sc: Scenario, n_trials: int, master_seed: int,
               even)
 
         # 5. aggregate interference CLT fit
-        params = dist.sinr_law(sc).params
-        d_b = mc.ks_distance(batch.beta, lambda b: dist.total_interference_cdf(b, params))
+        law = dist.sinr_law(sc)
+        d_b = mc.ks_distance(batch.beta, lambda b: dist.total_interference_cdf(b, law))
         clt_regime = sc.users.U >= 20
         check("aggregate-interference-fit", d_b, _ks_floor(KS_AGGREGATE, n_trials),
               clt_regime and even, "" if clt_regime else "below massive-access regime")

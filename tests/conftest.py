@@ -17,9 +17,10 @@ def unit_scenario(K=9, W=2, U=5, gamma_snr=1e30, psi_u=math.pi / 3):
 
     K=9, W=2 gives mu=4 and V^2 = 1/8, the worked-example geometry.  The
     nominal SNR is set through the transmit power; the default makes the
-    noise term negligible.
+    noise term negligible.  Interferer phases step by 0.9 from 0.4, wrapped
+    into (0, 2*pi).
     """
-    psi = (psi_u,) + tuple(0.4 + 0.9 * j for j in range(1, U))
+    psi = (psi_u,) + tuple((0.4 + 0.9 * j) % (2.0 * math.pi) for j in range(1, U))
     return Scenario(antenna=AntennaConfig(K=K, W=W),
                     budget=LinkBudget(P=gamma_snr * BASE_NOISE, G=1.0, B=1e7, T=207.0,
                                       f_c=30e9),

@@ -140,9 +140,8 @@ class TestCriterion3:
                               y, sc10.users.zeta[1], sc10.V))
         sc20u = reference_scenario(K=21, W=2, U=20)
         batch_u20 = run_trials(sc20u, 10 ** 6, 1003)
-        params = sinr_law(sc20u).params
-        d_beta = ks_distance(batch_u20.beta,
-                             lambda b: total_interference_cdf(b, params))
+        law = sinr_law(sc20u)
+        d_beta = ks_distance(batch_u20.beta, lambda b: total_interference_cdf(b, law))
         sc4 = reference_scenario(K=9, W=2, U=5)
         d_sinr4 = ks_distance(batch_mu4_u5.sinr,
                               _sinr_cdf_callable(sc4, batch_mu4_u5.sinr))
@@ -167,9 +166,8 @@ class TestCriterion3:
         sc10 = reference_scenario(K=21, W=2, U=5)
         d = ks_distance(batch_mu10_u5.sinr,
                         _sinr_cdf_callable(sc10, batch_mu10_u5.sinr))
-        params = sinr_law(sc10).params
-        d_beta = ks_distance(batch_mu10_u5.beta,
-                             lambda b: total_interference_cdf(b, params))
+        law = sinr_law(sc10)
+        d_beta = ks_distance(batch_mu10_u5.beta, lambda b: total_interference_cdf(b, law))
         bound = d_beta + _KS_NOISE_MULT / math.sqrt(batch_mu10_u5.n_trials)
         check("criterion-3 SINR fit (mu=10)", d <= bound,
               f"KS={d:.4f} <= aggregate-model KS {d_beta:.4f} + sampling "
@@ -274,11 +272,11 @@ class TestCriterion5:
                       0.0, hi_y, limit=200)
         check("criterion-5 interference density normalizes", abs(n_y - 1) <= 1e-8,
               f"integral = {n_y:.10f} (tol 1e-8)")
-        params = sinr_law(sc).params
-        n_b = integrate(lambda b: total_interference_pdf(b, params), 0.0,
-                        params.omega + 14 * params.kappa,
-                        breakpoints=(params.omega - 2 * params.kappa,
-                                     params.omega + 2 * params.kappa)).value
+        law = sinr_law(sc)
+        n_b = integrate(lambda b: total_interference_pdf(b, law), 0.0,
+                        law.omega + 14 * law.kappa,
+                        breakpoints=(law.omega - 2 * law.kappa,
+                                     law.omega + 2 * law.kappa)).value
         check("criterion-5 aggregate density normalizes", abs(n_b - 1) <= 1e-6,
               f"integral = {n_b:.10f} (tol 1e-6)")
         n_z = integrate(lambda z: sinr_pdf_exact(z, sc), 0.0, sinr_supremum(sc),

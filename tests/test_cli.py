@@ -377,6 +377,28 @@ class TestCliExitCodes:
         assert run_cli(["sweep", "--preset", "fig3", "--set", "W=3", "--out", str(b)]) == 0
         assert a.read_bytes() != b.read_bytes()
 
+    @pytest.mark.parametrize("preset,key,value", [
+        ("fig8", "B_hz", "3e7"), ("fig4", "W", "3"), ("fig4", "series", "x"),
+        ("fig10", "mrc_M", "2"), ("fig6", "K", "21"),
+    ], ids=["fig8-B_hz", "fig4-W", "fig4-series", "fig10-mrc_M", "fig6-K"])
+    def test_override_that_makes_sweeps_equal_is_usage_error(self, tmp_path, capsys,
+                                                             preset, key, value):
+        # the preset's sweeps differ in this key; one value for all of them
+        # would write distinct series with identical rows
+        out = tmp_path / "x.csv"
+        assert run_cli(["sweep", "--preset", preset, "--set", f"{key}={value}",
+                        "--out", str(out)]) == 2
+        assert f"error: --set {key}: the sweeps of this run set {key!r} to different " \
+            in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_override_of_a_key_every_sweep_shares_is_kept(self, tmp_path):
+        a, b = tmp_path / "t207.csv", tmp_path / "t300.csv"
+        assert run_cli(["sweep", "--preset", "fig7", "--out", str(a)]) == 0
+        assert run_cli(["sweep", "--preset", "fig7", "--set", "T_kelvin=300",
+                        "--out", str(b)]) == 0
+        assert a.read_bytes() != b.read_bytes()
+
     @pytest.mark.parametrize("argv,option", [
         (["validate", "--trials", "-5"], "--trials"),
         (["report", "--trials", "-3"], "--trials"),
@@ -964,16 +986,16 @@ class TestModuleEntryPoint:
 # every public name of the package before its names resolved on first use
 PUBLIC_NAMES = (
     "AntennaConfig", "LinkBudget", "MetricResult", "PortSet", "PortSetKind", "QuadratureSpec",
-    "Scenario", "ScenarioError", "SupportInterval", "TrialBatch", "TruncGaussParams",
-    "UserField", "activated_set", "benchmarks", "build_scenario", "cdf_difference", "core",
+    "Scenario", "ScenarioError", "SupportInterval", "TrialBatch", "UserField",
+    "activated_set", "benchmarks", "build_scenario", "cdf_difference", "core",
     "cuma_beamforming_gains", "distributions", "empirical_cdf", "empirical_outage",
     "ergodic_rate", "instant_sinr", "interference_cdf_per_user", "interference_pdf_per_user",
     "interference_power_compact", "k2_residual_bound", "ks_distance", "mean_sinr", "mean_snr",
     "metrics", "min_ports_vs_mrc", "montecarlo", "mrc_sinr", "nominal_snr", "ocuma_rate",
     "outage_compact", "outage_exact", "path_loss_coeff", "pdf_ratio", "quadrature",
     "run_trials", "scenario", "signal_amplitude_bruteforce", "signal_cdf", "signal_pdf",
-    "signal_power_compact", "sinr_pdf_compact", "sinr_pdf_exact", "table_default_config",
-    "total_interference_pdf", "trunc_gauss_params", "window_bounds", "zf_sinr_mc",
+    "signal_power_compact", "sinr_law", "sinr_pdf_compact", "sinr_pdf_exact",
+    "table_default_config", "total_interference_pdf", "window_bounds", "zf_sinr_mc",
 )
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -19,11 +20,12 @@ from satcuma.distributions import (_MAXLOG, _Z_CHUNK, SupportInterval,
                                    sinr_pdf_compact, sinr_pdf_exact,
                                    sinr_law, std_normal_cdf,
                                    total_interference_cdf,
-                                   total_interference_pdf, trunc_gauss_params)
+                                   total_interference_pdf)
 from satcuma.metrics import _z_breakpoints, sinr_supremum
 from satcuma.quadrature import integrate
+from satcuma.scenario import UserField
 
-from conftest import reference_scenario
+from conftest import reference_scenario, unit_scenario
 
 V_MU4 = math.sin(math.pi / 4) / 2  # V for K=9, W=2; V^2 = 1/8
 
@@ -182,9 +184,9 @@ class TestInterferenceDistribution:
 
     def test_moments_closed_form(self):
         # one interferer: the aggregate parameters are its own mean and variance
-        p = trunc_gauss_params([1.0], V_MU4)
-        assert p.omega == pytest.approx(4.0, rel=1e-12)
-        assert p.kappa ** 2 == pytest.approx(8.0, rel=1e-12)
+        law = sinr_law(unit_scenario(U=2))
+        assert law.omega == pytest.approx(4.0, rel=1e-12)
+        assert law.kappa ** 2 == pytest.approx(8.0, rel=1e-12)
 
     def test_moments_against_quadrature(self):
         m1, _ = quad(lambda y: y * float(interference_pdf_per_user(y, 1.0, V_MU4)),
@@ -249,45 +251,56 @@ class TestInterferenceDistribution:
 
 
 class TestTruncGauss:
+    # unit scenarios: every zeta is 1 and V = V_MU4, so U users give U - 1
+    # interferers of the per-user law above
+
     def test_equal_zeta_params(self):
-        p = trunc_gauss_params([1.0] * 4, V_MU4)
-        assert p.omega == pytest.approx(16.0, rel=1e-12)
-        assert p.kappa == pytest.approx(math.sqrt(32.0), rel=1e-12)
-        assert p.omega / p.kappa == pytest.approx(math.sqrt(2 * 4), rel=1e-12)
+        law = sinr_law(unit_scenario(U=5))
+        assert law.omega == pytest.approx(16.0, rel=1e-12)
+        assert law.kappa == pytest.approx(math.sqrt(32.0), rel=1e-12)
+        assert law.omega / law.kappa == pytest.approx(math.sqrt(2 * 4), rel=1e-12)
 
     def test_single_interferer_matches_per_user_mean(self):
         zeta = 2.5
-        p = trunc_gauss_params([zeta], V_MU4)
+        sc = unit_scenario(U=2)
+        law = sinr_law(dataclasses.replace(
+            sc, users=UserField(U=2, zeta=(1.0, zeta), psi=sc.users.psi)))
         m1, _ = quad(lambda y: y * float(interference_pdf_per_user(y, zeta, V_MU4)),
                      0.0, zeta / V_MU4 ** 2, limit=200)
-        assert p.omega == pytest.approx(m1, rel=1e-8)
+        assert law.omega == pytest.approx(m1, rel=1e-8)
 
     def test_truncation_mass_grows_with_users(self):
-        masses = [trunc_gauss_params([1.0] * m, V_MU4).truncation_mass
-                  for m in (1, 4, 9, 19)]
+        masses = [sinr_law(unit_scenario(U=u)).tm for u in (2, 5, 10, 20)]
         assert all(b > a for a, b in zip(masses, masses[1:]))
         assert masses[-1] > 1 - 1e-8
 
     def test_empty_interferers_rejected(self):
         with pytest.raises(ValueError, match="interferer"):
-            trunc_gauss_params([], V_MU4)
+            sinr_law(unit_scenario(U=1))
 
     def test_peak_density(self):
-        p = trunc_gauss_params([1.0] * 4, V_MU4)
-        peak = 1.0 / (p.truncation_mass * math.sqrt(2 * math.pi) * p.kappa)
-        assert total_interference_pdf(p.omega, p) == pytest.approx(peak, rel=1e-12)
+        law = sinr_law(unit_scenario(U=5))
+        peak = 1.0 / (law.tm * math.sqrt(2 * math.pi) * law.kappa)
+        assert total_interference_pdf(law.omega, law) == pytest.approx(peak, rel=1e-12)
 
     def test_normalization(self):
-        p = trunc_gauss_params([1.0] * 4, V_MU4)
-        res = integrate(lambda b: total_interference_pdf(b, p),
-                        0.0, p.omega + 12 * p.kappa,
-                        breakpoints=(p.omega - 2 * p.kappa, p.omega + 2 * p.kappa))
+        law = sinr_law(unit_scenario(U=5))
+        res = integrate(lambda b: total_interference_pdf(b, law),
+                        0.0, law.omega + 12 * law.kappa,
+                        breakpoints=(law.omega - 2 * law.kappa, law.omega + 2 * law.kappa))
         assert res.value == pytest.approx(1.0, abs=1e-8)
 
+    @pytest.mark.parametrize("U", [5, 20])
+    def test_cdf_is_the_integral_of_the_density(self, U):
+        law = sinr_law(reference_scenario(K=21, W=2, U=U))
+        for beta in (law.omega - 2 * law.kappa, law.omega, law.omega + 2 * law.kappa):
+            res = integrate(lambda b: total_interference_pdf(b, law), 0.0, beta)
+            assert total_interference_cdf(beta, law) == pytest.approx(res.value, rel=1e-9)
+
     def test_negative_support_is_zero(self):
-        p = trunc_gauss_params([1.0] * 4, V_MU4)
-        assert total_interference_pdf(-0.5, p) == 0.0
-        assert total_interference_cdf(-0.5, p) == 0.0
+        law = sinr_law(unit_scenario(U=5))
+        assert total_interference_pdf(-0.5, law) == 0.0
+        assert total_interference_cdf(-0.5, law) == 0.0
 
 
 class TestSinrDensity:
@@ -472,8 +485,8 @@ class TestCdfProperties:
                   interference_cdf_per_user(xs * zeta / V ** 2, zeta, V),
                   sinr_cdf_compact(xs * sinr_supremum(sc), sc)]
         if U > 1:
-            p = sinr_law(sc).params
-            curves.append(total_interference_cdf(xs * (p.omega + 8 * p.kappa), p))
+            law = sinr_law(sc)
+            curves.append(total_interference_cdf(xs * (law.omega + 8 * law.kappa), law))
         for cdf in curves:
             assert np.all((cdf >= 0.0) & (cdf <= 1.0))
             assert np.all(np.diff(cdf) >= 0.0)
