@@ -250,7 +250,7 @@ def sinr_law(sc: Scenario) -> SinrLaw:
     V, n = sc.V, sc.noise_term
     omega = float(zs.sum() / (2.0 * V ** 2))
     kappa = float(math.sqrt((zs ** 2).sum() / (8.0 * V ** 4)))
-    if not kappa > 0.0:  # zeta^2 underflows for a subnormal zeta
+    if not kappa > 0.0:  # zeta^2 underflows; build_scenario rejects such zeta
         raise ValueError(f"kappa must be positive, got {kappa}")
     return SinrLaw(zeta=sc.zeta_u, V=V, mu=sc.mu, n=n, omega=omega, kappa=kappa,
                    m=omega + n, tm=float(std_normal_cdf(omega / kappa)))

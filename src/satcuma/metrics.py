@@ -49,6 +49,9 @@ _S_SEEDS = (-8.0, -4.0, -2.0, 0.0, 2.0, 4.0, 8.0)
 _THETA_CHUNK = 66
 # Newton steps of _outage_root, safeguarded by bisection of the bracket
 _ROOT_STEPS = 100
+# thresholds per row chunk of _outage's integrand: bounds its temporaries
+# for a long threshold grid such as validate's 3000-point SINR curve
+_GAMMA_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -130,7 +133,10 @@ def _outage(gammas, sc: Scenario, spec: QuadratureSpec = METRIC_SPEC):
     alpha = (zeta/V^2) cos^2(theta), where the signal density becomes the
     constant mu/pi and the integrand is bounded and smooth.  One adaptive
     integral serves every threshold: all share one panel tree, refined until
-    each meets the tolerance.  Returns (values, est_errors, converged).
+    each meets the tolerance.  The integrand fills its (thresholds, nodes)
+    output _GAMMA_CHUNK thresholds at a time, so the normal CDF's
+    temporaries hold one chunk of rows; a single threshold is one chunk.
+    Returns (values, est_errors, converged).
     """
     gammas = np.asarray(gammas, dtype=float)
     dist.require_analytic_density(sc.mu)
@@ -141,7 +147,12 @@ def _outage(gammas, sc: Scenario, spec: QuadratureSpec = METRIC_SPEC):
     law = dist.sinr_law(sc)
 
     def integrand(theta):
-        return dist.std_normal_cdf((law.alpha(theta) / gammas[:, None] - law.m) / law.kappa)
+        alpha = law.alpha(theta)
+        out = np.empty((gammas.size, theta.size))
+        for c in range(0, gammas.size, _GAMMA_CHUNK):
+            g = gammas[c:c + _GAMMA_CHUNK, None]
+            out[c:c + _GAMMA_CHUNK] = dist.std_normal_cdf((alpha / g - law.m) / law.kappa)
+        return out
 
     res = integrate(integrand, 0.0, math.pi / law.mu, spec)
     scale = law.mu / (math.pi * law.tm)

@@ -261,15 +261,28 @@ def empirical_cdf(samples, thresholds) -> np.ndarray:
     return np.searchsorted(xs, np.asarray(thresholds, dtype=float), side="right") / x.size
 
 
+# sorted samples per call of ks_distance's analytic CDF
+_KS_CHUNK = 8192
+
+
 def ks_distance(samples, analytic_cdf) -> float:
-    """Two-sided Kolmogorov-Smirnov statistic against an analytic CDF callable."""
+    """Two-sided Kolmogorov-Smirnov statistic against an analytic CDF callable.
+
+    analytic_cdf is called on row chunks of _KS_CHUNK sorted samples, so
+    its temporaries hold one chunk; it must act elementwise.  The result is
+    the one-array statistic bit for bit, a NaN of the CDF included."""
     x = np.sort(np.asarray(samples, dtype=float))
     n = x.size
     if n == 0:
         raise ValueError("empty sample")
-    F = np.asarray(analytic_cdf(x), dtype=float)
-    i = np.arange(1, n + 1)
-    return float(max(np.max(np.abs(F - i / n)), np.max(np.abs(F - (i - 1) / n))))
+    d = 0.0
+    for c in range(0, n, _KS_CHUNK):
+        xc = x[c:c + _KS_CHUNK]
+        F = np.asarray(analytic_cdf(xc), dtype=float)
+        i = np.arange(c + 1, c + xc.size + 1)
+        # np.maximum, unlike max(), keeps a NaN
+        d = np.maximum(d, max(np.max(np.abs(F - i / n)), np.max(np.abs(F - (i - 1) / n))))
+    return float(d)
 
 
 def empirical_outage(batch: TrialBatch, gamma: float):

@@ -27,8 +27,8 @@ U are required, and the others default as shown (_CONFIG_DEFAULTS)::
 
 Unknown keys are a hard error, as is a link budget whose linear gain,
 path-loss coefficient, noise power or nominal SNR is not finite and
-positive.  dB/dBi conversion happens only here; all internal math is
-linear-scale.
+positive, or, with interferers, whose interference spread kappa is 0.
+dB/dBi conversion happens only here; all internal math is linear-scale.
 """
 
 from __future__ import annotations
@@ -349,6 +349,9 @@ def build_scenario(source) -> Scenario:
     if not 0 <= seed < SEED_BOUND:
         raise ScenarioError(f"seed must be in [0, 2**128), got {seed}")
 
+    def _given(fields):
+        return ", ".join(f"{key}={merged[key]!r}" for key in fields)
+
     def _link(what, fields, compute):
         """compute(), a derived link quantity, which must be finite and positive."""
         try:
@@ -357,8 +360,8 @@ def build_scenario(source) -> Scenario:
             value = math.inf
         if 0.0 < value < math.inf:
             return value
-        given = ", ".join(f"{key}={merged[key]!r}" for key in fields)
-        raise ScenarioError(f"{what} is {value} for {given}; it must be finite and positive")
+        raise ScenarioError(f"{what} is {value} for {_given(fields)}; "
+                            f"it must be finite and positive")
 
     antenna = AntennaConfig(K=K, W=W)
     if not antenna.V > 0.0:
@@ -383,6 +386,13 @@ def build_scenario(source) -> Scenario:
         distances = [_positive("distance_m", dist)] * U
     zeta = tuple(_link("path-loss coefficient", ("f_c_hz", "distance_m"),
                        lambda: path_loss_coeff(budget.f_c, d)) for d in distances)
+
+    # the interference spread kappa = sqrt(sum(zeta^2)/(8 V^4)) over the
+    # interferers (distributions.sinr_law) is 0 when every zeta^2 underflows,
+    # as it does for any zeta below ~1.5e-154, subnormal or not
+    if U > 1 and not sum(z * z for z in zeta[1:]) > 0.0:
+        raise ScenarioError(f"interference spread kappa is 0.0 for "
+                            f"{_given(('f_c_hz', 'distance_m'))}; it must be positive")
 
     psi = _draw_phases(U, seed)
     users = UserField(U=U, zeta=zeta, psi=psi)

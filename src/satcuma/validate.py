@@ -41,6 +41,7 @@ EQUIVALENCE_REL = 1e-9
 FSD_SIGMA = 3.0
 EQUIVALENCE_SUBSAMPLE = 20000
 NEGATIVE_SET_TRIALS = 100000
+_EQUIVALENCE_CHUNK = 2048  # trials per chunk of the compact-form comparison
 
 _KS_NOISE_MULT = 2.5      # ~99.99% two-sided KS quantile multiplier
 _CORR_NOISE_MULT = 4.0    # max over interferers of a null correlation
@@ -91,25 +92,35 @@ def _scenario_label(sc: Scenario) -> str:
             f"mu={sc.antenna.mu} B={sc.budget.B:g}")
 
 
-def _compact_equivalence(sc: Scenario, psi: np.ndarray, alpha: np.ndarray,
+def _compact_equivalence(sc: Scenario, master_seed: int, alpha: np.ndarray,
                          ys: np.ndarray) -> float:
     """Worst relative deviation between compact and brute-force powers.
 
-    psi holds the phases of the trials whose brute-force powers are alpha
-    and ys.  Deviations are normalized by the power scale zeta/V^2 so
-    phase-nulled interference (power ~ 0) does not blow up the ratio.  The
-    compact forms are called once each, on whole columns.
+    alpha and ys are the brute-force powers of the first trials of a pass
+    seeded master_seed.  Their phases are drawn again from the pass's
+    stream, _EQUIVALENCE_CHUNK trials at a time into one reused buffer (the
+    bits of one draw), and each chunk's compact powers are compared with
+    its rows, so the scratch holds one chunk.  Deviations are normalized by
+    the power scale zeta/V^2 so phase-nulled interference (power ~ 0) does
+    not blow up the ratio.
     """
-    cfg = sc.antenna
+    cfg, u, n = sc.antenna, sc.users.U, alpha.size
     zeta = np.asarray(sc.users.zeta)
     scale = zeta.max() / cfg.V ** 2
-    a_comp = core.signal_power_compact(psi[:, 0], zeta[0], cfg)
-    t = phase_offset(psi[:, :1])
-    y_comp = core.interference_power_compact(psi[:, 1:], zeta[1:], t, cfg)
-    dev = np.concatenate([
-        (np.abs(a_comp - alpha) / np.maximum(alpha, scale)).ravel(),
-        (np.abs(y_comp - ys) / np.maximum(ys, scale)).ravel()])
-    return float(dev.max())
+    rows = min(n, _EQUIVALENCE_CHUNK)
+    gen, raw = mc._generator_at(master_seed, 0, u), np.empty((rows, mc._stride(u)))
+    worst = 0.0
+    for c in range(0, n, rows):
+        r = slice(c, min(c + rows, n))
+        psi = mc._phases(gen, raw[:r.stop - c], u)
+        a_comp = core.signal_power_compact(psi[:, 0], zeta[0], cfg)
+        t = phase_offset(psi[:, :1])
+        y_comp = core.interference_power_compact(psi[:, 1:], zeta[1:], t, cfg)
+        dev = np.concatenate([
+            (np.abs(a_comp - alpha[r]) / np.maximum(alpha[r], scale)).ravel(),
+            (np.abs(y_comp - ys[r]) / np.maximum(ys[r], scale)).ravel()])
+        worst = np.maximum(worst, dev.max())  # np.maximum keeps a NaN
+    return float(worst)
 
 
 def run_validation(sc: Scenario, n_trials: int, master_seed: int,
@@ -133,8 +144,7 @@ def run_validation(sc: Scenario, n_trials: int, master_seed: int,
 
     # 1. compact-form equivalence on the first trials of the batch
     n_sub = min(n_trials, EQUIVALENCE_SUBSAMPLE)
-    psi = mc._draw_block(master_seed, 0, n_sub, sc.users.U)
-    dev = _compact_equivalence(sc, psi, batch.alpha[:n_sub], batch.ys[:n_sub])
+    dev = _compact_equivalence(sc, master_seed, batch.alpha[:n_sub], batch.ys[:n_sub])
     check("compact-form-equivalence", dev, EQUIVALENCE_REL, even,
           "" if even else "odd density: compact forms only empirically valid")
 
@@ -167,8 +177,7 @@ def run_validation(sc: Scenario, n_trials: int, master_seed: int,
         # alpha/z - n)] and the SINR law cannot fit better than the
         # aggregate model it is built on: the threshold is floored at that
         # model's own KS distance plus the sampling allowance
-        s_sorted = np.sort(batch.sinr)
-        zg = np.linspace(max(s_sorted[0] * 0.999, 1e-12), s_sorted[-1] * 1.001, 3000)
+        zg = np.linspace(max(batch.sinr.min() * 0.999, 1e-12), batch.sinr.max() * 1.001, 3000)
         Fg = metrics.outage_exact_curve(zg, sc)
         d_sinr = mc.ks_distance(batch.sinr, lambda z: np.interp(z, zg, Fg))
         thr = max(_ks_floor(KS_SINR_TIGHT if mu >= KS_SINR_COMPACT_MU

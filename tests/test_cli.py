@@ -441,6 +441,25 @@ class TestCliExitCodes:
         assert "must be finite and positive" in err
         assert "runtime failure" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["report"], ["validate", "--trials", "100"], ["sweep", "--preset", "fig3"]],
+        ids=["report", "validate", "sweep-fig3"])
+    @pytest.mark.parametrize("distance", ["1e155", "8e96"])
+    def test_zero_interference_spread_is_usage_error(self, capsys, monkeypatch, tmp_path,
+                                                     argv, distance):
+        # zeta^2 underflows for both a subnormal and a normal zeta, and with
+        # it the interference spread kappa
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(argv + ["--set", f"distance_m={distance}"]) == 2
+        err = capsys.readouterr().err
+        assert "error: interference spread kappa is 0.0" in err
+        assert f"distance_m={float(distance)!r}" in err
+        assert "runtime failure" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_small_zeta_with_positive_spread_runs(self):
+        assert run_cli(["report", "--set", "distance_m=8e75"]) == 0
+
     @pytest.mark.parametrize("argv,field", [
         (["report", "--set", "P_watts=abc"], "P_watts"),
         (["report", "--set", "B_hz=null"], "B_hz"),

@@ -240,6 +240,24 @@ class TestKernelMemory:
         assert peak <= 4 * 2 ** 20
 
 
+class TestValidationMemory:
+    def test_validation_holds_its_batch_and_one_chunk(self):
+        # the compact-form check, the KS distances and the outage curve work
+        # in chunks beside the batch: no full-size temporary of any of them
+        from satcuma.validate import run_validation
+        sc = reference_scenario(K=61, W=3, U=20)
+        n = 20000
+        tracemalloc.start()
+        try:
+            run_validation(sc, n, 3, workers=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        columns = sum(math.prod(shape) * np.dtype(dtype).itemsize
+                      for _, shape, dtype in montecarlo._column_layout(n, 20, 61, n))
+        assert peak - columns <= 4 * 2 ** 20
+
+
 class TestKbarWidth:
     # mu = 128 at K=257 W=2 activates 128 ports, one more than int8 holds;
     # mu = 5 (K=11) and mu = 1 (K=3) vary the count, down to empty sets
@@ -403,6 +421,33 @@ class TestEmpiricalTools:
         x = rng.uniform(0, 1, 10000) ** 2
         d = ks_distance(x, lambda t: np.clip(t, 0.0, 1.0))
         assert d > 0.2
+
+    @staticmethod
+    def _ks_one_array(x, cdf):
+        x = np.sort(x)
+        n = x.size
+        F = cdf(x)
+        i = np.arange(1, n + 1)
+        return float(max(np.max(np.abs(F - i / n)), np.max(np.abs(F - (i - 1) / n))))
+
+    @pytest.mark.parametrize("n", [1, montecarlo._KS_CHUNK, montecarlo._KS_CHUNK + 1,
+                                   3 * montecarlo._KS_CHUNK + 17])
+    def test_ks_across_chunk_edges_equals_one_array_formula(self, n):
+        x = np.random.default_rng(n).exponential(1.0, n)
+        cdf = lambda t: 1.0 - np.exp(-1.1 * t)  # noqa: E731
+        assert ks_distance(x, cdf) == self._ks_one_array(x, cdf)
+
+    @pytest.mark.parametrize("where", [0, montecarlo._KS_CHUNK - 1, -1])
+    def test_ks_keeps_a_nan_of_the_cdf(self, where):
+        # python's max(0.0, nan) is 0.0; a NaN in any chunk must survive
+        x = np.sort(np.random.default_rng(9).uniform(0, 1, 2 * montecarlo._KS_CHUNK + 3))
+        bad = x[where]
+
+        def cdf(t):
+            return np.where(t == bad, np.nan, t)
+
+        assert math.isnan(ks_distance(x, cdf))
+        assert math.isnan(self._ks_one_array(x, cdf))
 
     def test_empirical_outage_wilson_interval(self, table_scenario):
         batch = run_trials(table_scenario, 50000, 47)

@@ -147,6 +147,16 @@ class TestBuildScenario:
         with pytest.raises(ScenarioError, match="distance_m"):
             build_scenario({"K": 9, "W": 2, "U": 3, "distance_m": [1.0, 2.0]})
 
+    @pytest.mark.parametrize("distance", [1e155, 8e96])
+    def test_underflowing_interference_spread_is_rejected(self, distance):
+        # zeta ~ 6e-317 (subnormal) and ~ 1e-200 (normal) both square to 0,
+        # so kappa would be 0; the error names the keys that set zeta
+        with pytest.raises(ScenarioError, match="interference spread kappa is 0.0 "
+                                                "for f_c_hz=.*distance_m="):
+            build_scenario({"K": 21, "W": 2, "U": 5, "distance_m": distance})
+        # a noise-only scenario has no interference spread
+        assert build_scenario({"K": 21, "W": 2, "U": 1, "distance_m": distance}).users.U == 1
+
     def test_json_file_round_trip(self, tmp_path):
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps({"K": 21, "W": 2, "U": 5, "seed": 3}))
