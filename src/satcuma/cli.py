@@ -18,7 +18,7 @@ import json
 import os
 import sys
 
-from . import distributions as dist, montecarlo as mc, validate as val
+from . import distributions as dist
 from .benchmarks import (cuma_signal_gain, min_ports_interference_limited,
                          min_ports_noise_limited)
 from .scenario import SEED_BOUND, Scenario, ScenarioError, build_scenario, load_config
@@ -118,6 +118,7 @@ def _emit(text, out) -> None:
 
 
 def _cmd_validate(args) -> int:
+    from . import validate as val
     overrides = _parse_set(args.set)
     sc = _load_scenario(args, overrides)
     trials = args.trials or 200000
@@ -167,6 +168,7 @@ def _cmd_report(args) -> int:
         f"{min_ports_interference_limited(7.0, sc.antenna.W)} (interference-limited)",
     ]
     if args.trials:
+        from . import montecarlo as mc
         batch = mc.run_trials(sc, args.trials, args.seed, workers=args.workers)
         p, lo, hi = METRIC_REGISTRY["outage_exact"][1](sc, spec, 0.35, batch)
         mean = METRIC_REGISTRY["mean_sinr"][1](sc, spec, None, batch)[0]

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate
-from .scenario import Scenario
+from .scenario import Scenario, interference_moments
 
 _SQRT2 = math.sqrt(2.0)
 # z values per panel tree of sinr_pdf_exact: bounds its (z, nodes) arrays
@@ -239,17 +239,15 @@ class SinrLaw:
 
 @functools.lru_cache(maxsize=64)
 def sinr_law(sc: Scenario) -> SinrLaw:
-    """The SINR law of a scenario with interferers, built once per scenario:
-    omega = sum(zeta)/(2 V^2) and kappa = sqrt(sum(zeta^2)/(8 V^4)) over the
-    interferers.  Callers finish one scenario before they start the next, so
-    a few entries catch every repeat; the bound keeps long runs from growing it."""
-    zs = np.asarray(sc.zeta_interferers, dtype=float)
-    if zs.size == 0:
+    """The SINR law of a scenario with interferers, built once per scenario
+    from its interference_moments.  Callers finish one scenario before they
+    start the next, so a few entries catch every repeat; the bound keeps
+    long runs from growing it."""
+    if sc.users.U == 1:
         raise ValueError("at least one interferer required (noise-only case is "
                          "handled by the metrics layer)")
     V, n = sc.V, sc.noise_term
-    omega = float(zs.sum() / (2.0 * V ** 2))
-    kappa = float(math.sqrt((zs ** 2).sum() / (8.0 * V ** 4)))
+    omega, kappa = interference_moments(sc.zeta_interferers, V)
     if not kappa > 0.0:  # zeta^2 underflows; build_scenario rejects such zeta
         raise ValueError(f"kappa must be positive, got {kappa}")
     return SinrLaw(zeta=sc.zeta_u, V=V, mu=sc.mu, n=n, omega=omega, kappa=kappa,

@@ -16,7 +16,6 @@ bits as one draw over the block.
 
 from __future__ import annotations
 
-import concurrent.futures
 import math
 from dataclasses import dataclass
 
@@ -236,6 +235,7 @@ def run_trials(sc: Scenario, n: int, master_seed: int, block_size: int = DEFAULT
         for blk in blocks:
             _fill(cols, blk)
     else:
+        import concurrent.futures
         import multiprocessing
         cols = _shared_columns(layout)
         with concurrent.futures.ProcessPoolExecutor(

@@ -27,8 +27,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_FINE_NODES, _FINE_WEIGHTS = np.polynomial.legendre.leggauss(15)
-_COARSE_NODES, _COARSE_WEIGHTS = np.polynomial.legendre.leggauss(7)
+# the 15- and 7-point Gauss-Legendre rules on [-1, 1], the bits of
+# np.polynomial.legendre.leggauss(15) and (7) (the tests pin them), written
+# out so that importing the engine does not load all of numpy.polynomial
+_FINE_NODES = np.array([
+    -0.9879925180204854, -0.9372733924007058, -0.8482065834104272, -0.7244177313601701,
+    -0.5709721726085388, -0.3941513470775634, -0.20119409399743451, 0.0,
+    0.20119409399743451, 0.3941513470775634, 0.5709721726085388, 0.7244177313601701,
+    0.8482065834104272, 0.9372733924007058, 0.9879925180204854])
+_FINE_WEIGHTS = np.array([
+    0.030753241996117203, 0.0703660474881084, 0.10715922046717141, 0.13957067792615444,
+    0.16626920581699398, 0.1861610000155622, 0.1984314853271116, 0.2025782419255613,
+    0.1984314853271116, 0.1861610000155622, 0.16626920581699398, 0.13957067792615444,
+    0.10715922046717141, 0.0703660474881084, 0.030753241996117203])
+_COARSE_NODES = np.array([
+    -0.9491079123427586, -0.7415311855993945, -0.4058451513773972, 0.0,
+    0.4058451513773972, 0.7415311855993945, 0.9491079123427586])
+_COARSE_WEIGHTS = np.array([
+    0.12948496616886973, 0.27970539148927687, 0.3818300505051187, 0.4179591836734693,
+    0.3818300505051187, 0.27970539148927687, 0.12948496616886973])
 # one round evaluates both rules' nodes of a panel in a single call
 _NODES = np.concatenate([_FINE_NODES, _COARSE_NODES])
 # relative roundoff floor of a panel's error estimate (QUADPACK qk15 uses

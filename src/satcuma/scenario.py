@@ -27,7 +27,8 @@ U are required, and the others default as shown (_CONFIG_DEFAULTS)::
 
 Unknown keys are a hard error, as is a link budget whose linear gain,
 path-loss coefficient, noise power or nominal SNR is not finite and
-positive, or, with interferers, whose interference spread kappa is 0.
+positive, or, with interferers, whose interference mean omega or spread
+kappa is not finite and positive.
 dB/dBi conversion happens only here; all internal math is linear-scale.
 """
 
@@ -36,8 +37,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -107,30 +107,49 @@ def phase_offset(psi):
     return 0.75 - psi / (2.0 * math.pi)
 
 
+def interference_moments(zeta_interferers, V: float) -> tuple:
+    """(omega, kappa) of the aggregate interference power before its
+    truncation at 0: the mean omega = sum(zeta)/(2 V^2) and the spread
+    kappa = sqrt(sum(zeta^2)/(8 V^4)) over the interferers' path-loss
+    coefficients.  A sum that overflows gives inf, without a warning."""
+    zs = np.asarray(zeta_interferers, dtype=float)
+    with np.errstate(over="ignore", divide="ignore"):
+        omega = float(zs.sum() / (2.0 * V ** 2))
+        kappa = float(math.sqrt((zs ** 2).sum() / (8.0 * V ** 4)))
+    return omega, kappa
+
+
 @dataclass(frozen=True)
 class AntennaConfig:
     """Fluid-antenna geometry: K ports spread over W wavelengths.
 
-    The port density mu = (K-1)/W is stored as an exact rational, the mu
-    that `satcuma report` and the `satcuma validate` scenario label print
-    (5/2, not 2.5).  The evenness check that gates the analytic compact
-    forms reads K and W directly.
+    The port density mu = (K-1)/W is an exact rational, the mu that
+    `satcuma report` and the `satcuma validate` scenario label print (5/2,
+    not 2.5); mu_float is the same ratio as a float, correctly rounded.
+    The evenness check that gates the analytic compact forms reads K and W
+    directly.
     """
 
     K: int
     W: int
-    mu: Fraction = field(init=False)
 
     def __post_init__(self):
         if not isinstance(self.K, int) or self.K < 2:
             raise ScenarioError(f"K must be an integer >= 2, got {self.K}")
         if not isinstance(self.W, int) or self.W < 1:
             raise ScenarioError(f"W must be an integer >= 1, got {self.W}")
-        object.__setattr__(self, "mu", Fraction(self.K - 1, self.W))
+
+    @property
+    def mu(self):
+        """(K-1)/W as a fractions.Fraction, imported here: only the
+        printed scenario summaries need the exact ratio."""
+        from fractions import Fraction
+        return Fraction(self.K - 1, self.W)
 
     @property
     def mu_float(self) -> float:
-        return float(self.mu)
+        # int / int is the correctly rounded quotient, as float(Fraction) is
+        return (self.K - 1) / self.W
 
     @property
     def mu_is_even_integer(self) -> bool:
@@ -387,12 +406,13 @@ def build_scenario(source) -> Scenario:
     zeta = tuple(_link("path-loss coefficient", ("f_c_hz", "distance_m"),
                        lambda: path_loss_coeff(budget.f_c, d)) for d in distances)
 
-    # the interference spread kappa = sqrt(sum(zeta^2)/(8 V^4)) over the
-    # interferers (distributions.sinr_law) is 0 when every zeta^2 underflows,
-    # as it does for any zeta below ~1.5e-154, subnormal or not
-    if U > 1 and not sum(z * z for z in zeta[1:]) > 0.0:
-        raise ScenarioError(f"interference spread kappa is 0.0 for "
-                            f"{_given(('f_c_hz', 'distance_m'))}; it must be positive")
+    # the interference spread kappa is 0 when every zeta^2 underflows, as it
+    # does for any zeta below ~1.5e-154, subnormal or not, and inf when the
+    # sum of zeta^2 overflows, as it does for any zeta above ~1e154
+    if U > 1:
+        omega, kappa = interference_moments(zeta[1:], antenna.V)
+        _link("interference mean omega", ("f_c_hz", "distance_m"), lambda: omega)
+        _link("interference spread kappa", ("f_c_hz", "distance_m"), lambda: kappa)
 
     psi = _draw_phases(U, seed)
     users = UserField(U=U, zeta=zeta, psi=psi)

@@ -17,7 +17,6 @@ regardless of worker count.
 
 from __future__ import annotations
 
-import concurrent.futures
 import csv
 import dataclasses
 import json
@@ -27,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import benchmarks, distributions as dist, metrics, montecarlo as mc
+from . import benchmarks, distributions as dist, metrics
 from .scenario import (SEED_BOUND, Scenario, ScenarioError, build_scenario,
                        is_integral, is_number, phase_offset, table_default_config)
 
@@ -134,7 +133,9 @@ def _gamma_at(spec: SweepSpec, value) -> float:
 # (mc_value, mc_ci_low, mc_ci_high) from the grid point's TrialBatch.  Either
 # is None where the metric has no such form, and leaves its columns empty.
 # Entries look metrics up on their module at call time, so a wrapper
-# installed on the module attribute sees every call.
+# installed on the module attribute sees every call.  The Monte-Carlo oracle
+# is imported where a batch is drawn or read, so an analytic sweep never
+# loads it.
 
 def _closed(value, warnings=()) -> metrics.MetricResult:
     """A closed form's value: exact, so its est_error is 0."""
@@ -149,11 +150,13 @@ def _mean_ci(samples):
 
 
 def _mc_cdf(samples, spec, x):
+    from . import montecarlo as mc
     p = float(mc.empirical_cdf(samples, [_gamma_at(spec, x)])[0])
     return mc.wilson_interval(p, samples.size)
 
 
 def _mc_outage(sc, spec, x, batch):
+    from . import montecarlo as mc
     return mc.empirical_outage(batch, _gamma_at(spec, x))
 
 
@@ -233,6 +236,7 @@ def _eval_point(spec, x):
     sc = _scenario_at(spec, x)
     batch = None
     if spec.trials > 0 and _MC_BATCH_METRICS & set(spec.metrics):
+        from . import montecarlo as mc
         batch = mc.run_trials(sc, spec.trials, spec.seed)
     for name in spec.metrics:
         analytic_fn, mc_fn = METRIC_REGISTRY[name]
@@ -265,6 +269,7 @@ def run_sweep(specs, workers: int = 1) -> list:
     if workers == 1 or len(points) <= 1:
         results = list(map(_eval_point, spec_of, points))
     else:
+        import concurrent.futures
         # a forked pool starts all max_workers processes at once
         with concurrent.futures.ProcessPoolExecutor(
                 max_workers=min(workers, len(points))) as pool:
@@ -464,12 +469,28 @@ def _sweeps(items, seed: int, trials: int, overrides: dict | None) -> list:
     return specs
 
 
+def _relabel(series: str, overrides: dict) -> str:
+    """A preset's series label, whose comma-separated key=value parts name
+    scenario keys and sweep fields of its document, with each part whose
+    key an override sets showing the override's value."""
+    def part(text):
+        key, eq, value = text.partition("=")
+        if eq and key in overrides:
+            v = overrides[key]
+            value = f"{v:g}" if is_number(v) else str(v)
+        return key + eq + value
+    return ",".join(map(part, series.split(",")))
+
+
 def preset_sweeps(name: str, seed: int = 0, trials: int = 0,
                   overrides: dict | None = None) -> list:
-    """A preset's sweeps, built as load_sweep_file builds a file's."""
+    """A preset's sweeps, built as load_sweep_file builds a file's; their
+    labels follow the overrides (a spec file's labels are its own)."""
     if name not in PRESETS:
         raise SweepSpecError(f"unknown preset {name!r}; available: {sorted(PRESETS)}")
-    return _sweeps(PRESETS[name](), seed, trials, overrides)
+    items = [dict(item, series=_relabel(item["series"], overrides or {}))
+             for item in PRESETS[name]()]
+    return _sweeps(items, seed, trials, overrides)
 
 
 def load_sweep_file(path, seed: int = 0, trials: int = 0,

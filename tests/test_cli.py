@@ -32,7 +32,7 @@ def run_cli(args):
 def pool_sizes(monkeypatch):
     """The max_workers of every process pool run_sweep starts; the pools run
     their map in process."""
-    import satcuma.sweep as sweep_mod
+    import concurrent.futures
     started = []
 
     class InlinePool:
@@ -47,7 +47,7 @@ def pool_sizes(monkeypatch):
 
         map = staticmethod(map)
 
-    monkeypatch.setattr(sweep_mod.concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     return started
 
 
@@ -392,6 +392,24 @@ class TestCliExitCodes:
             in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("preset,override,label", [
+        ("fig3", "W=3", "W=3,U=5,gamma=0.35"),
+        ("fig3", "gamma=0.5", "W=2,U=5,gamma=0.5"),
+        ("fig11", "K=41", "psi_u=pi,K=41,W=5"),
+    ], ids=["fig3-W", "fig3-gamma", "fig11-K"])
+    def test_preset_label_follows_the_override(self, tmp_path, preset, override, label):
+        import csv
+        out = tmp_path / "x.csv"
+        assert run_cli(["sweep", "--preset", preset, "--set", override,
+                        "--out", str(out)]) == 0
+        with open(out) as fh:
+            assert {row["series"] for row in csv.DictReader(fh)} == {label}
+
+    def test_spec_file_label_is_its_own(self, tmp_path):
+        code, rows = _sweep_rows(tmp_path, {"sweeps": PRESETS["fig11"]()}, "--set", "K=41")
+        assert code == 0
+        assert {row["series"] for row in rows} == {"psi_u=pi,K=51,W=5"}
+
     def test_override_of_a_key_every_sweep_shares_is_kept(self, tmp_path):
         a, b = tmp_path / "t207.csv", tmp_path / "t300.csv"
         assert run_cli(["sweep", "--preset", "fig7", "--out", str(a)]) == 0
@@ -454,6 +472,21 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert "error: interference spread kappa is 0.0" in err
         assert f"distance_m={float(distance)!r}" in err
+        assert "runtime failure" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["report"], ["validate", "--trials", "100"], ["sweep", "--preset", "fig3"]],
+        ids=["report", "validate", "sweep-fig3"])
+    def test_infinite_interference_spread_is_usage_error(self, capsys, monkeypatch, tmp_path,
+                                                         argv):
+        # zeta ~ 6e153: the sum of zeta^2 overflows, and with it kappa; the
+        # metrics would print outages of 1 and a nan mean SINR
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(argv + ["--set", "distance_m=1e-80"]) == 2
+        err = capsys.readouterr().err
+        assert "error: interference spread kappa is inf" in err
+        assert "f_c_hz=" in err and "distance_m=1e-80" in err
         assert "runtime failure" not in err
         assert list(tmp_path.iterdir()) == []
 
@@ -562,12 +595,15 @@ class TestCliExitCodes:
     def _forbid_runs(monkeypatch):
         # every verb's work, analytic or Monte-Carlo, fails the test
         import satcuma.cli as cli
+        import satcuma.montecarlo
+        import satcuma.validate
 
         def run(*args, **kwargs):
             raise AssertionError("ran before --out was checked")
 
         for owner, name in ((cli, "run_sweep"), (cli, "_load_scenario"),
-                            (cli.val, "run_validation"), (cli.mc, "run_trials")):
+                            (satcuma.validate, "run_validation"),
+                            (satcuma.montecarlo, "run_trials")):
             monkeypatch.setattr(owner, name, run)
 
     @_EVERY_VERB_WITH_TRIALS
@@ -1019,6 +1055,19 @@ PUBLIC_NAMES = (
 
 
 class TestImportFootprint:
+    def test_analytic_sweep_loads_only_the_analytic_stack(self, tmp_path):
+        # a fresh interpreter: this one has loaded every submodule
+        unused = ["satcuma.montecarlo", "satcuma.validate", "concurrent.futures", "fractions",
+                  "numpy.polynomial"]
+        code = ("import json, sys\n"
+                "from satcuma import cli\n"
+                "assert cli.main(['sweep', '--preset', 'fig6', '--out', sys.argv[1]]) == 0\n"
+                f"print(json.dumps([m for m in {unused!r} if m in sys.modules]))\n")
+        proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "fig6.csv")],
+                              capture_output=True, text=True, env=_env_with_src())
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == []
+
     def test_monte_carlo_caller_loads_only_the_oracle(self):
         # a fresh interpreter: this one has loaded every submodule
         code = ("import json, sys\n"

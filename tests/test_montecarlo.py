@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import math
 import tracemalloc
@@ -128,7 +129,7 @@ class TestBlockPlan:
 
             map = staticmethod(map)
 
-        monkeypatch.setattr(montecarlo.concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         got = run_trials(table_scenario, 300, 9, block_size=64, workers=10 ** 6)
         ref = run_trials(table_scenario, 300, 9, block_size=64)
         assert started == [5]

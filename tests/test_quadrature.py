@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+from satcuma import quadrature
 from satcuma.quadrature import DEFAULT_SPEC, QuadratureResult, QuadratureSpec, integrate
 
 _GL15 = np.polynomial.legendre.leggauss(15)
@@ -46,6 +47,18 @@ def _depth_first(f, a, b, spec=DEFAULT_SPEC, breakpoints=()):
             nsub += 1
             stack += [(0.5 * (x + y), y, d + 1), (x, 0.5 * (x + y), d + 1)]
     return QuadratureResult(total, err_total, nsub, converged), depth
+
+
+class TestRules:
+    @pytest.mark.parametrize("n,nodes,weights", [
+        (15, quadrature._FINE_NODES, quadrature._FINE_WEIGHTS),
+        (7, quadrature._COARSE_NODES, quadrature._COARSE_WEIGHTS),
+    ], ids=["GL15", "GL7"])
+    def test_literal_tables_are_leggauss_bit_for_bit(self, n, nodes, weights):
+        ref_nodes, ref_weights = np.polynomial.legendre.leggauss(n)
+        assert nodes.dtype == weights.dtype == np.float64
+        assert nodes.tobytes() == ref_nodes.tobytes()
+        assert weights.tobytes() == ref_weights.tobytes()
 
 
 class TestSmoothIntegrals:

@@ -83,6 +83,14 @@ class TestAntennaConfig:
         assert cfg.mu_is_even_integer
         assert build_scenario({"K": 61, "W": 3, "U": 1}).Kbar == 30
 
+    def test_float_density_is_the_rounded_rational(self):
+        # mu_float divides K-1 by W directly; both it and float(Fraction)
+        # are the correctly rounded quotient
+        for k in range(2, 400):
+            for w in (1, 2, 3, 5, 7, 10, 49, 97):
+                cfg = AntennaConfig(K=k, W=w)
+                assert cfg.mu_float.hex() == float(cfg.mu).hex()
+
     def test_mu_times_w_plus_one_is_k(self):
         for k in range(2, 120):
             for w in range(1, 6):
@@ -155,6 +163,14 @@ class TestBuildScenario:
                                                 "for f_c_hz=.*distance_m="):
             build_scenario({"K": 21, "W": 2, "U": 5, "distance_m": distance})
         # a noise-only scenario has no interference spread
+        assert build_scenario({"K": 21, "W": 2, "U": 1, "distance_m": distance}).users.U == 1
+
+    @pytest.mark.parametrize("distance", [1e-80, 1e-100])
+    def test_overflowing_interference_spread_is_rejected(self, distance):
+        # zeta ~ 6e153 and ~ 6e193: the sum of zeta^2 overflows, so kappa is inf
+        with pytest.raises(ScenarioError, match="interference spread kappa is inf "
+                                                "for f_c_hz=.*distance_m="):
+            build_scenario({"K": 21, "W": 2, "U": 5, "distance_m": distance})
         assert build_scenario({"K": 21, "W": 2, "U": 1, "distance_m": distance}).users.U == 1
 
     def test_json_file_round_trip(self, tmp_path):
