@@ -3,15 +3,10 @@
 Each trial draws fresh reference-port phases for all users, builds the
 activated set from the desired user's phase by the explicit sign rule, and
 sums port cosines directly -- the compact forms are never used here, so the
-batch is an independent check on them.
-
-Reproducibility contract: the phase stream is a counter-based generator
-(Philox) indexed by absolute draw position, with a fixed number of draws
-reserved per trial.  A batch is therefore bit-identical for a given
-(scenario, master_seed, n_trials) regardless of block size or worker count,
-and blocks can run in any order on any executor.  The kernel draws a
-block's phases one row chunk at a time from one stream; these are the same
-bits as one draw over the block.
+batch is an independent check on them.  The phases come from the scenario
+module's phase stream (scenario.phase_chunks), indexed by absolute trial, so
+a batch is bit-identical for a given (scenario, master_seed, n_trials)
+whatever the block plan or worker count.
 """
 
 from __future__ import annotations
@@ -21,36 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scenario import Scenario
+from .scenario import Scenario, phase_chunks
 
 DEFAULT_BLOCK = 65536
-_WORDS_PER_COUNTER = 4  # Philox advances in 4x64-bit increments
-
-
-def _stride(u: int) -> int:
-    """Draws reserved per trial: U phases padded to the counter granularity."""
-    return ((u + _WORDS_PER_COUNTER - 1) // _WORDS_PER_COUNTER) * _WORDS_PER_COUNTER
-
-
-def _generator_at(master_seed: int, lo: int, u: int) -> np.random.Generator:
-    """The phase stream from the first draw of trial lo on."""
-    bitgen = np.random.Philox(key=master_seed)
-    bitgen.advance(lo * _stride(u) // _WORDS_PER_COUNTER)
-    return np.random.Generator(bitgen)
-
-
-def _phases(gen: np.random.Generator, raw: np.ndarray, u: int) -> np.ndarray:
-    """The next draws of gen in raw, a C-contiguous (trials, _stride(u))
-    buffer; its first u columns, made phases on (0, 2*pi) in place."""
-    psi = gen.random(out=raw)[:, :u]
-    psi[psi == 0.0] = 0.5 ** 53  # keep the open-interval support
-    psi *= 2.0 * math.pi
-    return psi
-
-
-def _draw_block(master_seed: int, lo: int, hi: int, u: int) -> np.ndarray:
-    """Phases for trials [lo, hi), shape (hi-lo, u), uniform on (0, 2*pi)."""
-    return _phases(_generator_at(master_seed, lo, u), np.empty((hi - lo, _stride(u))), u)
 
 
 # port-sum entries per buffer of a row chunk: a chunk's few buffers then stay
@@ -64,33 +32,30 @@ def _chunk_rows(k: int) -> int:
 
 
 def _block_sums(cols, master_seed, lo, hi, u, k, mu, zeta, gamma, amps):
-    """Brute-force port sums for trials [lo, hi), written into cols.
+    """Brute-force port sums for trials [lo, hi), written into rows [lo, hi)
+    of cols.
 
-    cols maps each column name to an array of the block's hi - lo rows: the
-    columns of the positive-cosine (K1) activation set and, when amps is
-    set, the signal amplitudes over the K1 set and over the negative-cosine
-    (K2) set, both from the desired user's cosines of the K1 pass.  Rows are
-    processed in chunks of _chunk_rows(k).  Each chunk draws its phases into
-    one reused buffer, continuing the block's Philox stream (the bits of one
-    draw over the block), so every scratch array holds one chunk.  An
-    interferer's cosines are evaluated only on the activated ports; the
-    other slots of the summed buffer keep the signed zeros of the signal
-    product, and a zero of either sign leaves a row sum unchanged up to the
-    sign of an all-zero sum, which squaring removes.
+    cols maps each column name to the pass's column: the columns of the
+    positive-cosine (K1) activation set and, when amps is set, the signal
+    amplitudes over the K1 set and over the negative-cosine (K2) set, both
+    from the desired user's cosines of the K1 pass.  Rows are processed in
+    chunks of _chunk_rows(k), each with the phases that the phase stream
+    draws for it into one reused buffer, so every scratch array holds one
+    chunk.  An interferer's cosines are evaluated only on the activated
+    ports; the other slots of the summed buffer keep the signed zeros of
+    the signal product, and a zero of either sign leaves a row sum
+    unchanged up to the sign of an all-zero sum, which squaring removes.
     """
     ports = 2.0 * math.pi * np.arange(1, k) / mu  # k-1 phase offsets, ports 2..K
-    m = hi - lo
-    rows = min(m, _chunk_rows(k))
+    rows = min(hi - lo, _chunk_rows(k))
     phase = np.empty((rows, k - 1))
     cos = np.empty_like(phase)
     part = np.empty_like(phase)
     pos = np.empty(phase.shape, dtype=bool)
     neg = np.empty_like(pos)
-    gen, raw = _generator_at(master_seed, lo, u), np.empty((rows, _stride(u)))
-    for c in range(0, m, rows):
-        r = slice(c, min(c + rows, m))
-        nr = r.stop - c
-        psi = _phases(gen, raw[:nr], u)
+    for c, psi in phase_chunks(master_seed, lo, hi, u, rows):
+        nr = psi.shape[0]
+        r = slice(c, c + nr)
         ph, cs, pt, mp, mn = phase[:nr], cos[:nr], part[:nr], pos[:nr], neg[:nr]
         np.add(psi[:, :1], ports, out=ph)
         np.cos(ph, out=cs)
@@ -166,35 +131,25 @@ def _shared_columns(layout) -> dict:
 _pool_columns = {}  # a pool worker's views of its pass's shared columns
 
 
-def _fill(cols: dict, block) -> None:
-    """Write one block's trials into its rows of a pass's columns."""
-    lo, hi = block[1], block[2]
-    _block_sums({name: col[lo:hi] for name, col in cols.items()}, *block)
-
-
 def _fill_shared(block) -> None:
-    """Pool worker: _fill on the columns its initializer put in _pool_columns."""
-    _fill(_pool_columns, block)
+    """Pool worker: one block into the columns its initializer put in
+    _pool_columns."""
+    _block_sums(_pool_columns, *block)
 
 
 def _block_plan(n: int, block_size: int, workers: int, n_k2: int):
     """Block edges over [0, n) and the number of processes that run them.
 
-    With w = min(workers, ceil(n / block_size)) processes, w > 1 gets 2w
-    blocks whose sizes differ by at most one trial (or the least multiple
-    of 2w that keeps every block within block_size), so no worker idles
-    while another finishes a short tail block; the workers write the blocks
-    in place, so the split is for load balance only.  Otherwise
-    (w = 1, run in process) the blocks hold block_size trials from trial 0.
-    n_k2 is an edge of either plan.
+    w = min(workers, ceil(n / block_size)) processes get 2w blocks whose
+    sizes differ by at most one trial (or the least multiple of 2w that
+    keeps every block within block_size), so no worker idles while another
+    finishes a short tail block, and n_k2 is one more edge.  The kernel
+    streams by row chunk and writes each block in place, so the split
+    decides only which process runs which trials, never an output bit.
     """
     w = min(workers, -(-n // block_size))
-    if w > 1:
-        parts = 2 * w * -(-n // (2 * w * block_size))
-        cuts = {i * n // parts for i in range(parts)}
-    else:
-        w, cuts = 1, set(range(0, n, block_size))
-    return sorted(cuts | {n_k2, n}), w
+    parts = 2 * w * -(-n // (2 * w * block_size))
+    return sorted({i * n // parts for i in range(parts)} | {n_k2, n}), w
 
 
 def run_trials(sc: Scenario, n: int, master_seed: int, block_size: int = DEFAULT_BLOCK,
@@ -205,17 +160,16 @@ def run_trials(sc: Scenario, n: int, master_seed: int, block_size: int = DEFAULT
     trials of the same draws.  They come from the desired user's cosines
     that the positive-set pass computes anyway, at almost no extra cost.
 
-    One worker runs blocks of block_size trials in process and writes them
-    in place into the output columns, so the pass holds those columns and
-    one row chunk's scratch (about 1 MB), whatever U or block_size.  More
-    workers share the trials out by _block_plan: min(workers,
+    The trials are cut into blocks by _block_plan: min(workers,
     ceil(n / block_size)) processes get two blocks each of equal size (to
     within one trial, and at most block_size), with one more cut at trial
-    n_k2, for load balance.  The columns then live in one anonymous shared
-    mapping that the workers inherit by fork (Linux, macOS), and each
-    worker writes its blocks in place there as the in-process path does:
-    no column passes through a pipe.  Every column is independent of
-    block_size and workers; blocks are seeded by absolute trial index.
+    n_k2.  Each block is written in place into its rows of the output
+    columns, so a pass holds those columns and one row chunk's scratch
+    (about 1 MB), whatever U or block_size.  With one process the blocks
+    run in process; with more, the columns live in one anonymous shared
+    mapping that the workers inherit by fork (Linux, macOS), and no column
+    passes through a pipe.  Every column is independent of block_size and
+    workers, as each trial's phases depend only on its absolute index.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -233,7 +187,7 @@ def run_trials(sc: Scenario, n: int, master_seed: int, block_size: int = DEFAULT
     if procs == 1:
         cols = {name: np.empty(shape, dtype) for name, shape, dtype in layout}
         for blk in blocks:
-            _fill(cols, blk)
+            _block_sums(cols, *blk)
     else:
         import concurrent.futures
         import multiprocessing

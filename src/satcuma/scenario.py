@@ -281,15 +281,45 @@ class Scenario:
         return () if self.antenna.mu_is_even_integer else (WARN_ODD_MU,)
 
 
+_WORDS_PER_COUNTER = 4  # Philox advances in 4x64-bit increments
+
+
+def phase_chunks(seed: int, lo: int, hi: int, u: int, rows: int):
+    """The reference-port phase stream over trials [lo, hi), in chunks.
+
+    Yields (first, psi) for consecutive chunks of at most rows trials: first
+    is the chunk's absolute first trial and psi its (trials, u) phases,
+    uniform on the open (0, 2*pi).  psi is a view of one buffer that the
+    next chunk overwrites.
+
+    Reproducibility contract: the stream is a counter-based generator
+    (Philox) keyed by seed and indexed by absolute draw position, with u
+    draws padded to a multiple of 4 reserved per trial.  Trial i's phases
+    are therefore a pure function of (seed, u, i): they do not depend on lo,
+    rows, the block plan, the worker count or the order in which ranges are
+    drawn.  A scenario's own phases (build_scenario) are trial 0 of its
+    seed's stream; the Monte-Carlo oracle draws its trials from the same
+    stream.
+    """
+    stride = -(-u // _WORDS_PER_COUNTER) * _WORDS_PER_COUNTER
+    bitgen = np.random.Philox(key=seed)
+    bitgen.advance(lo * stride // _WORDS_PER_COUNTER)
+    gen = np.random.Generator(bitgen)
+    raw = np.empty((min(rows, hi - lo), stride))
+    for first in range(lo, hi, rows):
+        psi = gen.random(out=raw[:min(rows, hi - first)])[:, :u]
+        # exact 0 has probability 2^-53; remap so the open-interval invariant holds
+        psi[psi == 0.0] = 0.5 ** 53
+        psi *= 2.0 * math.pi
+        yield first, psi
+
+
 @functools.lru_cache(maxsize=64)
 def _draw_phases(u: int, seed: int) -> tuple:
-    """Deterministic reference-port phases, uniform on the open (0, 2*pi);
-    memoised, as a sweep draws them for a few (U, seed) pairs only."""
-    gen = np.random.Generator(np.random.Philox(key=seed))
-    raw = gen.random(u)
-    # exact 0 has probability 2^-53; remap so the open-interval invariant holds
-    raw[raw == 0.0] = 0.5 ** 53
-    return tuple(float(2.0 * math.pi * r) for r in raw)
+    """Trial 0 of the phase stream; memoised, as a sweep draws it for a few
+    (U, seed) pairs only."""
+    _, psi = next(phase_chunks(seed, 0, 1, u, 1))
+    return tuple(psi[0].tolist())
 
 
 def load_config(source) -> dict:

@@ -306,10 +306,13 @@ def write_json(rows, path) -> None:
 
 
 # --- presets ----------------------------------------------------------------
-# A preset returns sweep documents in the spec-file schema (load_sweep_file),
-# so {"sweeps": PRESETS[name]()} run with --spec reproduces it.
+# A preset takes a run's scenario overrides (none by default) and returns
+# sweep documents in the spec-file schema (load_sweep_file), so
+# {"sweeps": PRESETS[name]()} run with --spec reproduces it.  A document's
+# scenario is the preset's own, as the overrides apply to every sweep later;
+# only a grid drawn from the scenario (fig6's) reads them.
 
-def _preset_fig3():
+def _preset_fig3(overrides=None):
     return [{"param": "mu", "grid": list(range(2, 21)),
              "scenario": table_default_config(21, 2, 5),
              "metrics": ["outage_exact", "outage_compact", "mean_sinr", "mrc_mean_sinr",
@@ -317,39 +320,41 @@ def _preset_fig3():
              "series": "W=2,U=5,gamma=0.35", "gamma": 0.35, "mrc_M": 15}]
 
 
-def _preset_fig4():
+def _preset_fig4(overrides=None):
     return [{"param": "K", "grid": list(range(9, 82, 8)),
              "scenario": table_default_config(9, w, u),
              "metrics": ["outage_exact", "mean_sinr"], "series": f"W={w},U={u}", "gamma": 0.35}
             for w, u in [(2, 5), (4, 5), (2, 8)]]
 
 
-def _preset_fig5():
+def _preset_fig5(overrides=None):
     return [{"param": "U", "grid": list(range(2, 21, 2)),
              "scenario": table_default_config(m * 2 + 1, 2, 2),
              "metrics": ["outage_exact", "mean_sinr"], "series": f"mu={m}", "gamma": 0.35}
             for m in (5, 10)]
 
 
-def _preset_fig6():
+def _preset_fig6(overrides=None):
+    # each gamma grid spans 1-99% of the signal support of its sweep's final
+    # scenario, so that the grid follows an override of the link budget
     docs = []
     for m in (4, 6):
         cfg = table_default_config(m * 2 + 1, 2, 2)
-        sc = build_scenario(cfg)
+        sc = build_scenario({**cfg, **(overrides or {})})
         hi = sc.zeta_u / sc.V ** 2
         docs.append({"param": "gamma", "grid": np.linspace(hi * 0.01, hi * 0.99, 50).tolist(),
                      "scenario": cfg, "metrics": ["cdf_alpha", "cdf_y"], "series": f"mu={m}"})
     return docs
 
 
-def _preset_fig7():
+def _preset_fig7(overrides=None):
     return [{"param": "B", "grid": np.geomspace(1e6, 1e8, 13).tolist(),
              "scenario": table_default_config(61, 3, u), "metrics": ["rate_exact", "mean_snr"],
              "series": "O-CUMA" if u == 1 else f"N-CUMA,U={u}"}
             for u in (1, 5, 20)]
 
 
-def _preset_fig8():
+def _preset_fig8(overrides=None):
     return [{"param": "mu", "grid": list(range(4, 61, 6)),
              "scenario": table_default_config(61, 3, u, B_hz=b),
              "metrics": ["rate_exact", "mean_snr_compact"],
@@ -357,14 +362,14 @@ def _preset_fig8():
             for b in (1e7, 2e7) for u in (1, 5, 20)]
 
 
-def _preset_fig9():
+def _preset_fig9(overrides=None):
     return [{"param": "U", "grid": list(range(1, 31, 3)),
              "scenario": table_default_config(m * 3 + 1, 3, 1), "metrics": ["rate_exact"],
              "series": f"mu={m}"}
             for m in (10, 50)]
 
 
-def _preset_fig10():
+def _preset_fig10(overrides=None):
     grid = [11, 16, 21, 26, 31, 36, 41, 43, 45, 46, 47, 49, 51, 56, 61,
             81, 101, 121, 141, 161, 181, 201]
     return [{"param": "K", "grid": grid, "scenario": table_default_config(11, 3, 1),
@@ -373,7 +378,7 @@ def _preset_fig10():
             for m in (18, 3, 1)]
 
 
-def _preset_fig11():
+def _preset_fig11(overrides=None):
     return [{"param": "psi_tilde",
              "grid": np.linspace(0.02, 2.0 * math.pi - 0.02, 64).tolist(),
              "scenario": table_default_config(51, 5, 2),
@@ -469,17 +474,21 @@ def _sweeps(items, seed: int, trials: int, overrides: dict | None) -> list:
     return specs
 
 
-def _relabel(series: str, overrides: dict) -> str:
-    """A preset's series label, whose comma-separated key=value parts name
-    scenario keys and sweep fields of its document, with each part whose
-    key an override sets showing the override's value."""
+def _relabel(item: dict, overrides: dict, scenario: dict) -> str:
+    """A preset document's series label, whose comma-separated key=value
+    parts name scenario keys and sweep fields of the document, or its port
+    density mu = (K-1)/W.  Each part whose key an override sets shows the
+    override's value, and a mu part, when K or W is overridden, the final
+    scenario's mu as the exact ratio that report prints (10/3)."""
     def part(text):
         key, eq, value = text.partition("=")
         if eq and key in overrides:
             v = overrides[key]
             value = f"{v:g}" if is_number(v) else str(v)
+        elif key == "mu" and {"K", "W"} & scenario.keys():
+            value = str(build_scenario({**item["scenario"], **scenario}).antenna.mu)
         return key + eq + value
-    return ",".join(map(part, series.split(",")))
+    return ",".join(map(part, item["series"].split(",")))
 
 
 def preset_sweeps(name: str, seed: int = 0, trials: int = 0,
@@ -488,8 +497,10 @@ def preset_sweeps(name: str, seed: int = 0, trials: int = 0,
     labels follow the overrides (a spec file's labels are its own)."""
     if name not in PRESETS:
         raise SweepSpecError(f"unknown preset {name!r}; available: {sorted(PRESETS)}")
-    items = [dict(item, series=_relabel(item["series"], overrides or {}))
-             for item in PRESETS[name]()]
+    overrides = overrides or {}
+    scenario = {k: v for k, v in overrides.items() if k not in _SPEC_FIELDS}
+    items = [dict(item, series=_relabel(item, overrides, scenario))
+             for item in PRESETS[name](scenario)]
     return _sweeps(items, seed, trials, overrides)
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import core, distributions as dist, metrics, montecarlo as mc
-from .scenario import Scenario, phase_offset
+from .scenario import Scenario, phase_chunks, phase_offset
 
 # fit tolerances as stated for n = 1e6 trials; below that, each check's
 # effective threshold is floored at its own sampling-noise level so that a
@@ -98,21 +98,17 @@ def _compact_equivalence(sc: Scenario, master_seed: int, alpha: np.ndarray,
 
     alpha and ys are the brute-force powers of the first trials of a pass
     seeded master_seed.  Their phases are drawn again from the pass's
-    stream, _EQUIVALENCE_CHUNK trials at a time into one reused buffer (the
-    bits of one draw), and each chunk's compact powers are compared with
-    its rows, so the scratch holds one chunk.  Deviations are normalized by
-    the power scale zeta/V^2 so phase-nulled interference (power ~ 0) does
-    not blow up the ratio.
+    stream, _EQUIVALENCE_CHUNK trials at a time into one reused buffer, and
+    each chunk's compact powers are compared with its rows, so the scratch
+    holds one chunk.  Deviations are normalized by the power scale zeta/V^2
+    so phase-nulled interference (power ~ 0) does not blow up the ratio.
     """
     cfg, u, n = sc.antenna, sc.users.U, alpha.size
     zeta = np.asarray(sc.users.zeta)
     scale = zeta.max() / cfg.V ** 2
-    rows = min(n, _EQUIVALENCE_CHUNK)
-    gen, raw = mc._generator_at(master_seed, 0, u), np.empty((rows, mc._stride(u)))
     worst = 0.0
-    for c in range(0, n, rows):
-        r = slice(c, min(c + rows, n))
-        psi = mc._phases(gen, raw[:r.stop - c], u)
+    for c, psi in phase_chunks(master_seed, 0, n, u, _EQUIVALENCE_CHUNK):
+        r = slice(c, c + psi.shape[0])
         a_comp = core.signal_power_compact(psi[:, 0], zeta[0], cfg)
         t = phase_offset(psi[:, :1])
         y_comp = core.interference_power_compact(psi[:, 1:], zeta[1:], t, cfg)

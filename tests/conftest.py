@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from satcuma import build_scenario, table_default_config
-from satcuma.scenario import AntennaConfig, LinkBudget, Scenario, UserField
+from satcuma.scenario import AntennaConfig, LinkBudget, Scenario, UserField, phase_chunks
 
 
 def reference_scenario(K=21, W=2, U=5, **over):
@@ -28,6 +28,12 @@ def unit_scenario(K=9, W=2, U=5, gamma_snr=1e30, psi_u=math.pi / 3):
 
 
 BASE_NOISE = 1.381e-23 * 207.0 * 1e7  # noise power of the synthetic budget
+
+
+def draw_block(seed, lo, hi, u):
+    """Phases of trials [lo, hi) of the phase stream, shape (hi - lo, u), in
+    one draw."""
+    return next(phase_chunks(seed, lo, hi, u, hi - lo))[1]
 
 
 def naive_block(sc, psi):

@@ -40,13 +40,14 @@ from satcuma.metrics import (_z_breakpoints, mean_sinr, mean_snr,
                              outage_compact, outage_exact, outage_exact_curve,
                              outage_exact_double_integral, sinr_supremum)
 from satcuma.montecarlo import (empirical_cdf, empirical_outage, ks_distance,
-                                negative_set_trials, run_trials, _draw_block)
+                                negative_set_trials, run_trials)
 from satcuma.quadrature import integrate
 from satcuma.scenario import AntennaConfig
 from satcuma.sweep import preset_sweeps, run_sweep, write_csv
 from satcuma.cli import main as cli_main
 from satcuma.validate import _KS_NOISE_MULT
 
+from conftest import draw_block as _draw_block
 from conftest import naive_negative_set, reference_scenario
 
 

@@ -410,6 +410,39 @@ class TestCliExitCodes:
         assert code == 0
         assert {row["series"] for row in rows} == {"psi_u=pi,K=51,W=5"}
 
+    @pytest.mark.parametrize("preset,override,labels", [
+        ("fig5", "W=3", {"mu=10/3", "mu=20/3"}),
+        ("fig6", "W=3", {"mu=8/3", "mu=4"}),
+        ("fig9", "W=2", {"mu=15", "mu=75"}),
+        ("fig9", "W=3", {"mu=10", "mu=50"}),
+    ], ids=["fig5-W", "fig6-W", "fig9-W", "fig9-same-W"])
+    def test_mu_label_follows_the_override(self, tmp_path, preset, override, labels):
+        # mu = (K-1)/W is no key: its label shows the final scenario's ratio
+        import csv
+        out = tmp_path / "x.csv"
+        assert run_cli(["sweep", "--preset", preset, "--set", override,
+                        "--out", str(out)]) == 0
+        with open(out) as fh:
+            assert {row["series"] for row in csv.DictReader(fh)} == labels
+
+    def test_fig6_grid_follows_the_override(self, tmp_path):
+        # the gamma grid spans 1-99% of the overridden scenario's signal
+        # support, so no CDF row sits past it at exactly 1
+        import csv
+        out = tmp_path / "x.csv"
+        assert run_cli(["sweep", "--preset", "fig6", "--set", "distance_m=2.4e6",
+                        "--out", str(out)]) == 0
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 200
+        assert not [r for r in rows if float(r["analytic"]) == 1.0]
+        for series, k in (("mu=4", 9), ("mu=6", 13)):
+            sc = build_scenario({"K": k, "W": 2, "U": 2, "distance_m": 2.4e6})
+            hi = sc.zeta_u / sc.V ** 2
+            grid = sorted({float(r["value"]) for r in rows if r["series"] == series})
+            assert grid[0] == pytest.approx(0.01 * hi, rel=1e-11)
+            assert grid[-1] == pytest.approx(0.99 * hi, rel=1e-11)
+
     def test_override_of_a_key_every_sweep_shares_is_kept(self, tmp_path):
         a, b = tmp_path / "t207.csv", tmp_path / "t300.csv"
         assert run_cli(["sweep", "--preset", "fig7", "--out", str(a)]) == 0

@@ -10,11 +10,12 @@ from hypothesis import given, settings, strategies as st
 from satcuma.core import (PortSetKind, activated_set,
                           signal_amplitude_bruteforce)
 from satcuma import montecarlo
+from satcuma.scenario import phase_chunks
 from satcuma.montecarlo import (empirical_cdf, empirical_outage, ks_distance,
                                 negative_set_trials, run_trials,
-                                wilson_interval, _block_plan, _chunk_rows,
-                                _draw_block)
+                                wilson_interval, _block_plan, _chunk_rows)
 
+from conftest import draw_block as _draw_block
 from conftest import naive_block, naive_negative_set, reference_scenario
 
 
@@ -77,6 +78,38 @@ class TestDeterminism:
             "0x1.1ec95d10c5f58p-60", "0x1.f3bc4b9cc2fadp-59"]
 
 
+class TestPhaseStream:
+    SEEDS = (0, 7, 11, 2 ** 64 + 3, 2 ** 128 - 1)
+
+    @staticmethod
+    def one_draw(seed, n, u):
+        # the stream's layout written out: one generator, (u padded to 4)
+        # draws per trial, an exact 0 mapped to 2^-53, scaled by 2*pi
+        stride = -(-u // 4) * 4
+        raw = np.random.Generator(np.random.Philox(key=seed)).random((n, stride))[:, :u]
+        raw[raw == 0.0] = 0.5 ** 53
+        return 2.0 * math.pi * raw
+
+    @pytest.mark.parametrize("U", [1, 4, 5, 20])
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_scenario_phases_are_trial_zero_of_the_pass(self, U, seed):
+        sc = reference_scenario(K=21, W=2, U=U, seed=seed)
+        psi = np.array([sc.users.psi])
+        assert psi.tobytes() == self.one_draw(seed, 1, U).tobytes()
+        _assert_columns_equal(run_trials(sc, 1, seed), naive_block(sc, psi))
+
+    @pytest.mark.parametrize("U", [1, 5, 20])
+    def test_bits_do_not_depend_on_chunking_or_start(self, U):
+        n, seed = 50, 2 ** 128 - 1
+        ref = self.one_draw(seed, n, U)
+        for lo in (0, 1, 3, 4, 17, n - 1):
+            for rows in (1, 7, n):
+                got = [(c, psi.copy()) for c, psi in phase_chunks(seed, lo, n, U, rows)]
+                assert [c for c, _ in got] == list(range(lo, n, rows))
+                assert np.concatenate([p for _, p in got]).tobytes() == \
+                    np.ascontiguousarray(ref[lo:]).tobytes(), (lo, rows)
+
+
 class TestBlockPlan:
     # (n, block_size, workers): one block per worker fits, the workers
     # outnumber ceil(n / block_size), and blocks of n / (2 * workers)
@@ -104,12 +137,14 @@ class TestBlockPlan:
         assert procs == 2
         assert edges == [0, 25000, 30000, 50000, 75000, 100000]
 
-    @pytest.mark.parametrize("n,block_size,workers", [(100000, 65536, 1),
-                                                      (5000, 65536, 2)])
-    def test_one_process_keeps_block_size_plan(self, n, block_size, workers):
-        edges, procs = _block_plan(n, block_size, workers, 3000)
-        assert procs == 1
-        assert edges == sorted(set(range(0, n, block_size)) | {3000, n})
+    @pytest.mark.parametrize("n,block_size,workers,edges", [
+        (100000, 65536, 1, [0, 3000, 50000, 100000]),
+        (5000, 65536, 2, [0, 2500, 3000, 5000]),
+        (200000, 65536, 1, [0, 3000, 50000, 100000, 150000, 200000]),
+    ], ids=["100000-65536-1", "5000-65536-2", "200000-65536-1"])
+    def test_one_process_follows_the_one_rule(self, n, block_size, workers, edges):
+        # w = 1: two equal blocks, or the least even count within block_size
+        assert _block_plan(n, block_size, workers, 3000) == (edges, 1)
 
     def test_pool_bounded_by_block_count(self, table_scenario, monkeypatch):
         # a huge worker count starts no more processes than there are
