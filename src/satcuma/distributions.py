@@ -5,11 +5,12 @@ and the per-interferer power (one arc law, _arc_pdf and _arc_cdf), the
 truncated-Gaussian aggregate interference, and the resulting SINR (an
 integral form valid for any density, plus a closed form for the compact
 high-density regime).  sinr_law builds a scenario's SINR law once, as one
-SinrLaw record: the aggregate interference's mean omega, spread kappa and
-truncation mass, the noise term and the desired user's constants.  The
-aggregate-interference density and CDF (total_interference_*) take that
-record, and metrics reads it too.  Also the stochastic-dominance
-diagnostics comparing signal and interference.
+SinrLaw record of the interference's moments and the desired user's
+constants, which maps a signal power and an SINR to the standardised
+interference plus noise where they meet, and back.  The density and CDF
+of the aggregate interference (total_interference_*) take that record, and
+metrics reads it too.  Also the stochastic-dominance diagnostics comparing
+signal and interference.
 
 Density conventions: evaluating outside the support returns 0 so plotting
 and quadrature can probe freely; the singular support endpoints return inf.
@@ -217,15 +218,14 @@ def interference_pdf_per_user(y, zeta: float, V: float):
 
 @dataclass(frozen=True)
 class SinrLaw:
-    """A scenario's SINR law: the desired user's zeta, V and mu, the noise
-    term n, the pre-truncation mean omega and spread kappa of the aggregate
-    interference, the mean m = omega + n of interference plus noise, and the
-    truncation mass tm = Phi(omega/kappa) the Gaussian puts on beta >= 0."""
+    """A scenario's SINR law: the desired user's zeta, V and mu, the
+    pre-truncation mean omega and spread kappa of the aggregate
+    interference, the mean m = omega + n of interference plus noise n, and
+    the mass tm = Phi(omega/kappa) the Gaussian puts on beta >= 0."""
 
     zeta: float
     V: float
     mu: float
-    n: float
     omega: float
     kappa: float
     m: float
@@ -235,6 +235,14 @@ class SinrLaw:
         """Signal power (zeta/V^2) cos^2(theta) at the substitution angle theta."""
         zeta, V = self.zeta, self.V
         return zeta * np.cos(theta) ** 2 / V ** 2
+
+    def x(self, alpha, z):
+        """Standardised interference plus noise where alpha meets SINR z."""
+        return (alpha / z - self.m) / self.kappa
+
+    def alpha_at(self, x, z):
+        """Signal power that meets SINR z at x: the inverse of x."""
+        return z * (self.m + x * self.kappa)
 
 
 @functools.lru_cache(maxsize=64)
@@ -246,12 +254,11 @@ def sinr_law(sc: Scenario) -> SinrLaw:
     if sc.users.U == 1:
         raise ValueError("at least one interferer required (noise-only case is "
                          "handled by the metrics layer)")
-    V, n = sc.V, sc.noise_term
-    omega, kappa = interference_moments(sc.zeta_interferers, V)
+    omega, kappa = interference_moments(sc.zeta_interferers, sc.V)
     if not kappa > 0.0:  # zeta^2 underflows; build_scenario rejects such zeta
         raise ValueError(f"kappa must be positive, got {kappa}")
-    return SinrLaw(zeta=sc.zeta_u, V=V, mu=sc.mu, n=n, omega=omega, kappa=kappa,
-                   m=omega + n, tm=float(std_normal_cdf(omega / kappa)))
+    return SinrLaw(zeta=sc.zeta_u, V=sc.V, mu=sc.mu, omega=omega, kappa=kappa,
+                   m=omega + sc.noise_term, tm=float(std_normal_cdf(omega / kappa)))
 
 
 def total_interference_pdf(beta, law: SinrLaw):
@@ -290,23 +297,21 @@ def sinr_pdf_exact(z, sc: Scenario, spec: QuadratureSpec = DEFAULT_SPEC):
         return signal_pdf(z * sc.noise_term, sc.zeta_u, sc.mu, sc.V) * sc.noise_term
 
     law = sinr_law(sc)
-    zeta, V, mu, m, kappa = law.zeta, law.V, law.mu, law.m, law.kappa
-    scale = (mu / (2.0 * math.pi)) / (law.tm * math.sqrt(2.0 * math.pi) * kappa)
-    q = z * sc.noise_term * V ** 2 / zeta  # cos^2 threshold of the noise floor
+    scale = (law.mu / (2.0 * math.pi)) / (law.tm * math.sqrt(2.0 * math.pi) * law.kappa)
+    q = z * sc.noise_term * law.V ** 2 / law.zeta  # cos^2 threshold of the noise floor
     live = np.flatnonzero((z > 0) & (q < 1.0))
     out = np.zeros(z.size)
     for i in (live[c:c + _Z_CHUNK] for c in range(0, live.size, _Z_CHUNK)):
         zc = z.flat[i][:, None]
-        th = np.minimum(math.pi / mu, np.arccos(np.sqrt(q.flat[i])))[:, None]
+        th = np.minimum(math.pi / law.mu, np.arccos(np.sqrt(q.flat[i])))[:, None]
 
         def integrand(t):
             # z past the float range (a tiny supremum) gives inf and NaN
             # values, which the quadrature reports; they need no warning
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                c2 = np.cos(th * t) ** 2
-                bt = zeta * c2 / (zc * V ** 2)
-                return th * (2.0 * zeta * c2 / (zc ** 2 * V ** 2)) \
-                    * np.exp(-((bt - m) ** 2) / (2.0 * kappa ** 2))
+                alpha = law.alpha(th * t)
+                x = law.x(alpha, zc)
+                return th * (2.0 * alpha / zc ** 2) * np.exp(-0.5 * x * x)
 
         out[i] = scale * integrate(integrand, 0.0, 1.0, spec).value
     return out.reshape(z.shape) if z.ndim else float(out[0])
@@ -315,15 +320,12 @@ def sinr_pdf_exact(z, sc: Scenario, spec: QuadratureSpec = DEFAULT_SPEC):
 def sinr_pdf_compact(z, sc: Scenario):
     """Closed-form SINR density for the compact (high-density) regime, where
     the signal power is the constant zeta/V^2."""
-    if sc.users.U == 1:
-        raise ValueError("compact SINR density requires at least one interferer")
     z = np.asarray(z, dtype=float)
     law = sinr_law(sc)
-    zeta, V, m, kappa = law.zeta, law.V, law.m, law.kappa
+    peak = law.alpha(0.0)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        expo = -((zeta / (z * V ** 2) - m) ** 2) / (2.0 * kappa ** 2)
-        scale = zeta / (law.tm * V ** 2) \
-            / (z ** 2 * math.sqrt(2.0 * math.pi) * kappa)
+        expo = -0.5 * law.x(peak, z) ** 2
+        scale = peak / law.tm / (z ** 2 * math.sqrt(2.0 * math.pi) * law.kappa)
         # the exponential underflows long before 1/z^2 overflows; decide on
         # the exponent so the product can never become inf * 0
         dens = np.where(expo < -700.0, 0.0, scale * np.exp(expo))
@@ -346,8 +348,8 @@ def sinr_cdf_compact_raw(z, sc: Scenario):
     if sc.users.U == 1:
         return np.where(z > sinr_supremum(sc), 1.0, 0.0)
     law = sinr_law(sc)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        arg = law.zeta / (z * law.kappa * law.V ** 2) - law.n / law.kappa - law.omega / law.kappa
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        arg = law.x(law.alpha(0.0), z)
     return (1.0 - std_normal_cdf(arg)) / law.tm
 
 

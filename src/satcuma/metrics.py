@@ -92,14 +92,12 @@ def _z_breakpoints(sc: Scenario) -> tuple:
     refinement needs them in the initial panelization.
     """
     z_sup = sinr_supremum(sc)
-    zeta, V = sc.zeta_u, sc.V
     pts = [z_sup * math.cos(math.pi / sc.mu) ** 2]
     if sc.users.U > 1:
         law = dist.sinr_law(sc)
         for j in (-8.0, -4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0, 8.0, 16.0):
-            bt = law.m + j * law.kappa
-            if bt > sc.noise_term:
-                pts.append(zeta / (V ** 2 * bt))
+            if law.omega + j * law.kappa > 0.0:  # x = j at a positive interference
+                pts.append(law.alpha(0.0) / law.alpha_at(j, 1.0))
     return tuple(p for p in pts if 0.0 < p < z_sup)
 
 
@@ -151,7 +149,7 @@ def _outage(gammas, sc: Scenario, spec: QuadratureSpec = METRIC_SPEC):
         out = np.empty((gammas.size, theta.size))
         for c in range(0, gammas.size, _GAMMA_CHUNK):
             g = gammas[c:c + _GAMMA_CHUNK, None]
-            out[c:c + _GAMMA_CHUNK] = dist.std_normal_cdf((alpha / g - law.m) / law.kappa)
+            out[c:c + _GAMMA_CHUNK] = dist.std_normal_cdf(law.x(alpha, g))
         return out
 
     res = integrate(integrand, 0.0, math.pi / law.mu, spec)
@@ -254,7 +252,7 @@ def _theta_breakpoints(y: float, sc: Scenario) -> list:
     law = dist.sinr_law(sc)
     pts = []
     for j in (-8.0, 8.0):
-        c2 = y * (law.m + j * law.kappa) * law.V ** 2 / law.zeta  # cos^2(theta) at x = j
+        c2 = law.alpha_at(j, y) / law.alpha(0.0)  # cos^2(theta) at x = j
         if 0.0 < c2 < 1.0:
             pts.append(math.acos(math.sqrt(c2)))
     return pts
@@ -272,7 +270,7 @@ def _outage_slope(y: float, sc: Scenario, spec: QuadratureSpec):
     def integrand(theta):
         alpha = law.alpha(theta)
         with np.errstate(over="ignore", invalid="ignore"):
-            x = (alpha / y - law.m) / law.kappa
+            x = law.x(alpha, y)
             return np.array((dist.std_normal_cdf(x), np.exp(-0.5 * x * x) * alpha))
 
     res = integrate(integrand, 0.0, math.pi / law.mu, spec,
@@ -358,14 +356,14 @@ def _rate_exact_nats(sc: Scenario, spec: QuadratureSpec):
     """
     dist.require_analytic_density(sc.mu)
     law = dist.sinr_law(sc)
-    mu, m, kappa = law.mu, law.m, law.kappa
+    mu = law.mu
     y_c, f_c, root_err, converged = _outage_root(sc, spec)
     inner_err, inner_converged = 0.0, True
 
     def outer(theta):
         nonlocal inner_err, inner_converged
         alpha = law.alpha(theta)
-        x_c = np.maximum((alpha / y_c - m) / kappa, -_S_MAX)
+        x_c = np.maximum(law.x(alpha, y_c), -_S_MAX)
         width = np.maximum(_S_MAX - x_c, 0.0)
         out = np.empty(theta.size)
         for c in range(0, theta.size, _THETA_CHUNK):
@@ -373,7 +371,7 @@ def _rate_exact_nats(sc: Scenario, spec: QuadratureSpec):
 
             def inner(t):
                 s = s0 + w * t
-                return w * np.exp(-0.5 * s * s) * np.log1p(a / (m + kappa * s))
+                return w * np.exp(-0.5 * s * s) * np.log1p(a / (law.m + law.kappa * s))
 
             # the window moves with theta: seed it for the chunk's mean x_c
             s_mid = float(s0.mean())
