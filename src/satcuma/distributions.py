@@ -254,6 +254,7 @@ def sinr_law(sc: Scenario) -> SinrLaw:
     if sc.users.U == 1:
         raise ValueError("at least one interferer required (noise-only case is "
                          "handled by the metrics layer)")
+    require_analytic_density(sc.mu)
     omega, kappa = interference_moments(sc.zeta_interferers, sc.V)
     if not kappa > 0.0:  # zeta^2 underflows; build_scenario rejects such zeta
         raise ValueError(f"kappa must be positive, got {kappa}")
@@ -290,7 +291,6 @@ def sinr_pdf_exact(z, sc: Scenario, spec: QuadratureSpec = DEFAULT_SPEC):
     theta = t*theta_max(z), every z of a batch of _Z_CHUNK shares one panel
     tree on t in [0, 1].
     """
-    require_analytic_density(sc.mu)
     z = np.asarray(z, dtype=float)
     if sc.users.U == 1:
         # degenerate interference: SINR is the rescaled signal power
@@ -336,6 +336,7 @@ def sinr_pdf_compact(z, sc: Scenario):
 def sinr_supremum(sc: Scenario) -> float:
     """Largest attainable SINR, 2*Gamma*zeta_u/(Kbar*V^2): maximum signal
     power over the noise floor alone."""
+    require_analytic_density(sc.mu)
     return sc.zeta_u / (sc.V ** 2 * sc.noise_term)
 
 

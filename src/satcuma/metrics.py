@@ -18,6 +18,10 @@ need neither the root nor the boundary term.
 Noise-only scenarios (U = 1) bypass the Gaussian machinery entirely: the
 SINR is then a deterministic rescaling of the signal power and every metric
 reduces to a signal-distribution integral or closed form.
+
+Each law checks port density mu >= 2 where it is defined (signal_support,
+sinr_law, sinr_supremum, mean_signal_power_closed), so the metrics make no
+domain decision, and the compact forms refuse mu < 2 as the exact ones do.
 """
 
 from __future__ import annotations
@@ -68,6 +72,7 @@ class MetricResult:
 def mean_signal_power_closed(sc: Scenario) -> float:
     """Closed-form mean of the signal power,
     (zeta/(2 V^2)) * (1 + mu*sin(2*pi/mu)/(2*pi))."""
+    dist.require_analytic_density(sc.mu)
     mu = sc.mu
     return (sc.zeta_u / (2.0 * sc.V ** 2)) * (1.0 + mu * math.sin(2.0 * math.pi / mu) / (2.0 * math.pi))
 
@@ -101,29 +106,6 @@ def _z_breakpoints(sc: Scenario) -> tuple:
     return tuple(p for p in pts if 0.0 < p < z_sup)
 
 
-def _sinr_density_integral(g, sc: Scenario, upper: float, spec: QuadratureSpec):
-    """Integral of g(z) * sinr_pdf_exact(z) over (0, upper], upper <= supremum.
-
-    The density falls like sqrt(supremum - z) at the supremum, which a z-domain
-    rule can only chase by bisecting its last panel some 35 levels deep.  In
-    the angle domain z = supremum * cos^2(phi), phi in [acos(sqrt(upper /
-    supremum)), pi/2], the Jacobian 2 * supremum * cos(phi) * sin(phi) cancels
-    that root, and the integrand is smooth.
-    """
-    z_sup = sinr_supremum(sc)
-
-    def angle(z):
-        return math.acos(math.sqrt(z / z_sup))
-
-    def integrand(phi):
-        c = np.cos(phi)
-        z = z_sup * c * c
-        return g(z) * dist.sinr_pdf_exact(z, sc, spec) * (2.0 * z_sup * c * np.sin(phi))
-
-    return integrate(integrand, angle(upper), 0.5 * math.pi, spec,
-                     breakpoints=[angle(b) for b in _z_breakpoints(sc)])
-
-
 def _outage(gammas, sc: Scenario, spec: QuadratureSpec = METRIC_SPEC):
     """Unclamped outage P(SINR < gamma) for a vector of thresholds.
 
@@ -137,7 +119,6 @@ def _outage(gammas, sc: Scenario, spec: QuadratureSpec = METRIC_SPEC):
     Returns (values, est_errors, converged).
     """
     gammas = np.asarray(gammas, dtype=float)
-    dist.require_analytic_density(sc.mu)
     if sc.users.U == 1:
         vals = np.asarray(dist.signal_cdf(gammas * sc.noise_term, sc.zeta_u, sc.mu, sc.V))
         return vals, np.zeros_like(vals), True
@@ -184,20 +165,6 @@ def outage_compact(gamma: float, sc: Scenario) -> MetricResult:
     return MetricResult(value=val, est_error=0.0, warnings=warnings)
 
 
-def outage_exact_double_integral(gamma: float, sc: Scenario,
-                                 spec: QuadratureSpec = METRIC_SPEC) -> MetricResult:
-    """Outage via direct integration of the SINR density.
-
-    Cross-check route for the single-integral reduction; the two must agree
-    within quadrature tolerance.
-    """
-    if gamma <= 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
-    res = _sinr_density_integral(np.ones_like, sc, min(gamma, sinr_supremum(sc)), spec)
-    val, warnings = _clamp01(res.value, _flag_quad(sc.warnings, res.converged))
-    return MetricResult(value=val, est_error=res.est_error, warnings=warnings)
-
-
 def ergodic_rate(sc: Scenario, outage: str = "exact",
                  spec: QuadratureSpec = METRIC_SPEC) -> MetricResult:
     """Network ergodic rate (U*B/ln 2) * E[ln(1 + SINR)].
@@ -221,7 +188,6 @@ def ergodic_rate(sc: Scenario, outage: str = "exact",
     U, B = sc.users.U, sc.budget.B
     scale = U * B / math.log(2.0)
     if U == 1:
-        dist.require_analytic_density(sc.mu)
         snr_peak = sinr_supremum(sc)
         mu = sc.mu
 
@@ -354,7 +320,6 @@ def _rate_exact_nats(sc: Scenario, spec: QuadratureSpec):
     largest inner estimate times the outer interval (which bounds the inner
     errors weighted by the outer rule) and the root term of _outage_root.
     """
-    dist.require_analytic_density(sc.mu)
     law = dist.sinr_law(sc)
     mu = law.mu
     y_c, f_c, root_err, converged = _outage_root(sc, spec)
@@ -391,16 +356,30 @@ def _rate_exact_nats(sc: Scenario, spec: QuadratureSpec):
 
 
 def mean_sinr(sc: Scenario, spec: QuadratureSpec = METRIC_SPEC) -> float:
-    """Mean SINR as the first moment of the SINR density over its support."""
+    """Mean SINR as the first moment of the SINR density over its support,
+    in the angle domain z = supremum * cos^2(phi), phi in [0, pi/2]: its
+    Jacobian 2 * supremum * cos(phi) * sin(phi) cancels the density's
+    sqrt(supremum - z) fall, which a z-domain rule could only chase by
+    bisecting its last panel some 35 levels deep."""
     if sc.users.U == 1:
         return mean_snr(sc)
-    return _sinr_density_integral(lambda z: z, sc, sinr_supremum(sc), spec).value
+    z_sup = sinr_supremum(sc)
+
+    def angle(z):
+        return math.acos(math.sqrt(z / z_sup))
+
+    def integrand(phi):
+        c = np.cos(phi)
+        z = z_sup * c * c
+        return z * dist.sinr_pdf_exact(z, sc, spec) * (2.0 * z_sup * c * np.sin(phi))
+
+    return integrate(integrand, angle(z_sup), 0.5 * math.pi, spec,
+                     breakpoints=[angle(b) for b in _z_breakpoints(sc)]).value
 
 
 def mean_snr(sc: Scenario) -> float:
     """Mean SNR of the noise-only link, (2*Gamma/Kbar) * E[signal power],
     in closed form; mean_snr_compact gives the high-density limit."""
-    dist.require_analytic_density(sc.mu)
     return (2.0 * sc.Gamma / sc.Kbar) * mean_signal_power_closed(sc)
 
 

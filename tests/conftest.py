@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from satcuma import build_scenario, table_default_config
+from satcuma.distributions import sinr_pdf_exact, sinr_supremum
+from satcuma.metrics import METRIC_SPEC, WARN_QUAD_LIMIT, MetricResult, _z_breakpoints
 from satcuma.scenario import AntennaConfig, LinkBudget, Scenario, UserField, phase_chunks
 
 
@@ -28,6 +31,36 @@ def unit_scenario(K=9, W=2, U=5, gamma_snr=1e30, psi_u=math.pi / 3):
 
 
 BASE_NOISE = 1.381e-23 * 207.0 * 1e7  # noise power of the synthetic budget
+
+
+def outage_exact_double_integral(gamma, sc):
+    """Outage P(SINR < gamma) as the integral of sinr_pdf_exact over
+    (0, min(gamma, supremum)]: the density route that cross-checks
+    metrics.outage_exact.
+
+    SciPy quad runs in the angle domain z = supremum * cos^2(phi), whose
+    Jacobian 2 * supremum * cos(phi) * sin(phi) cancels the density's
+    sqrt(supremum - z) fall at the supremum, seeded at the angles of
+    metrics._z_breakpoints; so it shares no quadrature engine with the code
+    it checks.  Clamped to [0, 1] as outage_exact is, and flagged
+    quadrature-limit where quad reports no convergence.
+    """
+    z_sup = sinr_supremum(sc)
+
+    def angle(z):
+        return math.acos(math.sqrt(z / z_sup))
+
+    def integrand(phi):
+        c = math.cos(phi)
+        return sinr_pdf_exact(z_sup * c * c, sc, METRIC_SPEC) * (2.0 * z_sup * c * math.sin(phi))
+
+    lo = angle(min(gamma, z_sup))
+    seeds = sorted(p for p in map(angle, _z_breakpoints(sc)) if lo < p < 0.5 * math.pi)
+    out = quad(integrand, lo, 0.5 * math.pi, points=seeds or None, epsabs=METRIC_SPEC.abs_tol,
+               epsrel=METRIC_SPEC.rel_tol, limit=200, full_output=1)
+    value, err = out[0], out[1]
+    warnings = (WARN_QUAD_LIMIT,) if len(out) > 3 else ()  # a fourth item is quad's message
+    return MetricResult(value=min(max(value, 0.0), 1.0), est_error=err, warnings=warnings)
 
 
 def draw_block(seed, lo, hi, u):

@@ -38,7 +38,7 @@ from satcuma.distributions import (interference_cdf_per_user,
                                    total_interference_pdf)
 from satcuma.metrics import (_z_breakpoints, mean_sinr, mean_snr,
                              outage_compact, outage_exact, outage_exact_curve,
-                             outage_exact_double_integral, sinr_supremum)
+                             sinr_supremum)
 from satcuma.montecarlo import (empirical_cdf, empirical_outage, ks_distance,
                                 negative_set_trials, run_trials)
 from satcuma.quadrature import integrate
@@ -48,7 +48,7 @@ from satcuma.cli import main as cli_main
 from satcuma.validate import _KS_NOISE_MULT
 
 from conftest import draw_block as _draw_block
-from conftest import naive_negative_set, reference_scenario
+from conftest import naive_negative_set, outage_exact_double_integral, reference_scenario
 
 
 def check(criterion, passed, detail):

@@ -15,13 +15,12 @@ from satcuma.metrics import (METRIC_SPEC, MetricResult, WARN_CLAMPED,
                              WARN_QUAD_LIMIT, _z_breakpoints,
                              ergodic_rate, mean_signal_power_closed, mean_sinr,
                              mean_snr, mean_snr_compact, outage_compact,
-                             outage_exact, outage_exact_curve,
-                             outage_exact_double_integral, sinr_supremum)
+                             outage_exact, outage_exact_curve, sinr_supremum)
 from satcuma.quadrature import QuadratureSpec, integrate
 from satcuma.scenario import WARN_ODD_MU
 from satcuma.sweep import _scenario_at, preset_sweeps
 
-from conftest import reference_scenario, unit_scenario
+from conftest import outage_exact_double_integral, reference_scenario, unit_scenario
 
 
 class TestOutageExact:
@@ -186,6 +185,22 @@ class TestErgodicRate:
             ergodic_rate(sc)
         with pytest.raises(ValueError, match="density"):
             mean_snr(sc)
+
+    @pytest.mark.parametrize("U", [1, 5])
+    def test_compact_forms_require_analytic_density(self, U):
+        # the compact forms refuse mu < 2 as the exact ones do; the compact
+        # mean SNR, a function of the port count alone, needs no density
+        sc = reference_scenario(K=3, W=2, U=U)  # mu = 1
+        with pytest.raises(ValueError, match="density"):
+            outage_compact(0.35, sc)
+        with pytest.raises(ValueError, match="density"):
+            ergodic_rate(sc, outage="compact")
+        with pytest.raises(ValueError, match="density"):
+            dist.sinr_cdf_compact(0.35, sc)
+        if U > 1:
+            with pytest.raises(ValueError, match="density"):
+                dist.sinr_pdf_compact(0.35, sc)
+        assert mean_snr_compact(sc) > 0.0
 
     def test_outage_kind_validation(self, table_scenario):
         with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from satcuma.core import (PortSetKind, activated_set,
                           signal_amplitude_bruteforce)
@@ -409,6 +409,24 @@ class TestTrialPhysics:
     def test_workers_validation(self, table_scenario, workers):
         with pytest.raises(ValueError, match="workers"):
             run_trials(table_scenario, 100, 1, workers=workers)
+
+
+class TestReducedDensity:
+    # at mu = (K-1)/W = p/q in lowest terms, port j's phase steps by
+    # 2*pi*q/p, so the K-1 = p*k ports take each of the p phases 2*pi*i/p
+    # k times: the same port sums as density p on k wavelengths (ROADMAP
+    # item 19's oracle part)
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(p=st.integers(3, 12), q=st.sampled_from([2, 3, 4]), k=st.integers(1, 2),
+           U=st.integers(2, 5))
+    def test_trials_equal_at_the_reduced_density(self, p, q, k, U):
+        assume(math.gcd(p, q) == 1)
+        got = run_trials(reference_scenario(K=p * k + 1, W=q * k, U=U), 2000, 5)
+        ref = run_trials(reference_scenario(K=p * k + 1, W=k, U=U), 2000, 5)
+        assert np.array_equal(got.kbar, ref.kbar)
+        for col in ("alpha", "ys", "beta", "sinr"):
+            a, b = getattr(got, col), getattr(ref, col)
+            assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), col
 
 
 class TestNegativeSet:
