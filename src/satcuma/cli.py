@@ -14,6 +14,7 @@ check failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -46,6 +47,7 @@ def _parse_set(items):
     return out
 
 
+@functools.cache  # one parser a process: parse_args keeps no state between calls
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="satcuma",

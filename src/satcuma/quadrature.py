@@ -2,7 +2,8 @@
 
 The engine refines level by level: each round makes one integrand call on
 the GL15 and GL7 nodes of every pending panel, and bisects each panel whose
-embedded error estimate misses either tolerance.  The edges and estimates
+embedded error estimate misses either tolerance; a round in which every
+panel meets its tolerance ends the call.  The edges and estimates
 of all panels, pending and accepted, are kept in left-to-right order; a
 bisected panel is replaced in place by its halves, and the result is one
 running sum over the estimates in the order a depth-first bisection gives,
@@ -109,7 +110,7 @@ def integrate(f, a: float, b: float, spec: QuadratureSpec = DEFAULT_SPEC,
     est = None  # (value, error) x components x panels, in position order
     nsub, converged = 0, True
     while True:
-        lo, hi = edges[:-1][todo], edges[1:][todo]
+        lo, hi = edges[todo], edges[todo + 1]
         span = hi - lo
         half, mid = 0.5 * span, 0.5 * (lo + hi)
         fx = np.asarray(f((mid[:, None] + half[:, None] * _NODES).ravel()))
@@ -124,10 +125,14 @@ def integrate(f, a: float, b: float, spec: QuadratureSpec = DEFAULT_SPEC,
             est = np.array((fine, err))
         else:
             est[:, :, todo] = fine, err
-        accept = np.logical_and.reduce(err <= tol, axis=0) | (span < 1e-15 * width)
+        finite = np.isfinite(err)
+        meets = (err <= tol) & finite
+        if meets.all():  # every panel accepted: how a smooth integral ends
+            break
         # a non-finite estimate stays as it is: bisecting it would spend the
         # whole budget on halves that are just as non-finite
-        finite = np.logical_and.reduce(np.isfinite(err), axis=0)
+        finite = np.logical_and.reduce(finite, axis=0)
+        accept = np.logical_and.reduce(meets, axis=0) | (span < 1e-15 * width)
         failing = (~accept & finite).nonzero()[0]
         split = failing[:spec.max_subdivisions - nsub]
         converged = converged and split.size == failing.size and bool(finite.all())

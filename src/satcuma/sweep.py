@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import benchmarks, distributions as dist, metrics
-from .scenario import (SEED_BOUND, Scenario, ScenarioError, build_scenario,
-                       is_integral, is_number, phase_offset, table_default_config)
+from .scenario import (SEED_BOUND, ScenarioError, build_scenario, is_integral, is_number,
+                       phase_offset, table_default_config)
 
 # each sweep parameter and the scenario key its grid value sets (K = mu*W + 1
 # for mu); a gamma or psi_tilde sweep leaves the scenario as it is
@@ -113,13 +113,23 @@ class SweepSpec:
                                  f"got a {self.param!r} sweep")
 
 
-def _scenario_at(spec: SweepSpec, value) -> Scenario:
+def _config_at(spec: SweepSpec, value) -> dict:
     cfg = dict(spec.base)
     key = _GRID_KEYS[spec.param]
     if key is not None:
         cfg[key] = round(value * cfg["W"] + 1) if spec.param == "mu" else value
     cfg.setdefault("seed", spec.seed)
-    return build_scenario(cfg)
+    return cfg
+
+
+def _config_key(v):
+    """A hashable key of a config value that tells apart, at every level, values of
+    different types or reprs, such as True, 1 and 1.0, which compare equal."""
+    if isinstance(v, dict):
+        return dict, tuple((k, _config_key(x)) for k, x in v.items())
+    if isinstance(v, (list, tuple)):
+        return type(v), tuple(map(_config_key, v))
+    return type(v), repr(v)
 
 
 def _gamma_at(spec: SweepSpec, value) -> float:
@@ -230,10 +240,9 @@ _MC_BATCH_METRICS = {name for name, (_, mc_fn) in METRIC_REGISTRY.items()
                      if mc_fn not in (None, _mc_zf)}
 
 
-def _eval_point(spec, x):
-    """The rows of one grid point, in metric order (picklable worker)."""
+def _eval_point(spec, x, sc):
+    """The rows of grid point x, of scenario sc, in metric order (picklable worker)."""
     rows = []
-    sc = _scenario_at(spec, x)
     batch = None
     if spec.trials > 0 and _MC_BATCH_METRICS & set(spec.metrics):
         from . import montecarlo as mc
@@ -261,19 +270,27 @@ def _eval_point(spec, x):
 def run_sweep(specs, workers: int = 1) -> list:
     """Evaluate sweeps; rows come back in (spec, grid, metric) order, as map
     and the pool's map both yield results in input order.  Every grid point
-    of every sweep goes through one map, so a call starts at most one pool."""
+    of every sweep goes through one map, so a call starts at most one pool.
+    Each distinct grid-point config is built once, in grid order before any
+    metric runs, and the grid points that set it share its Scenario."""
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     spec_of = [spec for spec in specs for _ in spec.grid]
     points = [x for spec in specs for x in spec.grid]
+    built, scenarios = {}, []
+    for cfg in map(_config_at, spec_of, points):
+        key = _config_key(cfg)
+        if key not in built:
+            built[key] = build_scenario(cfg)
+        scenarios.append(built[key])
     if workers == 1 or len(points) <= 1:
-        results = list(map(_eval_point, spec_of, points))
+        results = list(map(_eval_point, spec_of, points, scenarios))
     else:
         import concurrent.futures
         # a forked pool starts all max_workers processes at once
         with concurrent.futures.ProcessPoolExecutor(
                 max_workers=min(workers, len(points))) as pool:
-            results = list(pool.map(_eval_point, spec_of, points))
+            results = list(pool.map(_eval_point, spec_of, points, scenarios))
     return [row for rows in results for row in rows]
 
 

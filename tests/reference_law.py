@@ -41,7 +41,8 @@ import mpmath as mp
 from scipy.integrate import quad
 from scipy.special import ndtr
 
-from satcuma.sweep import _scenario_at, preset_sweeps
+from satcuma.scenario import build_scenario
+from satcuma.sweep import _config_at, preset_sweeps
 
 # relative tolerance of every quad here
 EPSREL = 1e-13
@@ -259,7 +260,7 @@ def preset_rows(metric: str) -> list:
             if metric not in spec.metrics:
                 continue
             for v in spec.grid:
-                sc = _scenario_at(spec, v)
+                sc = build_scenario(_config_at(spec, v))
                 if sc.users.U > 1:
                     rows.append(Row(name, spec.series, spec.param, v, metric, sc, spec.gamma))
     return rows

@@ -11,6 +11,7 @@ from satcuma.benchmarks import (cuma_beamforming_gains, cuma_signal_gain,
                                 mrc_mean_snr, mrc_sinr, ocuma_rate,
                                 single_user_scenario, zf_sinr_mc)
 from satcuma import sweep
+from satcuma.scenario import build_scenario
 from satcuma.sweep import preset_sweeps, run_sweep
 from satcuma.metrics import ergodic_rate, mean_snr
 from satcuma.core import (PortSetKind, activated_set, instant_sinr, window_phase,
@@ -254,7 +255,7 @@ class TestZeroForcingClosedForm:
         rows = run_sweep([spec])
         assert len(rows) == len(spec.grid)
         for x, row in zip(spec.grid, rows):
-            sc = sweep._scenario_at(spec, x)
+            sc = build_scenario(sweep._config_at(spec, x))
             mrc = mrc_sinr(spec.mrc_M, list(sc.users.zeta), sc.Gamma)
             r = zf_sinr_mc(spec.mrc_M, sc, 2000, seed)
             assert r.combiner_failures == 2000

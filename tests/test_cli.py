@@ -8,14 +8,14 @@ import numpy as np
 import pytest
 
 import satcuma.core
-from satcuma import benchmarks, metrics
+from satcuma import benchmarks, metrics, sweep
 from satcuma.cli import _build_parser, _load_scenario, main
 from satcuma.metrics import WARN_CLAMPED, WARN_QUAD_LIMIT
 from satcuma.montecarlo import DEFAULT_BLOCK, _block_plan, run_trials, wilson_interval
 from satcuma.scenario import WARN_ODD_MU, build_scenario
 from satcuma.sweep import (_GRID_KEYS, METRIC_REGISTRY, PRESETS, SWEEP_PARAMS, SweepSpec,
-                           SweepSpecError, _scenario_at, load_sweep_file, preset_sweeps,
-                           run_sweep, write_csv)
+                           SweepSpecError, _config_at, load_sweep_file,
+                           preset_sweeps, run_sweep, write_csv)
 from satcuma.validate import NEGATIVE_SET_TRIALS, run_validation
 
 from conftest import reference_scenario
@@ -84,8 +84,8 @@ class TestSweepSpec:
         # each sweep parameter sets the one scenario key that _GRID_KEYS names
         x = {"mu": 4, "K": 13, "U": 3, "B": 2e7, "gamma": 0.2, "W": 4, "psi_tilde": 1.0}[param]
         base = {"K": 21, "W": 2, "U": 5}
-        sc = _scenario_at(SweepSpec(param=param, grid=(x,), base=base,
-                                    metrics=("mean_snr",)), x)
+        sc = build_scenario(_config_at(SweepSpec(param=param, grid=(x,), base=base,
+                                                 metrics=("mean_snr",)), x))
         key = _GRID_KEYS[param]
         if key is None:
             assert sc == build_scenario(base)
@@ -755,6 +755,74 @@ class TestCliExitCodes:
         assert gains.pop() == pytest.approx(80.0 / np.pi ** 2, rel=1e-9)
 
 
+class TestScenarioReuse:
+    @pytest.mark.parametrize("preset,builds", [("fig3", 19), ("fig6", 2), ("fig10", 22),
+                                               ("fig11", 1)])
+    def test_each_distinct_config_is_built_once(self, monkeypatch, preset, builds):
+        specs = preset_sweeps(preset)
+        configs = []
+
+        def counted(cfg):
+            configs.append(cfg)
+            return build_scenario(cfg)
+
+        monkeypatch.setattr(sweep, "build_scenario", counted)
+        rows = run_sweep(specs)
+        assert len(configs) == builds
+        # in grid order, each config once
+        order = [_config_at(spec, x) for spec in specs for x in spec.grid]
+        assert configs == list({json.dumps(cfg): cfg for cfg in order}.values())
+        monkeypatch.undo()
+        assert rows == [row for spec in specs for x in spec.grid for row in
+                        sweep._eval_point(spec, x, build_scenario(_config_at(spec, x)))]
+
+    def test_configs_are_told_apart_by_type(self):
+        keys = [sweep._config_key(v) for v in
+                (True, 1, 1.0, -0.0, 0.0, [1.2e6], (1.2e6,), 1.2e6, {"K": 1}, {"K": True})]
+        assert len(set(keys)) == len(keys)
+        assert sweep._config_key({"K": [1, 2.5]}) == sweep._config_key({"K": [1, 2.5]})
+
+    def test_bool_seed_after_equal_int_seed_is_usage_error(self, tmp_path, capsys):
+        def write(name, *seeds):
+            path = tmp_path / name
+            path.write_text(json.dumps({"sweeps": [
+                {"param": "U", "grid": [2, 3], "metrics": ["mean_snr"],
+                 "scenario": {"K": 9, "W": 2, "U": 2, "seed": seed}} for seed in seeds]}))
+            return str(path)
+
+        out = tmp_path / "x.csv"
+        assert run_cli(["sweep", "--spec", write("int.json", 1), "--out", str(out)]) == 0
+        out.unlink()
+        # true after an equal int seed: in an earlier run, and in the same run
+        for spec in (write("bool.json", True), write("both.json", 1, True)):
+            capsys.readouterr()
+            assert run_cli(["sweep", "--spec", spec, "--out", str(out)]) == 2
+            assert "seed must be an integer" in capsys.readouterr().err
+            assert not out.exists()
+
+
+class TestMainKeepsNoState:
+    def test_consecutive_calls_are_independent(self, tmp_path, capsys):
+        assert run_cli(["report", "--set", "K=11"]) == 0
+        assert "ports K                  11\n" in capsys.readouterr().out
+        assert run_cli(["report"]) == 0
+        assert "ports K                  21\n" in capsys.readouterr().out
+        # --set lists start empty at each call
+        assert run_cli(["report", "--set", "K=11", "--set", "U=3"]) == 0
+        assert run_cli(["report", "--set", "U=2"]) == 0
+        text = capsys.readouterr().out.split("scenario summary")[-1]
+        assert "ports K                  21\n" in text
+        assert "users U                  2\n" in text
+        assert _build_parser().parse_args(["report"]).set is None
+        # a usage error, from a value or from argparse, leaves nothing behind
+        assert run_cli(["report", "--set", "K=1"]) == 2
+        assert run_cli(["report"]) == 0
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["report", "--bogus"])
+        assert exc.value.code == 2
+        assert run_cli(["sweep", "--preset", "fig11", "--out", str(tmp_path / "f.csv")]) == 0
+
+
 class TestDeterministicOutputs:
     def test_sweep_outputs_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -764,11 +832,14 @@ class TestDeterministicOutputs:
         assert a.read_bytes() == b.read_bytes()
 
     def test_sweep_workers_byte_identical(self, tmp_path):
-        a, b = tmp_path / "w1.csv", tmp_path / "w4.csv"
-        args = ["sweep", "--preset", "fig6", "--seed", "9", "--trials", "4000"]
-        assert run_cli(args + ["--workers", "1", "--out", str(a)]) == 0
-        assert run_cli(args + ["--workers", "4", "--out", str(b)]) == 0
-        assert a.read_bytes() == b.read_bytes()
+        # fig6's 100 grid points and fig10's 66 share 2 and 22 scenarios, so
+        # the pool's workers receive reused scenarios
+        for preset in ("fig6", "fig10"):
+            a, b = tmp_path / f"{preset}-w1.csv", tmp_path / f"{preset}-w4.csv"
+            args = ["sweep", "--preset", preset, "--seed", "9", "--trials", "4000"]
+            assert run_cli(args + ["--workers", "1", "--out", str(a)]) == 0
+            assert run_cli(args + ["--workers", "4", "--out", str(b)]) == 0
+            assert a.read_bytes() == b.read_bytes()
 
     def test_validate_report_deterministic(self, tmp_path):
         # two default blocks: --workers 4 forks two processes, --workers 1 runs

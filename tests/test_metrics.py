@@ -17,8 +17,8 @@ from satcuma.metrics import (METRIC_SPEC, MetricResult, WARN_CLAMPED,
                              mean_snr, mean_snr_compact, outage_compact,
                              outage_exact, outage_exact_curve, sinr_supremum)
 from satcuma.quadrature import QuadratureSpec, integrate
-from satcuma.scenario import WARN_ODD_MU
-from satcuma.sweep import _scenario_at, preset_sweeps
+from satcuma.scenario import WARN_ODD_MU, build_scenario
+from satcuma.sweep import _config_at, preset_sweeps
 
 from conftest import outage_exact_double_integral, reference_scenario, unit_scenario
 
@@ -259,7 +259,7 @@ def _preset_points(*names):
     for name in names:
         for spec in preset_sweeps(name):
             for v in spec.grid:
-                sc = _scenario_at(spec, v)
+                sc = build_scenario(_config_at(spec, v))
                 if sc.users.U > 1:
                     points.append((f"{name} {spec.series} {spec.param}={v}", sc))
     return points

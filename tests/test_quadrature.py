@@ -237,6 +237,12 @@ class TestEngineEquivalence:
                    0.0, 8.0, (2.5,)),
         "vector-reversed": (lambda x: np.stack([np.cos(x) ** 2, np.exp(-x * x)]),
                             2.0, -1.0, ()),
+        # every panel meets its tolerance in round one
+        "smooth": (lambda x: np.cos(x), 0.0, 1.0, (0.4,)),
+        "vector-smooth": (lambda x: np.stack([np.cos(x), np.exp(-x)]), 1.0, -1.0, ()),
+        # the first component alone meets its tolerance in round one
+        "vector-one-misses": (
+            lambda x: np.stack([np.cos(x), 1.0 / (1.0 + 100.0 * (x - 1.0) ** 2)]), 0.0, 3.0, ()),
     }
     SPECS = [QuadratureSpec(), QuadratureSpec(abs_tol=1e-14, rel_tol=1e-12)]
 
@@ -260,7 +266,8 @@ class TestEngineEquivalence:
         assert res.subdivisions == ref.subdivisions == 5
         assert res.converged is ref.converged is False
 
-    @pytest.mark.parametrize("case", ["oscillating", "narrow-peak", "reversed", "vector"])
+    @pytest.mark.parametrize("case", ["oscillating", "narrow-peak", "reversed", "vector",
+                                      "vector-one-misses"])
     def test_one_integrand_call_per_level(self, case):
         f, a, b, bp = self.CASES[case]
         calls = []
@@ -275,6 +282,58 @@ class TestEngineEquivalence:
         assert len(calls) == depth + 1
         # every panel is evaluated once, on its 15 + 7 nodes
         assert sum(calls) == 22 * (len(bp) + 1 + 2 * res.subdivisions)
+
+    @pytest.mark.parametrize("case", ["smooth", "vector-smooth"])
+    def test_first_round_accepting_every_panel_ends_the_call(self, case):
+        f, a, b, bp = self.CASES[case]
+        calls = []
+
+        def counted(x):
+            calls.append(x.size)
+            return f(x)
+
+        res = integrate(counted, a, b, breakpoints=bp)
+        assert calls == [22 * (len(bp) + 1)]
+        assert res.subdivisions == 0
+        assert res.converged is True
+
+    def test_one_missing_component_keeps_refining(self):
+        f, a, b, bp = self.CASES["vector-one-misses"]
+        assert integrate(lambda x: f(x)[0], a, b, breakpoints=bp).subdivisions == 0
+        calls = []
+
+        def counted(x):
+            calls.append(x.size)
+            return f(x)
+
+        res = integrate(counted, a, b, breakpoints=bp)
+        ref, _ = _depth_first(f, a, b, breakpoints=bp)
+        assert len(calls) > 1
+        assert res.subdivisions == ref.subdivisions > 0
+        assert res.converged is True
+        # the accepted component is summed over the refined tree as well
+        assert np.all(np.abs(res.value - ref.value) <= 1e-15 * np.abs(ref.value))
+
+    @pytest.mark.parametrize("vector", [False, True], ids=["scalar", "vector"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_first_round_ends_unconverged(self, bad, vector):
+        # a NaN or infinite estimate in round one is neither accepted nor
+        # bisected, and the finite panel beside it is accepted
+        calls = []
+
+        def f(x):
+            calls.append(x.size)
+            y = np.where(x < 0.25, 1.0, bad)
+            return np.stack([np.cos(x), y]) if vector else y
+
+        with np.errstate(invalid="ignore"):  # inf - inf in the error estimate
+            res = integrate(f, 0.0, 1.0, breakpoints=(0.25,))
+        assert len(calls) == 1
+        assert res.subdivisions == 0
+        assert res.converged is False
+        value = res.value[1] if vector else res.value
+        assert not math.isfinite(value)
+        assert math.isnan(value) or value == bad
 
 
 # positive shapes, so the sum of the panels has no cancellation for the
