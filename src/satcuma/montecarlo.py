@@ -42,27 +42,31 @@ def _block_sums(cols, master_seed, lo, hi, u, k, mu, zeta, gamma, amps):
     chunks of _chunk_rows(k), each with the phases that the phase stream
     draws for it into one reused buffer, so every scratch array holds one
     chunk.  An interferer's cosines are evaluated only on the activated
-    ports; the other slots of the summed buffer keep the signed zeros of
-    the signal product, and a zero of either sign leaves a row sum
-    unchanged up to the sign of an all-zero sum, which squaring removes.
+    ports, found once per chunk: its phase, repeated kbar times per row,
+    plus the activated ports' offsets goes through one contiguous np.cos,
+    which is scattered back to those slots.  Each argument is the same IEEE
+    sum as on the full row, and np.cos gives the same bits however its
+    input is laid out.  The other slots of the summed buffer keep the
+    signed zeros of the signal product, and a zero of either sign leaves a
+    row sum unchanged up to the sign of an all-zero sum, which squaring
+    removes.
     """
     ports = 2.0 * math.pi * np.arange(1, k) / mu  # k-1 phase offsets, ports 2..K
     rows = min(hi - lo, _chunk_rows(k))
     phase = np.empty((rows, k - 1))
-    cos = np.empty_like(phase)
     part = np.empty_like(phase)
     pos = np.empty(phase.shape, dtype=bool)
     neg = np.empty_like(pos)
     for c, psi in phase_chunks(master_seed, lo, hi, u, rows):
         nr = psi.shape[0]
         r = slice(c, c + nr)
-        ph, cs, pt, mp, mn = phase[:nr], cos[:nr], part[:nr], pos[:nr], neg[:nr]
+        ph, pt, mp, mn = phase[:nr], part[:nr], pos[:nr], neg[:nr]
         np.add(psi[:, :1], ports, out=ph)
-        np.cos(ph, out=cs)
+        cs = np.cos(ph, out=ph)
         np.greater(cs, 0.0, out=mp)
         if amps:
             # before the signal product, which must be the last write to pt:
-            # the masked interferer cosines below keep its signed zeros
+            # the scattered interferer cosines below keep its signed zeros
             np.less(cs, 0.0, out=mn)
             amp_n = np.multiply(cs, mn, out=pt).sum(axis=1)
         amp = np.multiply(cs, mp, out=pt).sum(axis=1)
@@ -71,10 +75,18 @@ def _block_sums(cols, master_seed, lo, hi, u, k, mu, zeta, gamma, amps):
             cols["amp_neg"][r] = math.sqrt(zeta[0]) * np.abs(amp_n)
         kbar = cols["kbar"][r] = mp.sum(axis=1)
         ys = cols["ys"][r]
+        if u > 1:
+            # the activated slots, row-major, and their port offsets, kept
+            # in the buffer of the desired user's cosines, free from here on
+            slots = np.flatnonzero(mp)
+            offs = ph.reshape(-1)[:slots.size]
+            offs[...] = np.broadcast_to(ports, mp.shape)[mp]
         for j in range(1, u):
-            np.add(psi[:, j:j + 1], ports, out=ph)
-            s = np.cos(ph, out=pt, where=mp).sum(axis=1)
-            ys[:, j - 1] = zeta[j] * s ** 2
+            arg = np.repeat(psi[:, j], kbar)
+            arg += offs
+            pt.reshape(-1)[slots] = np.cos(arg, out=arg)
+            del arg  # before the next interferer's repeat allocates
+            ys[:, j - 1] = zeta[j] * pt.sum(axis=1) ** 2
         alpha = cols["alpha"][r] = zeta[0] * amp ** 2
         beta = cols["beta"][r] = ys.sum(axis=1)
         denom = beta + kbar / (2.0 * gamma)

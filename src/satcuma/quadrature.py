@@ -119,7 +119,10 @@ def integrate(f, a: float, b: float, spec: QuadratureSpec = DEFAULT_SPEC,
         fine = half * (fx[..., :_FINE_NODES.size] @ _FINE_WEIGHTS)
         coarse = half * (fx[..., _FINE_NODES.size:] @ _COARSE_WEIGHTS)
         mag = np.abs(fine)
-        err = np.maximum(np.abs(fine - coarse), _ROUNDOFF * mag)
+        # a panel infinite on every node gives inf - inf: a NaN estimate,
+        # which the finiteness test below handles, so it need not warn
+        with np.errstate(invalid="ignore"):
+            err = np.maximum(np.abs(fine - coarse), _ROUNDOFF * mag)
         tol = np.maximum(spec.abs_tol * span / width, spec.rel_tol * mag)
         if est is None:  # the first round evaluates every panel
             est = np.array((fine, err))

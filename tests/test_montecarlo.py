@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from satcuma.core import (PortSetKind, activated_set,
                           signal_amplitude_bruteforce)
@@ -244,6 +244,41 @@ class TestKernelBitIdentity:
             batch = run_trials(sc, n, 83, k2_trials=n_k2, **kwargs)
             _assert_columns_equal(batch, ref_neg, _AMP_COLUMNS)
             _assert_columns_equal(batch, ref)
+
+
+def _assert_bits_equal(obj, ref, names=None):
+    # byte for byte, so that a zero of the other sign also fails
+    for name in names or ref:
+        got, want = getattr(obj, name), ref[name]
+        assert got.shape == want.shape, name
+        assert got.tobytes() == want.astype(got.dtype).tobytes(), name
+
+
+class TestKernelRandomScenarios:
+    # the kernel gathers each chunk's activated slots by per-row counts, so
+    # the draws span non-integer densities and up to three row chunks; at
+    # mu = 1 (the first and last examples) every port has the desired
+    # user's phase, so a row activates all ports or none, and the second
+    # example is mu = 7/3
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(K=st.integers(2, 200), W=st.integers(1, 5), U=st.integers(1, 8),
+           chunks=st.floats(0.0, 3.0), k2_share=st.floats(0.0, 1.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(K=2, W=1, U=3, chunks=0.01, k2_share=0.5, seed=1)
+    @example(K=8, W=3, U=4, chunks=2.5, k2_share=0.4, seed=2)
+    @example(K=3, W=2, U=2, chunks=0.1, k2_share=1.0, seed=3)
+    def test_trials_match_naive_reference(self, K, W, U, chunks, k2_share, seed):
+        assume(W < K)  # mu >= 1, where V = sin(pi/mu)/W is positive
+        sc = reference_scenario(K=K, W=W, U=U)
+        n = max(1, int(chunks * _chunk_rows(K)))
+        n_k2 = int(k2_share * n)
+        psi = _draw_block(seed, 0, n, U)
+        ref, ref_neg = naive_block(sc, psi), naive_negative_set(sc, psi[:n_k2])
+        # a block smaller than n, so that two workers share the pass
+        for kwargs in ({}, {"block_size": max(1, n // 3), "workers": 2}):
+            batch = run_trials(sc, n, seed, k2_trials=n_k2, **kwargs)
+            _assert_bits_equal(batch, ref)
+            _assert_bits_equal(batch, ref_neg, _AMP_COLUMNS)
 
 
 class TestKernelMemory:
